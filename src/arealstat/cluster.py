@@ -5,6 +5,13 @@ distances, so each merge picks the pair whose union increases within-group
 sum of squares the least.  Recorded heights are the square roots of the
 merge costs.  Groups are read off by cutting the tree, and each group is
 profiled against the overall mean of every feature.
+
+The agglomeration caches each row's minimum of the n x n cost table and,
+after a merge, rescans only the rows whose partner was merged.  The Ward
+update is reducible, so no other row's minimum can fall beyond rounding
+(Muellner 2011, arXiv:1109.2378, the "generic" algorithm).  It takes
+O(n^2) time in practice and 8*n^2 bytes, and it refuses n above 16 384
+(``MAX_TABLE_BYTES``, 2 GiB).
 """
 
 from __future__ import annotations
@@ -19,7 +26,11 @@ __all__ = [
     "cut",
     "GroupProfile",
     "profile",
+    "MAX_TABLE_BYTES",
 ]
+
+# largest n x n float64 cost table ward_cluster allocates (n = 16 384)
+MAX_TABLE_BYTES = 2 * 1024**3
 
 
 @dataclass(eq=False)
@@ -41,6 +52,19 @@ def ward_cluster(points: np.ndarray) -> Dendrogram:
     table entry for clusters A and B is 2*n_A*n_B/(n_A+n_B) times the
     squared distance of their centroids.  Exact cost ties are broken toward
     the smallest (left id, right id) pair.
+
+    Each live row caches its minimum and the column holding it.  A merge
+    rewrites the lower slot's row and column and retires the other slot by
+    filling its row and column with inf.  Rows whose cached column was one
+    of the merged pair are rescanned; every other row only compares its
+    cached minimum with its one new entry.  The cache is exact, since no
+    other entry changed.  Ward's update is reducible: a merged cluster is
+    never closer to a third one than the nearer of its two parts was, so
+    the comparison lowers a minimum only by rounding.  A merge costs O(n)
+    plus O(n) per rescanned row, which makes the agglomeration O(n^2) time
+    in practice and O(n^3) at worst.  The n x n float64 table takes 8*n^2
+    bytes; inputs whose table would exceed ``MAX_TABLE_BYTES``
+    (n > 16 384) are refused before it is allocated.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -48,52 +72,67 @@ def ward_cluster(points: np.ndarray) -> Dendrogram:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("grouping needs at least 2 points")
+    table_bytes = 8 * n * n
+    if table_bytes > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"grouping n={n} points needs a {table_bytes}-byte cost table, "
+            f"over the limit of {MAX_TABLE_BYTES} bytes"
+        )
     if np.isnan(pts).any():
         raise ValueError("points contain missing values")
 
-    # working matrix over slots 0..n-1; a merged pair collapses into one slot
+    # working matrix over slots 0..n-1; a merged pair collapses into the
+    # lower slot and the other slot's row and column become inf
     sq = np.sum(pts**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
-    active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=float)
     cluster_id = np.arange(n)
+    row_arg = np.argmin(d2, axis=1)
+    row_min = d2[np.arange(n), row_arg]
 
     merges: list[tuple[int, int, float, int]] = []
     for step in range(n - 1):
-        masked = np.where(active[:, None] & active[None, :], d2, np.inf)
-        cost = float(masked.min())
-        si_arr, sj_arr = np.nonzero(masked == cost)
-        best = None
-        best_slots = None
-        for si, sj in zip(si_arr, sj_arr):
-            if si >= sj:
-                continue
-            pair = (
-                min(cluster_id[si], cluster_id[sj]),
-                max(cluster_id[si], cluster_id[sj]),
-            )
-            if best is None or pair < best:
-                best = pair
-                best_slots = (int(si), int(sj))
-        si, sj = best_slots
+        cost = float(row_min.min())
+        # every slot in a tied pair has its row minimum at the cost, so the
+        # smallest id pair holds the smallest id among those slots
+        tied = np.flatnonzero(row_min == cost)
+        first = tied[np.argmin(cluster_id[tied])]
+        partners = np.flatnonzero(d2[first] == cost)
+        second = partners[np.argmin(cluster_id[partners])]
+        si, sj = min(first, second), max(first, second)
         ni, nj = sizes[si], sizes[sj]
+        left, right = sorted((cluster_id[si], cluster_id[sj]))
 
-        others = np.nonzero(active)[0]
-        others = others[(others != si) & (others != sj)]
-        nk = sizes[others]
+        stale = (row_arg == si) | (row_arg == sj)
+        stale[si] = True
+        stale[sj] = False
+        # the diagonal and retired slots hold inf, and so does their update
         new = (
-            (ni + nk) * d2[si, others]
-            + (nj + nk) * d2[sj, others]
-            - nk * cost
-        ) / (ni + nj + nk)
-        d2[si, others] = new
-        d2[others, si] = new
-        active[sj] = False
+            (ni + sizes) * d2[si]
+            + (nj + sizes) * d2[sj]
+            - sizes * cost
+        ) / (ni + nj + sizes)
+        d2[si] = new
+        d2[:, si] = new
+        d2[sj] = np.inf
+        d2[:, sj] = np.inf
         sizes[si] = ni + nj
         cluster_id[si] = n + step
-        merges.append((best[0], best[1], float(np.sqrt(cost)), int(ni + nj)))
+
+        lower = new < row_min
+        row_min[lower] = new[lower]
+        row_arg[lower] = si
+        # a retired slot is never merged again, so pointing it at itself
+        # keeps it out of every later rescan
+        row_min[sj] = np.inf
+        row_arg[sj] = sj
+        stale = np.flatnonzero(stale)
+        args = np.argmin(d2[stale], axis=1)
+        row_arg[stale] = args
+        row_min[stale] = d2[stale, args]
+        merges.append((left, right, float(np.sqrt(cost)), int(ni + nj)))
     return Dendrogram(n=n, merges=merges)
 
 

@@ -227,6 +227,10 @@ def _optimize_profile(fun, interval: tuple[float, float]) -> float:
         method="bounded",
         options={"xatol": 1e-8},
     )
+    if not res.success:
+        raise ValueError(
+            f"spatial parameter search did not converge: {res.message}"
+        )
     param = float(res.x)
     if min(param - lo, hi - param) < 1e-6 * span:
         raise ValueError(

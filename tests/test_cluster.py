@@ -1,9 +1,13 @@
 """Agglomerative minimum-variance grouping and group profiling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arealstat.cluster import cut, profile, ward_cluster
+from arealstat.cluster import MAX_TABLE_BYTES, cut, profile, ward_cluster
 
 
 def naive_agglomeration(points):
@@ -35,6 +39,120 @@ def naive_agglomeration(points):
         members[next_id] = members.pop(a) + members.pop(b)
         next_id += 1
     return merges
+
+
+def masked_search_ward(points):
+    """O(n^3) reference: the Lance-Williams table search that masks out
+    retired slots and takes the global minimum on every merge.  Same table,
+    same update and same tie rule as ward_cluster, so the merge lists,
+    heights included, must compare equal."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+
+    # working matrix over slots 0..n-1; a merged pair collapses into one slot
+    sq = np.sum(pts**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=float)
+    cluster_id = np.arange(n)
+
+    merges = []
+    for step in range(n - 1):
+        masked = np.where(active[:, None] & active[None, :], d2, np.inf)
+        cost = float(masked.min())
+        si_arr, sj_arr = np.nonzero(masked == cost)
+        best = None
+        best_slots = None
+        for si, sj in zip(si_arr, sj_arr):
+            if si >= sj:
+                continue
+            pair = (
+                min(cluster_id[si], cluster_id[sj]),
+                max(cluster_id[si], cluster_id[sj]),
+            )
+            if best is None or pair < best:
+                best = pair
+                best_slots = (int(si), int(sj))
+        si, sj = best_slots
+        ni, nj = sizes[si], sizes[sj]
+
+        others = np.nonzero(active)[0]
+        others = others[(others != si) & (others != sj)]
+        nk = sizes[others]
+        new = (
+            (ni + nk) * d2[si, others]
+            + (nj + nk) * d2[sj, others]
+            - nk * cost
+        ) / (ni + nj + nk)
+        d2[si, others] = new
+        d2[others, si] = new
+        active[sj] = False
+        sizes[si] = ni + nj
+        cluster_id[si] = n + step
+        merges.append((best[0], best[1], float(np.sqrt(cost)), int(ni + nj)))
+    return merges
+
+
+def _tie_heavy_inputs():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    grid = np.array([[x, y] for x in range(8) for y in range(8)], dtype=float)
+    repeated = np.repeat(np.arange(5.0), 12)[:, None]
+    lattice = np.random.default_rng(96).integers(0, 3, size=(200, 2)) * 1.0
+    # equidistant clusters whose merged cost rounds below a cached
+    # row minimum, so that row must take the new entry
+    c = 1.4794947715558486
+    rounding = np.vstack([np.eye(6) * c + 0.5 * c, np.eye(6) * c])
+    return {
+        "rounding-below-cached-minimum": rounding,
+        "square-corners": square,
+        "8x8-grid": grid,
+        "5-values-x12": repeated,
+        "200-on-3x3": lattice,
+    }
+
+
+class TestCachedSearchMatchesReference:
+    @pytest.mark.parametrize("name", sorted(_tie_heavy_inputs()))
+    def test_tie_heavy_inputs(self, name):
+        pts = _tie_heavy_inputs()[name]
+        assert ward_cluster(pts).merges == masked_search_ward(pts)
+
+    @pytest.mark.parametrize("n", [24, 60, 400])
+    def test_gaussian_inputs(self, n):
+        pts = np.random.default_rng(97 + n).normal(size=(n, 4))
+        assert ward_cluster(pts).merges == masked_search_ward(pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+            min_size=2,
+            max_size=25,
+        )
+    )
+    def test_small_integer_points(self, rows):
+        # few distinct coordinates make exact cost ties common
+        pts = np.array(rows, dtype=float)
+        assert ward_cluster(pts).merges == masked_search_ward(pts)
+
+
+class TestTableLimit:
+    def test_refuses_oversized_table_before_allocating(self):
+        n = 16_385
+        assert 8 * (n - 1) ** 2 == MAX_TABLE_BYTES
+        pts = np.zeros((n, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                ward_cluster(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "n=16385" in str(info.value)
+        assert str(8 * n * n) in str(info.value)
+        assert peak < 1024**2
 
 
 class TestWardMerges:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.sparse import identity
 
 from arealstat.ols import design_matrix, fit
@@ -153,6 +154,21 @@ class TestErrorFit:
         X, y = make_error_data(w10, 0.4, seed=78)
         res = fit_error_ml(X, y, w10, cache=cache10)
         assert np.allclose(res.u, y - X.values @ res.beta)
+
+    def test_unconverged_optimizer_is_an_error(self, w10, cache10, monkeypatch):
+        X, y = make_error_data(w10, 0.5, seed=73)
+
+        def unconverged(fun, bounds, method, options):
+            return scipy.optimize.OptimizeResult(
+                x=0.5 * sum(bounds),
+                success=False,
+                status=1,
+                message="Maximum number of function calls reached.",
+            )
+
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", unconverged)
+        with pytest.raises(ValueError, match="Maximum number of function calls"):
+            fit_error_ml(X, y, w10, cache=cache10)
 
 
 class TestLagFit:
