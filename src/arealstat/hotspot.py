@@ -60,9 +60,12 @@ def gi_star(
     if np.all(x == x[0]):
         raise ValueError("x is constant; z-scores are undefined")
 
-    xbar = float(np.mean(x))
-    # population (n-divisor) standard deviation
-    s = math.sqrt(float(np.mean(x * x)) - xbar * xbar)
+    # centred two-pass moments: sum_j w_ij (x_j - xbar) and the population
+    # (n-divisor) standard deviation, both free of cancellation under a
+    # shift; the second pass removes the rounding left in the first mean
+    xc = x - float(np.mean(x))
+    xc -= float(np.mean(xc))
+    s = math.sqrt(float(np.mean(xc * xc)))
 
     z = np.empty(n)
     for i in range(n):
@@ -70,7 +73,7 @@ def gi_star(
         w = weights.values[i]
         wsum = float(w.sum())
         wsq = float((w * w).sum())
-        num = float(w @ x[idx]) - xbar * wsum
+        num = float(w @ xc[idx])
         den = s * math.sqrt((n * wsq - wsum * wsum) / (n - 1))
         z[i] = num / den
 

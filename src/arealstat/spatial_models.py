@@ -7,14 +7,15 @@ Two models over row-standardized contiguity weights W:
 
 Both are fit by concentrating the likelihood down to the single spatial
 parameter, searched over the interval where the Jacobian determinant is
-positive.  The log-determinant term is evaluated exactly from the spectrum
-of the degree-normalized adjacency, which W shares.
+positive.  The log-determinant term is evaluated exactly from a sparse LU
+factorization of I - pS, where S is the symmetric degree-normalized
+adjacency that shares W's spectrum; no dense n x n matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -41,25 +42,28 @@ __all__ = [
 
 @dataclass(eq=False)
 class SpectralCache:
-    """Eigenvalues (ascending) shared by W and its symmetric normalization,
-    plus the open interval of spatial parameter values with a positive
-    Jacobian determinant."""
+    """The sparse symmetric normalization S = D^-1/2 A D^-1/2 of the
+    adjacency behind W, the open interval of spatial parameter values with a
+    positive Jacobian determinant, and the log-determinants found so far,
+    keyed by parameter value."""
 
-    eigenvalues: np.ndarray
+    sym: sp.csc_matrix
     interval: tuple[float, float]
+    log_dets: dict[float, float] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.size
+        return self.sym.shape[0]
 
 
-def spectral_cache(weights: SpatialWeights, max_n: int = 10000) -> SpectralCache:
-    """Eigendecompose the degree-normalized adjacency behind the weights.
+def spectral_cache(weights: SpatialWeights) -> SpectralCache:
+    """Prepare the exact log-determinant of I - pW for these weights.
 
-    Row-standardized W = D^-1 A is similar to the symmetric D^-1/2 A D^-1/2,
-    so the dense symmetric eigensolver recovers W's (real) spectrum.  The
-    decomposition is dense; n above ``max_n`` is refused rather than fall
-    back to approximation.
+    Row-standardized W = D^-1 A is similar to the symmetric S, so both have
+    the same real spectrum and det(I - pW) = det(I - pS).  W is
+    row-stochastic, so its largest eigenvalue is exactly 1; the smallest
+    comes from sparse Lanczos iteration (ARPACK) started from a fixed
+    vector, so that repeated runs agree bit for bit.
     """
     if weights.mode != "row-standardized":
         raise ValueError("spectral cache requires row-standardized weights")
@@ -67,11 +71,6 @@ def spectral_cache(weights: SpatialWeights, max_n: int = 10000) -> SpectralCache
         raise ValueError("spectral cache requires weights without self-links")
     adj = weights.adjacency
     n = adj.n
-    if n > max_n:
-        raise ValueError(
-            f"n={n} exceeds the dense decomposition budget ({max_n}); "
-            "approximate log-determinant methods are out of scope"
-        )
     deg = adj.degree()
     if (deg == 0).any():
         isolated = [int(i) for i in np.nonzero(deg == 0)[0]]
@@ -79,30 +78,51 @@ def spectral_cache(weights: SpatialWeights, max_n: int = 10000) -> SpectralCache
             f"isolated units {isolated} have zero degree; the normalized "
             "adjacency is undefined"
         )
-    a = np.zeros((n, n))
-    for i, nb in enumerate(adj.neighbors):
-        a[i, nb] = 1.0
     d_isqrt = 1.0 / np.sqrt(deg.astype(float))
-    sym = a * d_isqrt[:, None] * d_isqrt[None, :]
-    omega = np.linalg.eigvalsh(sym)
-    if not (omega[0] < 0 < omega[-1]):
+    rows = np.concatenate(adj.neighbors)
+    cols = np.repeat(np.arange(n), deg)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    # the link pattern is symmetric, so unit j's neighbors are column j of S
+    sym = sp.csc_matrix((d_isqrt[rows] * d_isqrt[cols], rows, indptr), shape=(n, n))
+    v0 = np.random.default_rng(0).standard_normal(n)
+    omega_min = float(
+        scipy.sparse.linalg.eigsh(
+            sym, k=1, which="SA", tol=0, v0=v0, return_eigenvectors=False
+        )[0]
+    )
+    if not omega_min < 0:
         raise ValueError("adjacency spectrum does not straddle 0; no valid interval")
-    lo = 1.0 / float(omega[0])
-    hi = 1.0 / float(omega[-1])
-    return SpectralCache(eigenvalues=omega, interval=(lo, hi))
+    return SpectralCache(sym=sym, interval=(1.0 / omega_min, 1.0))
 
 
 def log_det(cache: SpectralCache, p: float) -> float:
-    """ln det(I - p W) as the sum of ln(1 - p*omega_i).
+    """ln det(I - p W), exactly, as the sum of ln(diag U) over a sparse LU
+    of I - pS (Pace & Barry 1997), memoised by p in the cache.
 
-    Defined only strictly inside the cache interval.
+    Defined only strictly inside the cache interval, where I - pS is
+    symmetric positive definite and every pivot is positive.
     """
     lo, hi = cache.interval
     if not (lo < p < hi):
         raise ValueError(
             f"spatial parameter {p} outside the open interval ({lo}, {hi})"
         )
-    return float(np.sum(np.log(1.0 - p * cache.eigenvalues)))
+    p = float(p)
+    if p not in cache.log_dets:
+        lu = scipy.sparse.linalg.splu(
+            sp.identity(cache.n, format="csc") - p * cache.sym,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        pivots = lu.U.diagonal()
+        if not (pivots > 0).all():
+            raise ValueError(
+                f"sparse LU of I - pS at p={p!r} has a non-positive pivot; "
+                f"I - pS is not positive definite inside ({lo}, {hi})"
+            )
+        cache.log_dets[p] = float(np.sum(np.log(pivots)))
+    return cache.log_dets[p]
 
 
 def _validate_inputs(
@@ -127,12 +147,23 @@ def _validate_inputs(
     return y
 
 
+def _prepare(X, y, weights, cache):
+    y = _validate_inputs(X, y, weights)
+    if cache is None:
+        cache = spectral_cache(weights)
+    return y, cache, weights.to_csr()
+
+
 def _ls_coef(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     coef, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     return coef
 
 
 _LL_CONST = math.log(2.0 * math.pi) + 1.0
+
+
+def _profile_ll(n: int, sig2: float, cache: SpectralCache, p: float) -> float:
+    return -0.5 * n * _LL_CONST - 0.5 * n * math.log(sig2) + log_det(cache, p)
 
 
 def error_concentrated_loglik(
@@ -144,21 +175,15 @@ def error_concentrated_loglik(
 ) -> float:
     """Profile log-likelihood of the error model at lam, with b and sigma^2
     concentrated out by filtered least squares."""
-    y = _validate_inputs(X, y, weights)
-    if cache is None:
-        cache = spectral_cache(weights)
-    w = weights.to_csr()
+    y, cache, w = _prepare(X, y, weights, cache)
     return _error_profile(X.values, y, w @ X.values, w @ y, cache, lam)
 
 
 def _error_profile(xv, y, wx, wy, cache, lam) -> float:
-    n = y.size
     xf = xv - lam * wx
     yf = y - lam * wy
-    beta = _ls_coef(xf, yf)
-    resid = yf - xf @ beta
-    sig2 = float(resid @ resid) / n
-    return -0.5 * n * _LL_CONST - 0.5 * n * math.log(sig2) + log_det(cache, lam)
+    resid = yf - xf @ _ls_coef(xf, yf)
+    return _profile_ll(y.size, float(resid @ resid) / y.size, cache, lam)
 
 
 def lag_concentrated_loglik(
@@ -170,10 +195,7 @@ def lag_concentrated_loglik(
 ) -> float:
     """Profile log-likelihood of the lag model at rho, concentrated through
     the two auxiliary regressions of y and Wy on X."""
-    y = _validate_inputs(X, y, weights)
-    if cache is None:
-        cache = spectral_cache(weights)
-    w = weights.to_csr()
+    y, cache, w = _prepare(X, y, weights, cache)
     wy = w @ y
     e0 = y - X.values @ _ls_coef(X.values, y)
     e1 = wy - X.values @ _ls_coef(X.values, wy)
@@ -181,10 +203,8 @@ def lag_concentrated_loglik(
 
 
 def _lag_profile(e0, e1, cache, rho) -> float:
-    n = e0.size
     er = e0 - rho * e1
-    sig2 = float(er @ er) / n
-    return -0.5 * n * _LL_CONST - 0.5 * n * math.log(sig2) + log_det(cache, rho)
+    return _profile_ll(e0.size, float(er @ er) / e0.size, cache, rho)
 
 
 @dataclass(eq=False)
@@ -297,6 +317,45 @@ def _wald_p(est: np.ndarray | float, se: np.ndarray | float):
     return 2.0 * _scipy_stats.norm.sf(z)
 
 
+def _spatial_fit(
+    kind, X, y, cache, param, beta, sigma2, resid, fitted, u
+) -> SpatialFit:
+    """Likelihood, Hessian standard errors and fit scores shared by both
+    models; ``resid(b, p)`` is the innovation eps at coefficients b and
+    spatial parameter p."""
+    n, q = X.n, X.q
+    ll = _profile_ll(n, sigma2, cache, param)
+
+    def full_ll(theta):
+        s2 = theta[q + 1]
+        r = resid(theta[:q], theta[q])
+        return (
+            -0.5 * n * math.log(2.0 * math.pi * s2)
+            + log_det(cache, theta[q])
+            - 0.5 * float(r @ r) / s2
+        )
+
+    beta_se, param_se, ok = _hessian_se(full_ll, beta, param, sigma2, cache.interval)
+    return SpatialFit(
+        kind=kind,
+        names=list(X.names),
+        param=param,
+        param_se=param_se,
+        param_p=float(_wald_p(param, param_se)) if ok else math.nan,
+        beta=beta,
+        beta_se=beta_se,
+        beta_p=_wald_p(beta, beta_se) if ok else np.full(q, np.nan),
+        sigma2=sigma2,
+        log_likelihood=ll,
+        aic=-2.0 * ll + 2.0 * (q + 1),
+        pseudo_r2=float(np.corrcoef(y, fitted)[0, 1]) ** 2,
+        u=u,
+        n=n,
+        q=q,
+        se_available=ok,
+    )
+
+
 def fit_error_ml(
     X: DesignMatrix,
     y: np.ndarray,
@@ -304,14 +363,10 @@ def fit_error_ml(
     cache: SpectralCache | None = None,
 ) -> SpatialFit:
     """Fit the spatial error model by concentrated maximum likelihood."""
-    y = _validate_inputs(X, y, weights)
-    if cache is None:
-        cache = spectral_cache(weights)
-    w = weights.to_csr()
+    y, cache, w = _prepare(X, y, weights, cache)
     xv = X.values
     wx = w @ xv
     wy = w @ y
-    n, q = X.n, X.q
 
     lam = _optimize_profile(
         lambda p: _error_profile(xv, y, wx, wy, cache, p), cache.interval
@@ -320,45 +375,14 @@ def fit_error_ml(
     yf = y - lam * wy
     beta = _ls_coef(xf, yf)
     resid_f = yf - xf @ beta
-    sigma2 = float(resid_f @ resid_f) / n
-    ll = -0.5 * n * _LL_CONST - 0.5 * n * math.log(sigma2) + log_det(cache, lam)
+    sigma2 = float(resid_f @ resid_f) / X.n
 
-    def full_ll(theta):
-        b = theta[:q]
-        lm = theta[q]
-        s2 = theta[q + 1]
-        r = (y - lm * wy) - (xv - lm * wx) @ b
-        return (
-            -0.5 * n * math.log(2.0 * math.pi * s2)
-            + log_det(cache, lm)
-            - 0.5 * float(r @ r) / s2
-        )
-
-    beta_se, param_se, ok = _hessian_se(full_ll, beta, lam, sigma2, cache.interval)
-    beta_p = _wald_p(beta, beta_se) if ok else np.full(q, np.nan)
-    param_p = float(_wald_p(lam, param_se)) if ok else math.nan
+    def resid(b, p):
+        return (y - p * wy) - (xv - p * wx) @ b
 
     fitted = xv @ beta
-    u = y - fitted
-    pseudo_r2 = float(np.corrcoef(y, fitted)[0, 1]) ** 2
-    aic = -2.0 * ll + 2.0 * (q + 1)
-    return SpatialFit(
-        kind="error",
-        names=list(X.names),
-        param=lam,
-        param_se=param_se,
-        param_p=param_p,
-        beta=beta,
-        beta_se=beta_se,
-        beta_p=beta_p,
-        sigma2=sigma2,
-        log_likelihood=ll,
-        aic=aic,
-        pseudo_r2=pseudo_r2,
-        u=u,
-        n=n,
-        q=q,
-        se_available=ok,
+    return _spatial_fit(
+        "error", X, y, cache, lam, beta, sigma2, resid, fitted, y - fitted
     )
 
 
@@ -369,13 +393,9 @@ def fit_lag_ml(
     cache: SpectralCache | None = None,
 ) -> SpatialFit:
     """Fit the spatial lag model by concentrated maximum likelihood."""
-    y = _validate_inputs(X, y, weights)
-    if cache is None:
-        cache = spectral_cache(weights)
-    w = weights.to_csr()
+    y, cache, w = _prepare(X, y, weights, cache)
     xv = X.values
     wy = w @ y
-    n, q = X.n, X.q
 
     b0 = _ls_coef(xv, y)
     b1 = _ls_coef(xv, wy)
@@ -385,46 +405,15 @@ def fit_lag_ml(
     rho = _optimize_profile(lambda p: _lag_profile(e0, e1, cache, p), cache.interval)
     beta = b0 - rho * b1
     er = e0 - rho * e1
-    sigma2 = float(er @ er) / n
-    ll = -0.5 * n * _LL_CONST - 0.5 * n * math.log(sigma2) + log_det(cache, rho)
+    sigma2 = float(er @ er) / X.n
 
-    def full_ll(theta):
-        b = theta[:q]
-        rh = theta[q]
-        s2 = theta[q + 1]
-        r = y - rh * wy - xv @ b
-        return (
-            -0.5 * n * math.log(2.0 * math.pi * s2)
-            + log_det(cache, rh)
-            - 0.5 * float(r @ r) / s2
-        )
+    def resid(b, p):
+        return y - p * wy - xv @ b
 
-    beta_se, param_se, ok = _hessian_se(full_ll, beta, rho, sigma2, cache.interval)
-    beta_p = _wald_p(beta, beta_se) if ok else np.full(q, np.nan)
-    param_p = float(_wald_p(rho, param_se)) if ok else math.nan
-
-    u = y - rho * wy - xv @ beta
-    ident = sp.identity(n, format="csc")
+    ident = sp.identity(X.n, format="csc")
     fitted = scipy.sparse.linalg.spsolve(ident - rho * w.tocsc(), xv @ beta)
-    pseudo_r2 = float(np.corrcoef(y, fitted)[0, 1]) ** 2
-    aic = -2.0 * ll + 2.0 * (q + 1)
-    return SpatialFit(
-        kind="lag",
-        names=list(X.names),
-        param=rho,
-        param_se=param_se,
-        param_p=param_p,
-        beta=beta,
-        beta_se=beta_se,
-        beta_p=beta_p,
-        sigma2=sigma2,
-        log_likelihood=ll,
-        aic=aic,
-        pseudo_r2=pseudo_r2,
-        u=u,
-        n=n,
-        q=q,
-        se_available=ok,
+    return _spatial_fit(
+        "lag", X, y, cache, rho, beta, sigma2, resid, fitted, resid(beta, rho)
     )
 
 

@@ -240,7 +240,11 @@ def read_weights(text: str) -> SpatialWeights:
     """Parse the plain text format written by :func:`write_weights`.
 
     The adjacency reconstructed from the links drops any self-links;
-    ``include_self`` is inferred from their presence.
+    ``include_self`` is inferred from their presence.  Input the spatial
+    code would misuse is refused with a message naming the unit: self-links
+    on some units but not all, a link without its reverse, a binary weight
+    other than 1, or a row-standardized weight other than 1/degree (within
+    1e-12).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -271,6 +275,26 @@ def read_weights(text: str) -> SpatialWeights:
         entries[i][j] = w
         if i == j:
             has_self = True
+
+    tol = 0.0 if mode == "binary" else 1e-12
+    for i, row in enumerate(entries):
+        if has_self and i not in row:
+            raise ValueError(
+                f"unit {i} has no self-link while other units have one; "
+                "self-links must be on every unit or on none"
+            )
+        for j, w in row.items():
+            if i not in entries[j]:
+                raise ValueError(
+                    f"unit {i} links to unit {j} but unit {j} does not link "
+                    f"back to unit {i}; the link pattern must be symmetric"
+                )
+            expected = 1.0 if mode == "binary" else 1.0 / len(row)
+            if not abs(w - expected) <= tol:
+                raise ValueError(
+                    f"unit {i} has {mode} weight {w!r} on its link to unit "
+                    f"{j}; expected {expected!r}"
+                )
 
     neighbors = [
         np.array(sorted(k for k in row if k != i), dtype=int)

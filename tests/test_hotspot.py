@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from arealstat.hotspot import CLASS_ORDER, classify, gi_star
@@ -75,6 +77,25 @@ class TestGiStar:
         a = gi_star(lattice_weights, x)
         b = gi_star(lattice_weights, 100.0 * x + 7.0)
         assert np.allclose(a.z, b.z, atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([1e6, 1e8]),
+    )
+    def test_large_shift_moves_neither_z_nor_classes(
+        self, lattice_weights, seed, shift
+    ):
+        # a planted hot block keeps some classes away from "none"
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=36)
+        for r in (1, 2, 3):
+            for c in (1, 2, 3):
+                x[r * 6 + c] += 3.0
+        a = gi_star(lattice_weights, x)
+        b = gi_star(lattice_weights, x + shift)
+        assert np.allclose(a.z, b.z, atol=1e-6, rtol=0)
+        assert a.classes == b.classes
 
     def test_requires_binary_self_inclusive_weights(self):
         adj = queen_contiguity(grid_units(3, 3))

@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 from scipy.sparse import identity
 
+from arealstat import spatial_models
 from arealstat.ols import design_matrix, fit
 from arealstat.spatial_models import (
     compare,
@@ -16,7 +17,7 @@ from arealstat.spatial_models import (
     spectral_cache,
 )
 from arealstat.synth import autoregressive_solver
-from arealstat.weights import queen_contiguity, to_weights
+from arealstat.weights import AdjacencyList, queen_contiguity, to_weights
 from conftest import grid_units
 
 
@@ -49,15 +50,13 @@ def make_lag_data(w, rho, seed, beta=(1.0, 2.0, -1.0)):
 
 
 class TestSpectralCache:
-    def test_eigenvalues_match_dense_weight_spectrum(self, w10, cache10):
-        dense_eigs = np.sort(np.linalg.eigvals(w10.to_dense()).real)
-        assert np.allclose(cache10.eigenvalues, dense_eigs, atol=1e-8)
-
-    def test_interval_brackets_zero(self, cache10):
+    def test_interval_brackets_zero(self, w10, cache10):
+        # dense oracle: the ends are 1/min and 1/max of W's own spectrum
+        dense_eigs = np.linalg.eigvals(w10.to_dense()).real
         lo, hi = cache10.interval
         assert lo < 0 < hi
-        assert lo == pytest.approx(1.0 / cache10.eigenvalues[0], rel=1e-12)
-        assert hi == pytest.approx(1.0 / cache10.eigenvalues[-1], rel=1e-12)
+        assert lo == pytest.approx(1.0 / dense_eigs.min(), rel=1e-12)
+        assert hi == pytest.approx(1.0 / dense_eigs.max(), rel=1e-12)
 
     def test_row_standardized_upper_bound_is_one(self, cache10):
         assert cache10.interval[1] == pytest.approx(1.0, abs=1e-8)
@@ -67,9 +66,40 @@ class TestSpectralCache:
         with pytest.raises(ValueError):
             spectral_cache(w)
 
-    def test_size_budget_enforced(self, w10):
-        with pytest.raises(ValueError, match="100"):
-            spectral_cache(w10, max_n=50)
+    def test_isolated_units_named(self):
+        adj = queen_contiguity(grid_units(3, 3))
+        adj = AdjacencyList(
+            n=10, neighbors=list(adj.neighbors) + [np.empty(0, dtype=int)]
+        )
+        with pytest.warns(UserWarning):
+            w = to_weights(adj, "row-standardized")
+        with pytest.raises(ValueError, match=r"\[9\]"):
+            spectral_cache(w)
+
+    def test_repeated_builds_give_bit_equal_intervals(self, w10):
+        assert spectral_cache(w10).interval == spectral_cache(w10).interval
+
+    def test_lattice_above_former_dense_limit_is_accepted(self):
+        # 101 x 101 = 10 201 units, beyond the old dense n <= 10 000 budget
+        w = to_weights(queen_contiguity(grid_units(101, 101)), "row-standardized")
+        cache = spectral_cache(w)
+        assert cache.n == 10201
+        assert np.isfinite(log_det(cache, 0.5))
+
+    def test_memo_holds_one_entry_per_distinct_p(self, w10, monkeypatch):
+        X, y = make_lag_data(w10, 0.4, seed=79)
+        cache = spectral_cache(w10)
+        seen = []
+        inner = spatial_models.log_det
+
+        def recording(c, p):
+            seen.append(float(p))
+            return inner(c, p)
+
+        monkeypatch.setattr(spatial_models, "log_det", recording)
+        fit_lag_ml(X, y, w10, cache=cache)
+        assert len(seen) > len(set(seen))
+        assert sorted(cache.log_dets) == sorted(set(seen))
 
 
 class TestLogDet:
@@ -83,6 +113,15 @@ class TestLogDet:
 
     def test_zero_is_exactly_zero(self, cache10):
         assert log_det(cache10, 0.0) == 0.0
+
+    def test_nonpositive_pivot_rejected(self, w10):
+        # with the interval widened past 1/omega_max, I - pS is indefinite
+        # at p = 2 and its LU has negative pivots
+        cache = spectral_cache(w10)
+        cache.interval = (cache.interval[0], 10.0)
+        with pytest.raises(ValueError, match="p=2.0"):
+            log_det(cache, 2.0)
+        assert 2.0 not in cache.log_dets
 
     def test_outside_interval_rejected(self, cache10):
         lo, hi = cache10.interval

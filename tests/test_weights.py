@@ -192,3 +192,38 @@ class TestTextFormat:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             read_weights("binary 2\n")
+
+    def test_asymmetric_link_pattern_rejected(self):
+        # unit 1 links to unit 2, but unit 2 does not link back
+        text = "3 binary\n0 1 1.0\n1 0 1.0\n1 2 1.0\n"
+        with pytest.raises(ValueError, match="unit 2 does not link back to unit 1"):
+            read_weights(text)
+
+    def test_binary_weight_other_than_one_rejected(self):
+        for bad in ("0.5", "nan"):
+            text = f"2 binary\n0 1 1.0\n1 0 {bad}\n"
+            with pytest.raises(ValueError, match="unit 1"):
+                read_weights(text)
+
+    def test_row_not_one_over_degree_rejected(self):
+        # unit 1's row sums to 1 but is not uniform over its two links
+        text = (
+            "3 row-standardized\n"
+            "0 1 0.5\n0 2 0.5\n1 0 0.7\n1 2 0.3\n2 0 0.5\n2 1 0.5\n"
+        )
+        with pytest.raises(ValueError, match="unit 1"):
+            read_weights(text)
+
+    def test_partial_self_links_rejected(self):
+        # a self-link on unit 0 alone would mark every unit self-inclusive
+        text = "2 binary\n0 0 1.0\n0 1 1.0\n1 0 1.0\n"
+        with pytest.raises(ValueError, match="unit 1 has no self-link"):
+            read_weights(text)
+
+    def test_row_standardized_self_inclusive_round_trip(self):
+        w = to_weights(
+            queen_contiguity(grid_units(3, 3)), "row-standardized", include_self=True
+        )
+        back = read_weights(write_weights(w))
+        assert back.include_self
+        assert all(np.array_equal(a, b) for a, b in zip(back.values, w.values))
