@@ -67,15 +67,10 @@ def gi_star(
     xc -= float(np.mean(xc))
     s = math.sqrt(float(np.mean(xc * xc)))
 
-    z = np.empty(n)
-    for i in range(n):
-        idx = weights.rows[i]
-        w = weights.values[i]
-        wsum = float(w.sum())
-        wsq = float((w * w).sum())
-        num = float(w @ xc[idx])
-        den = s * math.sqrt((n * wsq - wsum * wsum) / (n - 1))
-        z[i] = num / den
+    w = weights.matrix
+    wsum = np.asarray(w.sum(axis=1)).ravel()
+    wsq = np.asarray(w.multiply(w).sum(axis=1)).ravel()
+    z = (w @ xc) / (s * np.sqrt((n * wsq - wsum * wsum) / (n - 1)))
 
     p = 2.0 * _scipy_stats.norm.sf(np.abs(z))
     fdr = bh_fdr(p, alpha=fdr_alpha)

@@ -447,7 +447,8 @@ def lm_tests(
         raise ValueError("spatial dependence tests require row-standardized weights")
     if weights.n != X.n:
         raise ValueError(f"weights are for {weights.n} units, design has {X.n}")
-    isolated = [i for i in range(weights.n) if len(weights.rows[i]) == 0]
+    w = weights.matrix
+    isolated = np.flatnonzero(np.diff(w.indptr) == 0).tolist()
     if isolated:
         raise ValueError(
             f"weights contain isolated units {isolated}; spatial dependence "
@@ -458,7 +459,6 @@ def lm_tests(
     n = X.n
     sigma2t = ols_fit.sse / n
 
-    w = weights.to_csr()
     d_e = float(e @ (w @ e)) / sigma2t
     d_y = float(e @ (w @ y)) / sigma2t
     # tr((W' + W)W) = sum w_ij^2 + sum w_ij w_ji

@@ -323,12 +323,10 @@ def _stage_weights(ctx: _Context) -> None:
     ctx.adjacency = adjacency
     ctx.island_ids = [ctx.dataset.units[i].id for i in islands]
     ctx.w_gi = _weights.to_weights(adjacency, "binary", include_self=True)
-    if not islands:
+    # report.json names the islands; every other warning stays visible
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="row standardization left all-zero rows")
         ctx.w_rs = _weights.to_weights(adjacency, "row-standardized")
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ctx.w_rs = _weights.to_weights(adjacency, "row-standardized")
 
 
 def _stage_summarize(ctx: _Context) -> None:
@@ -518,12 +516,11 @@ def _coef_rows(names, beta, se, p, t=None) -> list[dict]:
 
 
 def _section_weights(ctx: _Context) -> dict:
-    links = int(sum(len(nb) for nb in ctx.adjacency.neighbors))
     return {
         "n": ctx.adjacency.n,
         "contiguity": ctx.config.contiguity,
         "mode": "row-standardized",
-        "directed_links": links,
+        "directed_links": int(ctx.adjacency.matrix.nnz),
         "islands": list(ctx.island_ids),
     }
 

@@ -78,12 +78,8 @@ def spectral_cache(weights: SpatialWeights) -> SpectralCache:
             f"isolated units {isolated} have zero degree; the normalized "
             "adjacency is undefined"
         )
-    d_isqrt = 1.0 / np.sqrt(deg.astype(float))
-    rows = np.concatenate(adj.neighbors)
-    cols = np.repeat(np.arange(n), deg)
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    # the link pattern is symmetric, so unit j's neighbors are column j of S
-    sym = sp.csc_matrix((d_isqrt[rows] * d_isqrt[cols], rows, indptr), shape=(n, n))
+    d_isqrt = sp.diags(1.0 / np.sqrt(deg.astype(float)))
+    sym = (d_isqrt @ adj.matrix @ d_isqrt).tocsc()
     v0 = np.random.default_rng(0).standard_normal(n)
     omega_min = float(
         scipy.sparse.linalg.eigsh(
@@ -151,7 +147,7 @@ def _prepare(X, y, weights, cache):
     y = _validate_inputs(X, y, weights)
     if cache is None:
         cache = spectral_cache(weights)
-    return y, cache, weights.to_csr()
+    return y, cache, weights.matrix
 
 
 def _ls_coef(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -78,7 +78,7 @@ def autoregressive_solver(weights: SpatialWeights, param: float):
 
     Useful for simulating many disturbance draws on the same weights.
     """
-    a = sp.identity(weights.n, format="csc") - param * weights.to_csr().tocsc()
+    a = sp.identity(weights.n, format="csc") - param * weights.matrix.tocsc()
     lu = scipy.sparse.linalg.splu(a)
     return lu.solve
 

@@ -5,14 +5,18 @@ contiguity requires a shared snapped edge.  Coordinates are quantized to a
 snap pitch before comparison so nearly-touching boundaries from noisy
 sources still register as neighbors.  Weights come in binary and
 row-standardized modes and round-trip through a plain text format.
+
+The link pattern and the weights are each stored as one n x n
+``scipy.sparse.csr_matrix`` with sorted column indices; every other view
+(degrees, neighbor lists, dense arrays) is derived from those matrices.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,82 +38,106 @@ __all__ = [
 
 @dataclass(eq=False)
 class AdjacencyList:
-    """Symmetric neighbor structure over units indexed 0..n-1."""
+    """Symmetric neighbor structure over units indexed 0..n-1.
 
-    n: int
-    neighbors: list[np.ndarray]
+    ``matrix`` is the n x n CSR link pattern: sorted column indices, every
+    stored value 1.0, no diagonal.  Row i's indices are unit i's neighbors.
+    """
+
+    matrix: sp.csr_matrix
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
 
     def degree(self) -> np.ndarray:
-        return np.array([len(nb) for nb in self.neighbors], dtype=int)
+        return np.diff(self.matrix.indptr)
+
+    @property
+    def neighbors(self) -> list[np.ndarray]:
+        """Per-unit neighbor indices as read-only slices of the CSR indices."""
+        indices = self.matrix.indices.view()
+        indices.flags.writeable = False
+        return np.split(indices, self.matrix.indptr[1:-1])
 
 
 @dataclass(eq=False)
 class SpatialWeights:
     """Sparse spatial weights derived from an adjacency list.
 
-    ``rows[i]`` and ``values[i]`` hold unit i's neighbor indices and the
-    matching weights, parallel and sorted by neighbor index.
+    ``matrix`` is the n x n CSR weights matrix with sorted column indices;
+    row i holds unit i's neighbors (and itself, with ``include_self``) and
+    their weights.
     """
 
     adjacency: AdjacencyList
     mode: str
     include_self: bool
-    rows: list[np.ndarray]
-    values: list[np.ndarray]
+    matrix: sp.csr_matrix
 
     @property
     def n(self) -> int:
-        return self.adjacency.n
-
-    def to_csr(self) -> sp.csr_matrix:
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for i, r in enumerate(self.rows):
-            indptr[i + 1] = indptr[i] + len(r)
-        indices = np.concatenate(self.rows) if self.n else np.empty(0, dtype=int)
-        data = np.concatenate(self.values) if self.n else np.empty(0)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        return self.matrix.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
+        return self.matrix.toarray()
 
 
-def _snap_pitch(units: list[AreaUnit], snap_tolerance: float | None) -> float:
+def _vertices(units: list[AreaUnit]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ring vertex as one (m, 2) float array, the index of the unit
+    owning each vertex, and a mask that is False on each ring's last vertex."""
+    if len(units) < 2:
+        raise ValueError("contiguity needs at least 2 units")
+    rings = [(i, ring) for i, u in enumerate(units) for poly in u.geometry for ring in poly]
+    lengths = np.array([len(ring) for _, ring in rings], dtype=np.int64)
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(r for _, r in rings)), float)
+    if xy.size != 2 * lengths.sum():
+        raise ValueError("every ring vertex must be an (x, y) pair")
+    owner = np.repeat(np.array([i for i, _ in rings], dtype=np.int64), lengths)
+    not_last = np.ones(len(owner), dtype=bool)
+    not_last[np.cumsum(lengths)[lengths > 0] - 1] = False
+    return xy.reshape(-1, 2), owner, not_last
+
+
+def _snap_keys(xy: np.ndarray, snap_tolerance: float | None) -> np.ndarray:
+    """Vertices quantized to the snap pitch (default 1e-9 of the
+    bounding-box diagonal).
+
+    The keys stay float64: x / pitch passes 2**63 for coordinates near 1e12
+    at a 1e-9 pitch, where an int64 cast would overflow.  ``rint`` rounds half
+    to even, as Python's ``round`` does.
+    """
     if snap_tolerance is not None:
         if snap_tolerance <= 0:
             raise ValueError("snap tolerance must be positive")
-        return float(snap_tolerance)
-    xs: list[float] = []
-    ys: list[float] = []
-    for u in units:
-        for poly in u.geometry:
-            for ring in poly:
-                for x, y in ring:
-                    xs.append(x)
-                    ys.append(y)
-    dx = max(xs) - min(xs)
-    dy = max(ys) - min(ys)
-    diag = math.hypot(dx, dy)
-    if diag == 0.0:
-        raise ValueError("degenerate geometry: bounding box has zero diagonal")
-    return 1e-9 * diag
+        pitch = float(snap_tolerance)
+    else:
+        dx, dy = (xy.max(axis=0) - xy.min(axis=0)).tolist()
+        diag = math.hypot(dx, dy)
+        if diag == 0.0:
+            raise ValueError("degenerate geometry: bounding box has zero diagonal")
+        pitch = 1e-9 * diag
+    return np.rint(xy / pitch)
 
 
-def _snap(value: float, pitch: float) -> int:
-    return int(round(value / pitch))
-
-
-def _collect_links(buckets: dict, n: int) -> AdjacencyList:
-    links: list[set[int]] = [set() for _ in range(n)]
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        uniq = sorted(set(members))
-        for a in uniq:
-            for b in uniq:
-                if a != b:
-                    links[a].add(b)
-    neighbors = [np.array(sorted(s), dtype=int) for s in links]
-    return AdjacencyList(n=n, neighbors=neighbors)
+def _link_shared_keys(owner: np.ndarray, keys: np.ndarray, n: int) -> AdjacencyList:
+    """Units meeting on any key become mutual neighbors: the off-diagonal
+    pattern of B B^T, where B is the unit x distinct-key incidence."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    key_id = np.empty(len(order), dtype=np.int64)
+    key_id[order] = np.cumsum(new) - 1
+    b = sp.csr_matrix(
+        (np.ones(len(owner)), (owner, key_id)), shape=(n, int(new.sum()))
+    )
+    shared = (b @ b.T).tocoo()
+    off = shared.row != shared.col
+    a = sp.csr_matrix(
+        (np.ones(int(off.sum())), (shared.row[off], shared.col[off])), shape=(n, n)
+    )
+    return AdjacencyList(matrix=a)
 
 
 def queen_contiguity(
@@ -118,23 +146,13 @@ def queen_contiguity(
     """Neighbors share at least one snapped vertex.
 
     Each vertex is quantized to the snap pitch (default 1e-9 of the
-    bounding-box diagonal) and hashed into a bucket; all units meeting in a
-    bucket become mutual neighbors.
+    bounding-box diagonal); all units meeting on a quantized vertex become
+    mutual neighbors.
     """
-    if len(units) < 2:
-        raise ValueError("contiguity needs at least 2 units")
-    pitch = _snap_pitch(units, snap_tolerance)
-    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, u in enumerate(units):
-        mine: set[tuple[int, int]] = set()
-        for poly in u.geometry:
-            for ring in poly:
-                # closing vertex repeats the first; skip it
-                for x, y in ring[:-1]:
-                    mine.add((_snap(x, pitch), _snap(y, pitch)))
-        for key in mine:
-            buckets[key].append(i)
-    return _collect_links(buckets, len(units))
+    xy, owner, not_last = _vertices(units)
+    keys = _snap_keys(xy, snap_tolerance)
+    # closing vertex repeats the first; skip it
+    return _link_shared_keys(owner[not_last], keys[not_last], len(units))
 
 
 def rook_contiguity(
@@ -143,29 +161,22 @@ def rook_contiguity(
     """Neighbors share a snapped edge (consecutive vertex pair).
 
     Each boundary segment is keyed by its sorted pair of snapped endpoints,
-    so orientation and traversal direction do not matter.
+    so orientation and traversal direction do not matter.  Segments whose
+    endpoints snap together are dropped.
     """
-    if len(units) < 2:
-        raise ValueError("contiguity needs at least 2 units")
-    pitch = _snap_pitch(units, snap_tolerance)
-    buckets: dict[tuple, list[int]] = defaultdict(list)
-    for i, u in enumerate(units):
-        mine: set[tuple] = set()
-        for poly in u.geometry:
-            for ring in poly:
-                snapped = [(_snap(x, pitch), _snap(y, pitch)) for x, y in ring]
-                for a, b in zip(snapped[:-1], snapped[1:]):
-                    if a == b:
-                        continue
-                    mine.add((a, b) if a <= b else (b, a))
-        for key in mine:
-            buckets[key].append(i)
-    return _collect_links(buckets, len(units))
+    xy, owner, not_last = _vertices(units)
+    keys = _snap_keys(xy, snap_tolerance)
+    start = np.flatnonzero(not_last)
+    a, b = keys[start], keys[start + 1]
+    swap = (a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))
+    edges = np.where(swap[:, None], np.hstack([b, a]), np.hstack([a, b]))
+    keep = (a != b).any(axis=1)
+    return _link_shared_keys(owner[start][keep], edges[keep], len(units))
 
 
 def detect_islands(adjacency: AdjacencyList) -> list[int]:
     """Indices of units with no neighbors, ascending."""
-    return [i for i, nb in enumerate(adjacency.neighbors) if len(nb) == 0]
+    return np.flatnonzero(adjacency.degree() == 0).tolist()
 
 
 def to_weights(
@@ -180,33 +191,20 @@ def to_weights(
     """
     if mode not in ("binary", "row-standardized"):
         raise ValueError(f"unknown weights mode {mode!r}")
-    rows: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    islands = []
-    for i, nb in enumerate(adjacency.neighbors):
-        idx = nb
-        if include_self:
-            idx = np.unique(np.append(nb, i))
-        w = np.ones(len(idx), dtype=float)
-        if mode == "row-standardized":
-            total = w.sum()
-            if total > 0:
-                w = w / total
-            else:
-                islands.append(i)
-        rows.append(idx.astype(int))
-        values.append(w)
-    if islands:
-        warnings.warn(
-            f"row standardization left all-zero rows for isolated units {islands}",
-            stacklevel=2,
-        )
+    w = adjacency.matrix
+    if include_self:
+        w = w + sp.identity(adjacency.n, format="csr")
+    if mode == "row-standardized":
+        deg = np.diff(w.indptr)
+        islands = np.flatnonzero(deg == 0).tolist()
+        if islands:
+            warnings.warn(
+                f"row standardization left all-zero rows for isolated units {islands}",
+                stacklevel=2,
+            )
+        w = sp.csr_matrix((1.0 / np.repeat(deg, deg), w.indices, w.indptr), shape=w.shape)
     return SpatialWeights(
-        adjacency=adjacency,
-        mode=mode,
-        include_self=include_self,
-        rows=rows,
-        values=values,
+        adjacency=adjacency, mode=mode, include_self=include_self, matrix=w
     )
 
 
@@ -215,11 +213,7 @@ def lag(weights: SpatialWeights, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (weights.n,):
         raise ValueError(f"x must have shape ({weights.n},), got {x.shape}")
-    out = np.zeros(weights.n)
-    for i in range(weights.n):
-        if len(weights.rows[i]):
-            out[i] = float(weights.values[i] @ x[weights.rows[i]])
-    return out
+    return weights.matrix @ x
 
 
 def write_weights(weights: SpatialWeights) -> str:
@@ -229,10 +223,11 @@ def write_weights(weights: SpatialWeights) -> str:
     indices sorted by (i, j) and weights written with full repr precision so
     reading back is bit-exact.
     """
+    m = weights.matrix
+    rows = np.repeat(np.arange(weights.n), np.diff(m.indptr))
+    links = zip(rows.tolist(), m.indices.tolist(), m.data.tolist())
     lines = [f"{weights.n} {weights.mode}"]
-    for i in range(weights.n):
-        for j, w in zip(weights.rows[i], weights.values[i]):
-            lines.append(f"{i} {int(j)} {float(w)!r}")
+    lines.extend(f"{i} {j} {w!r}" for i, j, w in links)
     return "\n".join(lines) + "\n"
 
 
@@ -244,7 +239,7 @@ def read_weights(text: str) -> SpatialWeights:
     code would misuse is refused with a message naming the unit: self-links
     on some units but not all, a link without its reverse, a binary weight
     other than 1, or a row-standardized weight other than 1/degree (within
-    1e-12).
+    1e-12).  When several links are at fault, the first by (i, j) is named.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -260,54 +255,63 @@ def read_weights(text: str) -> SpatialWeights:
     if mode not in ("binary", "row-standardized"):
         raise ValueError(f"unknown weights mode {mode!r}")
 
-    entries: list[dict[int, float]] = [dict() for _ in range(n)]
-    has_self = False
+    ii, jj, data = [], [], []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"malformed weights line {ln!r}")
         i, j = int(parts[0]), int(parts[1])
-        w = float(parts[2])
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"weights line {ln!r} indexes outside 0..{n - 1}")
-        if j in entries[i]:
-            raise ValueError(f"duplicate weights entry for pair ({i}, {j})")
-        entries[i][j] = w
-        if i == j:
-            has_self = True
+        ii.append(i)
+        jj.append(j)
+        data.append(float(parts[2]))
+    ii, jj = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)
+    order = np.lexsort((jj, ii))
+    ii, jj, data = ii[order], jj[order], np.array(data, dtype=float)[order]
+    code = ii * n + jj
+    dup = np.flatnonzero(code[1:] == code[:-1])
+    if dup.size:
+        k = dup[0]
+        raise ValueError(f"duplicate weights entry for pair ({ii[k]}, {jj[k]})")
 
-    tol = 0.0 if mode == "binary" else 1e-12
-    for i, row in enumerate(entries):
-        if has_self and i not in row:
+    diag = ii == jj
+    has_self = bool(diag.any())
+    if has_self:
+        lacking = np.flatnonzero(np.bincount(ii[diag], minlength=n) == 0)
+        if lacking.size:
             raise ValueError(
-                f"unit {i} has no self-link while other units have one; "
+                f"unit {lacking[0]} has no self-link while other units have one; "
                 "self-links must be on every unit or on none"
             )
-        for j, w in row.items():
-            if i not in entries[j]:
-                raise ValueError(
-                    f"unit {i} links to unit {j} but unit {j} does not link "
-                    f"back to unit {i}; the link pattern must be symmetric"
-                )
-            expected = 1.0 if mode == "binary" else 1.0 / len(row)
-            if not abs(w - expected) <= tol:
-                raise ValueError(
-                    f"unit {i} has {mode} weight {w!r} on its link to unit "
-                    f"{j}; expected {expected!r}"
-                )
+    one_way = np.flatnonzero(~np.isin(jj * n + ii, code))
+    if one_way.size:
+        i, j = ii[one_way[0]], jj[one_way[0]]
+        raise ValueError(
+            f"unit {i} links to unit {j} but unit {j} does not link back to "
+            f"unit {i}; the link pattern must be symmetric"
+        )
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ii, minlength=n))])
+    deg = np.diff(indptr)
+    if mode == "binary":
+        expected, tol = np.ones(len(data)), 0.0
+    else:
+        expected, tol = 1.0 / np.repeat(deg, deg), 1e-12
+    wrong = np.flatnonzero(~(np.abs(data - expected) <= tol))
+    if wrong.size:
+        k = wrong[0]
+        raise ValueError(
+            f"unit {ii[k]} has {mode} weight {float(data[k])!r} on its link to "
+            f"unit {jj[k]}; expected {float(expected[k])!r}"
+        )
 
-    neighbors = [
-        np.array(sorted(k for k in row if k != i), dtype=int)
-        for i, row in enumerate(entries)
-    ]
-    rows = [np.array(sorted(row), dtype=int) for row in entries]
-    values = [
-        np.array([entries[i][j] for j in rows[i]], dtype=float) for i in range(n)
-    ]
+    links = ~diag
+    adjacency = sp.csr_matrix(
+        (np.ones(int(links.sum())), (ii[links], jj[links])), shape=(n, n)
+    )
     return SpatialWeights(
-        adjacency=AdjacencyList(n=n, neighbors=neighbors),
+        adjacency=AdjacencyList(matrix=adjacency),
         mode=mode,
         include_self=has_self,
-        rows=rows,
-        values=values,
+        matrix=sp.csr_matrix((data, jj, indptr), shape=(n, n)),
     )

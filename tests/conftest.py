@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from arealstat.ingest import AreaUnit
 from arealstat.weights import AdjacencyList
@@ -30,6 +31,16 @@ def grid_units(nx, ny):
     return units
 
 
+def adjacency_from_neighbors(neighbors):
+    """AdjacencyList whose CSR pattern lists ``neighbors[i]`` in row i."""
+    n = len(neighbors)
+    rows = np.repeat(np.arange(n), [len(nb) for nb in neighbors])
+    cols = np.concatenate([np.asarray(nb, dtype=np.int64) for nb in neighbors])
+    return AdjacencyList(
+        matrix=sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n))
+    )
+
+
 def grid_adjacency(nx, ny, queen=True):
     """Index-arithmetic contiguity oracle for a row-major lattice."""
     neighbors = []
@@ -46,7 +57,7 @@ def grid_adjacency(nx, ny, queen=True):
                     if 0 <= rr < ny and 0 <= cc < nx:
                         nb.append(rr * nx + cc)
             neighbors.append(np.array(sorted(nb), dtype=np.int64))
-    return AdjacencyList(n=nx * ny, neighbors=neighbors)
+    return adjacency_from_neighbors(neighbors)
 
 
 def torus_adjacency(nx, ny, queen=True):
@@ -64,7 +75,7 @@ def torus_adjacency(nx, ny, queen=True):
                     nb.add(((r + dr) % ny) * nx + (c + dc) % nx)
             nb.discard(r * nx + c)
             neighbors.append(np.array(sorted(nb), dtype=np.int64))
-    return AdjacencyList(n=nx * ny, neighbors=neighbors)
+    return adjacency_from_neighbors(neighbors)
 
 
 def feature_collection(features):

@@ -1,5 +1,7 @@
 """Local clustering scores, their classification, and FDR integration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,26 @@ def double_loop_oracle(dense_w, x):
     return z
 
 
+def per_row_z(weights, x):
+    """z as computed one row at a time, before the row sums and the
+    numerator became sparse products; same centred moments."""
+    dense = weights.to_dense()
+    n = len(x)
+    xc = x - float(np.mean(x))
+    xc -= float(np.mean(xc))
+    s = math.sqrt(float(np.mean(xc * xc)))
+    z = np.empty(n)
+    for i in range(n):
+        idx = np.flatnonzero(dense[i])
+        w = dense[i, idx]
+        wsum = float(w.sum())
+        wsq = float((w * w).sum())
+        num = float(w @ xc[idx])
+        den = s * math.sqrt((n * wsq - wsum * wsum) / (n - 1))
+        z[i] = num / den
+    return z
+
+
 @pytest.fixture(scope="module")
 def lattice_weights():
     return to_weights(queen_contiguity(grid_units(6, 6)), "binary", include_self=True)
@@ -42,6 +64,26 @@ class TestGiStar:
         result = gi_star(lattice_weights, x)
         expected = double_loop_oracle(lattice_weights.to_dense(), x)
         assert np.allclose(result.z, expected, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_per_row_loop(self, seed):
+        w = to_weights(queen_contiguity(grid_units(20, 20)), "binary", include_self=True)
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(size=400) * 10.0 ** (seed - 1) + 1e3 * seed
+        assert np.array_equal(gi_star(w, x).z, per_row_z(w, x))
+
+    def test_unit_permutation_permutes_z(self):
+        units = grid_units(9, 7)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=len(units))
+        perm = rng.permutation(len(units))
+        z = gi_star(
+            to_weights(queen_contiguity(units), "binary", include_self=True), x
+        ).z
+        moved = to_weights(
+            queen_contiguity([units[k] for k in perm]), "binary", include_self=True
+        )
+        assert np.allclose(gi_star(moved, x[perm]).z, z[perm], rtol=0, atol=1e-12)
 
     def test_p_is_two_sided_normal_tail(self, lattice_weights):
         rng = np.random.default_rng(22)

@@ -4,10 +4,12 @@ and the command line front end."""
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from arealstat import weights as weights_module
 from arealstat.cli import main as cli_main
 from arealstat.pipeline import (
     PipelineConfig,
@@ -317,6 +319,25 @@ class TestIslands:
         run_subcommand(config, "weights")
         with open(os.path.join(config.output_dir, "islands.txt")) as fh:
             assert fh.read().splitlines() == ["far"]
+
+    def test_weights_stage_hides_only_the_all_zero_row_warning(self, tmp_path, monkeypatch):
+        # report.json names the islands, so that warning is dropped; any
+        # other warning from building the weights still reaches the caller
+        real = weights_module.to_weights
+
+        def to_weights(*args, **kwargs):
+            warnings.warn("another weights warning")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weights_module, "to_weights", to_weights)
+        d, geo, attr = island_dataset(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_subcommand(tiny_config(d, geo, attr), "weights")
+        messages = [str(w.message) for w in caught]
+        assert report["weights"]["islands"] == ["far"]
+        assert not any("all-zero rows" in m for m in messages)
+        assert messages.count("another weights warning") == 2
 
     def test_spatial_stages_refuse_by_default(self, tmp_path):
         d, geo, attr = island_dataset(tmp_path)

@@ -17,8 +17,8 @@ from arealstat.spatial_models import (
     spectral_cache,
 )
 from arealstat.synth import autoregressive_solver
-from arealstat.weights import AdjacencyList, queen_contiguity, to_weights
-from conftest import grid_units
+from arealstat.weights import queen_contiguity, to_weights
+from conftest import adjacency_from_neighbors, grid_units
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +68,7 @@ class TestSpectralCache:
 
     def test_isolated_units_named(self):
         adj = queen_contiguity(grid_units(3, 3))
-        adj = AdjacencyList(
-            n=10, neighbors=list(adj.neighbors) + [np.empty(0, dtype=int)]
-        )
+        adj = adjacency_from_neighbors(list(adj.neighbors) + [np.empty(0, dtype=int)])
         with pytest.warns(UserWarning):
             w = to_weights(adj, "row-standardized")
         with pytest.raises(ValueError, match=r"\[9\]"):
@@ -230,7 +228,7 @@ class TestLagFit:
         X, y = make_lag_data(w10, 0.3, seed=82)
         res = fit_lag_ml(X, y, w10, cache=cache10)
         # yhat = (I - rho W)^-1 X beta, so corr(y, yhat)^2 is the fit score
-        a = identity(w10.n, format="csc") - res.param * w10.to_csr().tocsc()
+        a = identity(w10.n, format="csc") - res.param * w10.matrix.tocsc()
         from scipy.sparse.linalg import spsolve
 
         yhat = spsolve(a, X.values @ res.beta)
@@ -239,7 +237,7 @@ class TestLagFit:
     def test_residuals_subtract_both_parts(self, w10, cache10):
         X, y = make_lag_data(w10, 0.3, seed=83)
         res = fit_lag_ml(X, y, w10, cache=cache10)
-        wy = w10.to_csr() @ y
+        wy = w10.matrix @ y
         assert np.allclose(res.u, y - res.param * wy - X.values @ res.beta)
 
 

@@ -1,8 +1,11 @@
 """Contiguity detection, weight modes, and the text round trip."""
 
+import math
+from collections import defaultdict
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arealstat.ingest import AreaUnit
@@ -15,12 +18,178 @@ from arealstat.weights import (
     to_weights,
     write_weights,
 )
-from conftest import grid_adjacency, grid_units, square_unit
+from conftest import adjacency_from_neighbors, grid_adjacency, grid_units, square_unit
+
+
+def same_csr(a, b):
+    """Equal shape, row pointers, column indices and bit-equal values."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
 
 
 def same_adjacency(a, b):
     return a.n == b.n and all(
         np.array_equal(x, y) for x, y in zip(a.neighbors, b.neighbors)
+    )
+
+
+# Reference: the bucket-based contiguity search that the CSR construction
+# replaced, kept verbatim (only the returned AdjacencyList is built from the
+# neighbor lists) so the vectorised search can be checked against it.
+def _snap_pitch(units, snap_tolerance):
+    if snap_tolerance is not None:
+        if snap_tolerance <= 0:
+            raise ValueError("snap tolerance must be positive")
+        return float(snap_tolerance)
+    xs: list[float] = []
+    ys: list[float] = []
+    for u in units:
+        for poly in u.geometry:
+            for ring in poly:
+                for x, y in ring:
+                    xs.append(x)
+                    ys.append(y)
+    dx = max(xs) - min(xs)
+    dy = max(ys) - min(ys)
+    diag = math.hypot(dx, dy)
+    if diag == 0.0:
+        raise ValueError("degenerate geometry: bounding box has zero diagonal")
+    return 1e-9 * diag
+
+
+def _snap(value: float, pitch: float) -> int:
+    return int(round(value / pitch))
+
+
+def _collect_links(buckets: dict, n: int):
+    links: list[set[int]] = [set() for _ in range(n)]
+    for members in buckets.values():
+        if len(members) < 2:
+            continue
+        uniq = sorted(set(members))
+        for a in uniq:
+            for b in uniq:
+                if a != b:
+                    links[a].add(b)
+    neighbors = [np.array(sorted(s), dtype=int) for s in links]
+    return adjacency_from_neighbors(neighbors)
+
+
+def bucket_queen(units, snap_tolerance=None):
+    if len(units) < 2:
+        raise ValueError("contiguity needs at least 2 units")
+    pitch = _snap_pitch(units, snap_tolerance)
+    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, u in enumerate(units):
+        mine: set[tuple[int, int]] = set()
+        for poly in u.geometry:
+            for ring in poly:
+                # closing vertex repeats the first; skip it
+                for x, y in ring[:-1]:
+                    mine.add((_snap(x, pitch), _snap(y, pitch)))
+        for key in mine:
+            buckets[key].append(i)
+    return _collect_links(buckets, len(units))
+
+
+def bucket_rook(units, snap_tolerance=None):
+    if len(units) < 2:
+        raise ValueError("contiguity needs at least 2 units")
+    pitch = _snap_pitch(units, snap_tolerance)
+    buckets: dict[tuple, list[int]] = defaultdict(list)
+    for i, u in enumerate(units):
+        mine: set[tuple] = set()
+        for poly in u.geometry:
+            for ring in poly:
+                snapped = [(_snap(x, pitch), _snap(y, pitch)) for x, y in ring]
+                for a, b in zip(snapped[:-1], snapped[1:]):
+                    if a == b:
+                        continue
+                    mine.add((a, b) if a <= b else (b, a))
+        for key in mine:
+            buckets[key].append(i)
+    return _collect_links(buckets, len(units))
+
+
+def random_tiling(seed, jitter_pitches, snap_tolerance, scale, offset):
+    """Units over a grid of cells.  Each kept cell is one polygon of a
+    randomly chosen unit, so units are MultiPolygons that often touch only at
+    a corner; some polygons carry a square hole that a unit of its own
+    fills.  Rings start at a random vertex, run either way and may repeat a
+    vertex (a zero-length edge).  Every vertex copy then moves independently
+    by up to ``jitter_pitches`` snap pitches."""
+    rng = np.random.default_rng(seed)
+    nx, ny = (int(v) for v in rng.integers(2, 6, size=2))
+    k = int(rng.integers(2, nx * ny + 1))
+    polygons = [[] for _ in range(k)]
+    fillers = []
+    for r in range(ny):
+        for c in range(nx):
+            if rng.random() < 0.15:
+                continue
+            rings = [[(c, r), (c + 1, r), (c + 1, r + 1), (c, r + 1)]]
+            if rng.random() < 0.2:
+                hole = [(c + 0.25, r + 0.25), (c + 0.25, r + 0.75),
+                        (c + 0.75, r + 0.75), (c + 0.75, r + 0.25)]
+                rings.append(hole)
+                fillers.append([[hole[::-1]]])
+            polygons[int(rng.integers(k))].append(rings)
+    pitch = snap_tolerance or 1e-9 * math.hypot(nx, ny) * scale
+    jitter = jitter_pitches * pitch
+
+    def ring_of(points):
+        s = int(rng.integers(len(points)))
+        pts = points[s:] + points[:s]
+        if rng.random() < 0.5:
+            pts = pts[::-1]
+        if rng.random() < 0.3:
+            d = int(rng.integers(len(pts)))
+            pts.insert(d, pts[d])
+        pts = [
+            (x * scale + offset + rng.uniform(-jitter, jitter),
+             y * scale + offset + rng.uniform(-jitter, jitter))
+            for x, y in pts
+        ]
+        return tuple(pts + [pts[0]])
+
+    shapes = [p for p in polygons if p] + fillers
+    return [
+        AreaUnit(
+            id=str(i),
+            geometry=tuple(tuple(ring_of(ring) for ring in rings) for rings in shape),
+            properties={},
+        )
+        for i, shape in enumerate(shapes)
+    ]
+
+
+@st.composite
+def tilings(draw):
+    """(units, snap_tolerance) with sub- and super-pitch jitter."""
+    tol = draw(st.sampled_from([None, 1e-3, 0.02]))
+    units = random_tiling(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from([0.0, 0.1, 0.45, 0.55, 3.0])),
+        tol,
+        draw(st.sampled_from([1.0, 1e-3, 1e4])),
+        draw(st.sampled_from([0.0, -250.0, 1e5])),
+    )
+    assume(len(units) >= 2)
+    return units, tol
+
+
+def is_canonical_pattern(adj):
+    m = adj.matrix
+    return (
+        m.shape == (adj.n, adj.n)
+        and m.has_canonical_format
+        and np.all(m.data == 1.0)
+        and not m.diagonal().any()
+        and (m != m.T).nnz == 0
     )
 
 
@@ -109,10 +278,93 @@ class TestContiguity:
         assert same_adjacency(base, moved)
 
 
+class TestMatchesBucketReference:
+    @settings(max_examples=80, deadline=None)
+    @given(tilings())
+    def test_queen_and_rook_equal_bucket_search(self, tiling):
+        units, tol = tiling
+        for fast, reference in ((queen_contiguity, bucket_queen), (rook_contiguity, bucket_rook)):
+            adj = fast(units, snap_tolerance=tol)
+            assert is_canonical_pattern(adj)
+            assert same_adjacency(adj, reference(units, snap_tolerance=tol))
+
+    def test_neighbor_views_are_read_only(self):
+        adj = queen_contiguity(grid_units(3, 3))
+        with pytest.raises(ValueError):
+            adj.neighbors[0][0] = 8
+
+
+def offset_square(uid, x0, y0, width, height):
+    ring = ((x0, y0), (x0 + width, y0), (x0 + width, y0 + height), (x0, y0 + height), (x0, y0))
+    return AreaUnit(id=uid, geometry=((ring,),), properties={})
+
+
+class TestSnapKeys:
+    def test_keys_beyond_int64_keep_units_apart(self):
+        # x / pitch is about 1e21 here, past 2**63; a far unit must stay apart
+        base = 1e12
+        units = [
+            offset_square("A", base, 0.0, 1.0, 1.0),
+            offset_square("B", base + 1.0, 0.0, 1.0, 1.0),
+            offset_square("C", base + 5.0, 0.0, 1.0, 1.0),
+        ]
+        for fast, reference in ((queen_contiguity, bucket_queen), (rook_contiguity, bucket_rook)):
+            adj = fast(units, snap_tolerance=1e-9)
+            assert same_adjacency(adj, reference(units, snap_tolerance=1e-9))
+            assert [list(nb) for nb in adj.neighbors] == [[1], [0], []]
+
+    def test_half_pitch_ties_round_to_even(self):
+        # at pitch 1, 2.5 and 1.5 both snap to 2, and 0.5 and -0.5 both to 0
+        units = [
+            offset_square("A", -3.0, 0.0, 5.5, 3.0),
+            offset_square("B", 1.5, 0.0, 4.5, 3.0),
+            offset_square("C", -0.5, 10.0, 3.0, 3.0),
+            offset_square("D", -4.0, 10.0, 4.5, 3.0),
+        ]
+        for fast, reference in ((queen_contiguity, bucket_queen), (rook_contiguity, bucket_rook)):
+            adj = fast(units, snap_tolerance=1.0)
+            assert same_adjacency(adj, reference(units, snap_tolerance=1.0))
+            assert [list(nb) for nb in adj.neighbors] == [[1], [0], [3], [2]]
+
+
+def reversed_rings(units):
+    return [
+        AreaUnit(
+            id=u.id,
+            geometry=tuple(tuple(ring[::-1] for ring in poly) for poly in u.geometry),
+            properties={},
+        )
+        for u in units
+    ]
+
+
+class TestInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(tilings(), st.integers(0, 2**32 - 1))
+    def test_unit_permutation_permutes_adjacency(self, tiling, seed):
+        units, tol = tiling
+        perm = np.random.default_rng(seed).permutation(len(units))
+        for build in (queen_contiguity, rook_contiguity):
+            dense = build(units, snap_tolerance=tol).matrix.toarray()
+            moved = build([units[k] for k in perm], snap_tolerance=tol)
+            assert is_canonical_pattern(moved)
+            assert np.array_equal(moved.matrix.toarray(), dense[np.ix_(perm, perm)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(tilings())
+    def test_ring_reversal_keeps_adjacency(self, tiling):
+        units, tol = tiling
+        flipped = reversed_rings(units)
+        for build in (queen_contiguity, rook_contiguity):
+            assert same_adjacency(
+                build(flipped, snap_tolerance=tol), build(units, snap_tolerance=tol)
+            )
+
+
 class TestWeightModes:
     def test_binary_values_are_one(self):
         w = to_weights(queen_contiguity(grid_units(2, 2)), "binary")
-        assert np.all(np.concatenate(w.values) == 1.0)
+        assert np.all(w.matrix.data == 1.0)
 
     def test_row_standardized_rows_sum_to_one(self):
         w = to_weights(queen_contiguity(grid_units(3, 3)), "row-standardized")
@@ -144,7 +396,9 @@ class TestWeightModes:
 
     def test_csr_and_dense_agree(self):
         w = to_weights(queen_contiguity(grid_units(3, 3)), "row-standardized")
-        assert np.allclose(w.to_csr().toarray(), w.to_dense())
+        a = grid_adjacency(3, 3).matrix.toarray()
+        assert w.matrix.has_canonical_format
+        assert np.array_equal(w.to_dense(), a / a.sum(axis=1, keepdims=True))
 
     def test_lag_matches_dense_product(self):
         w = to_weights(queen_contiguity(grid_units(3, 3)), "row-standardized")
@@ -169,8 +423,7 @@ class TestTextFormat:
         w = to_weights(queen_contiguity(grid_units(3, 3)), "row-standardized")
         back = read_weights(write_weights(w))
         assert back.mode == w.mode
-        assert all(np.array_equal(a, b) for a, b in zip(back.rows, w.rows))
-        assert all(np.array_equal(a, b) for a, b in zip(back.values, w.values))
+        assert same_csr(back.matrix, w.matrix)
 
     def test_round_trip_infers_include_self(self):
         w = to_weights(queen_contiguity(grid_units(2, 2)), "binary", include_self=True)
@@ -226,4 +479,4 @@ class TestTextFormat:
         )
         back = read_weights(write_weights(w))
         assert back.include_self
-        assert all(np.array_equal(a, b) for a, b in zip(back.values, w.values))
+        assert same_csr(back.matrix, w.matrix)
