@@ -12,11 +12,10 @@ import tempfile
 from arealstat.pipeline import load_config, run_pipeline
 from arealstat.synth import write_synthetic_county
 
-workdir = tempfile.mkdtemp(prefix="county_demo_")
-config = load_config(write_synthetic_county(workdir))
-report = run_pipeline(config)
-
-print("wrote:", ", ".join(sorted(os.listdir(config.output_dir))))
+with tempfile.TemporaryDirectory(prefix="county_demo_") as workdir:
+    config = load_config(write_synthetic_county(workdir))
+    report = run_pipeline(config)
+    print("wrote:", ", ".join(sorted(os.listdir(config.output_dir))))
 print()
 
 print("units analyzed:", report["weights"]["n"])

@@ -22,6 +22,24 @@ _HELP = {
     "cluster": "Ward grouping over the retained predictors",
 }
 
+# Flags that override one config field each, named after it in kebab case.
+_OVERRIDES = (
+    ("--output-dir", {"help": "override output directory"}),
+    ("--alpha", {"type": float, "help": "override significance level"}),
+    ("--fdr-alpha", {"type": float, "help": "override FDR level"}),
+    ("--vif-threshold", {"type": float, "help": "override collinearity cutoff"}),
+    ("--group-k", {"type": int, "help": "override number of groups"}),
+    ("--contiguity", {"choices": ("queen", "rook"), "help": "override contiguity rule"}),
+    ("--snap-tolerance", {"type": float, "help": "override vertex snap tolerance"}),
+    (
+        "--allow-islands",
+        {
+            "action": "store_true",
+            "help": "skip spatial model stages instead of failing when units have no neighbors",
+        },
+    ),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -35,45 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--output-dir", help="override output directory")
-        p.add_argument("--alpha", type=float, help="override significance level")
-        p.add_argument("--fdr-alpha", type=float, help="override FDR level")
-        p.add_argument(
-            "--vif-threshold", type=float, help="override collinearity cutoff"
-        )
-        p.add_argument("--group-k", type=int, help="override number of groups")
-        p.add_argument(
-            "--contiguity", choices=("queen", "rook"), help="override contiguity rule"
-        )
-        p.add_argument(
-            "--snap-tolerance", type=float, help="override vertex snap tolerance"
-        )
-        p.add_argument(
-            "--allow-islands",
-            action="store_true",
-            help="skip spatial model stages instead of failing when units have no neighbors",
-        )
+        for flag, options in _OVERRIDES:
+            p.add_argument(flag, **options)
     return parser
 
 
 def _apply_overrides(config, args):
     updates = {}
-    if args.output_dir is not None:
-        updates["output_dir"] = args.output_dir
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.fdr_alpha is not None:
-        updates["fdr_alpha"] = args.fdr_alpha
-    if args.vif_threshold is not None:
-        updates["vif_threshold"] = args.vif_threshold
-    if args.group_k is not None:
-        updates["group_k"] = args.group_k
-    if args.contiguity is not None:
-        updates["contiguity"] = args.contiguity
-    if args.snap_tolerance is not None:
-        updates["snap_tolerance"] = args.snap_tolerance
-    if args.allow_islands:
-        updates["allow_islands"] = True
+    for flag, _ in _OVERRIDES:
+        name = flag[2:].replace("-", "_")
+        value = getattr(args, name)
+        # an absent flag parses as None, or False for --allow-islands
+        if value is not None and value is not False:
+            updates[name] = value
     if updates:
         config = dataclasses.replace(config, **updates)
     return config

@@ -2,7 +2,9 @@
 
 One staged executor covers the full pipeline and every subcommand subset,
 so a partial run's files and report sections are byte-identical to the
-matching pieces of a full run.  Any stage failure surfaces as a
+matching pieces of a full run.  Two tables decide what each subcommand
+does: ``_STAGES`` lists the stages it runs, ``_OUTPUTS`` the report
+sections and files it writes.  Any stage failure surfaces as a
 PipelineError tagged with the stage name.
 """
 
@@ -13,7 +15,7 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -56,7 +58,8 @@ class PipelineError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """Everything a run needs, mirroring the flat config file."""
+    """Everything a run needs, mirroring the flat config file: each field is
+    one config key, and a field without a default is a required key."""
 
     geometry_path: str
     attributes_path: str
@@ -85,6 +88,8 @@ class PipelineConfig:
         preds = self.candidate_predictor_columns
         if not isinstance(preds, list) or not preds:
             raise ValueError("candidate_predictor_columns must be a nonempty list")
+        if not all(isinstance(c, str) for c in preds):
+            raise ValueError("candidate_predictor_columns must hold column names (strings)")
         if len(set(preds)) != len(preds):
             raise ValueError("candidate_predictor_columns contains duplicates")
         if self.outcome_column in preds:
@@ -93,18 +98,21 @@ class PipelineConfig:
             )
         if self.contiguity not in ("queen", "rook"):
             raise ValueError(f"contiguity must be queen or rook, got {self.contiguity!r}")
-        if self.snap_tolerance is not None and not self.snap_tolerance > 0:
-            raise ValueError("snap_tolerance must be positive when given")
+        tol = self.snap_tolerance
+        if tol is not None and not (_is_number(tol) and tol > 0):
+            raise ValueError("snap_tolerance must be a positive number when given")
         for name in ("alpha", "fdr_alpha"):
             v = getattr(self, name)
-            if not (0 < v < 1):
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not self.vif_threshold > 0:
-            raise ValueError("vif_threshold must be positive")
+            if not (_is_number(v) and 0 < v < 1):
+                raise ValueError(f"{name} must be a number in (0, 1)")
+        if not (_is_number(self.vif_threshold) and self.vif_threshold > 0):
+            raise ValueError("vif_threshold must be a positive number")
         for name in ("group_k", "top_features_for_grouping"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if not isinstance(self.allow_islands, bool):
+            raise ValueError("allow_islands must be true or false")
         if self.merge_policy not in ("drop-with-report", "fail-on-any-unmatched"):
             raise ValueError(f"unknown merge policy {self.merge_policy!r}")
         if self.spearman_column is not None:
@@ -113,49 +121,9 @@ class PipelineConfig:
             if self.spearman_column == self.outcome_column:
                 raise ValueError("spearman_column may not be the outcome column")
 
-    def as_dict(self) -> dict:
-        return {
-            "geometry_path": self.geometry_path,
-            "attributes_path": self.attributes_path,
-            "id_property": self.id_property,
-            "id_column": self.id_column,
-            "outcome_column": self.outcome_column,
-            "candidate_predictor_columns": list(self.candidate_predictor_columns),
-            "contiguity": self.contiguity,
-            "snap_tolerance": self.snap_tolerance,
-            "alpha": self.alpha,
-            "vif_threshold": self.vif_threshold,
-            "fdr_alpha": self.fdr_alpha,
-            "group_k": self.group_k,
-            "top_features_for_grouping": self.top_features_for_grouping,
-            "output_dir": self.output_dir,
-            "spearman_column": self.spearman_column,
-            "merge_policy": self.merge_policy,
-            "allow_islands": self.allow_islands,
-        }
 
-
-_CONFIG_DEFAULTS = {
-    "contiguity": "queen",
-    "snap_tolerance": None,
-    "alpha": 0.05,
-    "vif_threshold": 10.0,
-    "fdr_alpha": 0.05,
-    "group_k": 5,
-    "top_features_for_grouping": 4,
-    "output_dir": ".",
-    "spearman_column": None,
-    "merge_policy": "drop-with-report",
-    "allow_islands": False,
-}
-_CONFIG_REQUIRED = (
-    "geometry_path",
-    "attributes_path",
-    "id_property",
-    "id_column",
-    "outcome_column",
-    "candidate_predictor_columns",
-)
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -169,21 +137,18 @@ def load_config(path: str) -> PipelineConfig:
         raise PipelineError("config", f"malformed config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise PipelineError("config", "config document must be a flat object")
-    known = set(_CONFIG_REQUIRED) | set(_CONFIG_DEFAULTS)
-    unknown = sorted(set(doc) - known)
+    schema = fields(PipelineConfig)
+    unknown = sorted(set(doc) - {f.name for f in schema})
     if unknown:
         raise PipelineError("config", f"unknown config keys {unknown}")
-    missing = sorted(k for k in _CONFIG_REQUIRED if k not in doc)
+    missing = sorted(f.name for f in schema if f.default is MISSING and f.name not in doc)
     if missing:
         raise PipelineError("config", f"missing config keys {missing}")
-    merged = dict(_CONFIG_DEFAULTS)
-    merged.update(doc)
-    for key in ("alpha", "vif_threshold", "fdr_alpha"):
-        if isinstance(merged[key], int):
-            merged[key] = float(merged[key])
-    if isinstance(merged["snap_tolerance"], int):
-        merged["snap_tolerance"] = float(merged["snap_tolerance"])
-    config = PipelineConfig(**merged)
+    for f in schema:
+        # annotations are strings here; 10 for a float key is read as 10.0
+        if f.type.startswith("float") and type(doc.get(f.name)) is int:
+            doc[f.name] = float(doc[f.name])
+    config = PipelineConfig(**doc)
     try:
         config.validate()
     except ValueError as exc:
@@ -525,6 +490,20 @@ def _section_weights(ctx: _Context) -> dict:
     }
 
 
+def _section_summary(ctx: _Context) -> list[dict]:
+    return [
+        {
+            "name": r.name,
+            "mean": r.mean,
+            "sd": r.sd,
+            "n": r.n,
+            "min": r.minimum,
+            "max": r.maximum,
+        }
+        for r in ctx.summary_rows
+    ]
+
+
 def _section_hotspot(ctx: _Context) -> dict:
     counts = {c: 0 for c in _hotspot.CLASS_ORDER}
     for c in ctx.gi.classes:
@@ -585,40 +564,26 @@ def _section_ols(ctx: _Context) -> dict:
     }
 
 
+def _section_decision(ctx: _Context) -> dict:
+    return {
+        "alpha": ctx.config.alpha,
+        "decision": ctx.decision,
+        "warning": ctx.decision_warning,
+        "skipped_reason": ctx.spatial_skip_reason,
+    }
+
+
 def _spatial_coef_rows(ctx: _Context) -> list[dict]:
     sf = ctx.spatial_fit
-    se_ok = sf.se_available
     param_name = "lambda" if sf.kind == "error" else "rho"
-    rows = []
-    rows.append(
-        {
-            "name": sf.names[0],
-            "coefficient": float(sf.beta[0]),
-            "se": float(sf.beta_se[0]) if se_ok else None,
-            "p": float(sf.beta_p[0]) if se_ok else None,
-            "stars": _stars(float(sf.beta_p[0])) if se_ok else "",
-        }
-    )
-    rows.append(
-        {
-            "name": param_name,
-            "coefficient": float(sf.param),
-            "se": float(sf.param_se) if se_ok else None,
-            "p": float(sf.param_p) if se_ok else None,
-            "stars": _stars(float(sf.param_p)) if se_ok else "",
-        }
-    )
-    for i in range(1, len(sf.names)):
-        rows.append(
-            {
-                "name": sf.names[i],
-                "coefficient": float(sf.beta[i]),
-                "se": float(sf.beta_se[i]) if se_ok else None,
-                "p": float(sf.beta_p[i]) if se_ok else None,
-                "stars": _stars(float(sf.beta_p[i])) if se_ok else "",
-            }
-        )
-    return rows
+    # the spatial parameter's row follows the intercept's
+    names = [sf.names[0], param_name, *sf.names[1:]]
+    beta = [sf.beta[0], sf.param, *sf.beta[1:]]
+    if not sf.se_available:
+        return _coef_rows(names, beta, None, None)
+    se = [sf.beta_se[0], sf.param_se, *sf.beta_se[1:]]
+    p = [sf.beta_p[0], sf.param_p, *sf.beta_p[1:]]
+    return _coef_rows(names, beta, se, p)
 
 
 def _section_spatial(ctx: _Context):
@@ -671,49 +636,6 @@ def _section_spearman(ctx: _Context) -> dict:
         "column": ctx.spearman_column,
         "rows": [dict(r) for r in ctx.spearman_rows],
     }
-
-
-def _build_report(ctx: _Context, which: str) -> dict:
-    report = {
-        "tool": {"name": "arealstat", "version": __version__, "command": which},
-        "config": ctx.config.as_dict(),
-        "dropped_units": {
-            "geometry_only": list(ctx.dataset.dropped_geometry_ids),
-            "attributes_only": list(ctx.dataset.dropped_table_ids),
-            "missing_values": list(ctx.dropped_missing),
-        },
-        "weights": _section_weights(ctx),
-    }
-    if which in ("hotspot", "pipeline"):
-        report["hotspot"] = _section_hotspot(ctx)
-    if which == "pipeline":
-        report["summary"] = [
-            {
-                "name": r.name,
-                "mean": r.mean,
-                "sd": r.sd,
-                "n": r.n,
-                "min": r.minimum,
-                "max": r.maximum,
-            }
-            for r in ctx.summary_rows
-        ]
-    if which in ("regress", "cluster", "pipeline"):
-        report["selection"] = _section_selection(ctx)
-        report["ols"] = _section_ols(ctx)
-        report["decision"] = {
-            "alpha": ctx.config.alpha,
-            "decision": ctx.decision,
-            "warning": ctx.decision_warning,
-            "skipped_reason": ctx.spatial_skip_reason,
-        }
-        report["spatial"] = _section_spatial(ctx)
-        report["comparison"] = _section_comparison(ctx)
-    if which in ("cluster", "pipeline"):
-        report["groups"] = _section_groups(ctx)
-    if which == "pipeline":
-        report["spearman"] = _section_spearman(ctx)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1102,6 +1024,81 @@ def _write_report(ctx: _Context, report: dict, outdir: str) -> None:
 # drivers
 
 
+# The tables hold only this module's own functions: the library calls inside
+# them resolve through module globals at run time, where a tracer can wrap them.
+
+_MODEL = ("regress", "cluster", "pipeline")
+_GROUPS = ("cluster", "pipeline")
+
+# Every stage in run order: its tag, its function and the subcommands that run it.
+_STAGES = (
+    ("ingest", _stage_ingest, SUBCOMMANDS),
+    ("weights", _stage_weights, SUBCOMMANDS),
+    ("summarize", _stage_summarize, ("pipeline",)),
+    ("zscore", _stage_zscore, _MODEL),
+    ("gi_star", _stage_gi_star, ("hotspot", "pipeline")),
+    ("vif_prune", _stage_vif_prune, _MODEL),
+    ("stepwise_aic", _stage_stepwise, _MODEL),
+    ("significance_prune", _stage_significance, _MODEL),
+    ("diagnostics", _stage_diagnostics, _MODEL),
+    ("lm_tests", _stage_lm, _MODEL),
+    ("model_decision", _stage_decision, _MODEL),
+    ("spatial_fit", _stage_spatial, _MODEL),
+    ("compare", _stage_compare, _MODEL),
+    ("ward_cluster", _stage_cluster, _GROUPS),
+    ("profile", _stage_profile, _GROUPS),
+    ("spearman", _stage_spearman, ("pipeline",)),
+)
+
+# The report sections and files that a set of subcommands adds, in report
+# and writing order.  Every report starts with tool, config, dropped_units
+# and weights, and every run writes report.json and report.txt last.
+_OUTPUTS = (
+    (("weights", "pipeline"), (), (_write_weights_files,)),
+    (
+        ("hotspot", "pipeline"),
+        (("hotspot", _section_hotspot),),
+        (_write_hotspot, _write_hotspot_maps),
+    ),
+    (("pipeline",), (("summary", _section_summary),), ()),
+    (
+        _MODEL,
+        (
+            ("selection", _section_selection),
+            ("ols", _section_ols),
+            ("decision", _section_decision),
+            ("spatial", _section_spatial),
+            ("comparison", _section_comparison),
+        ),
+        (),
+    ),
+    (("regress", "pipeline"), (), (_write_regress_files,)),
+    (_GROUPS, (("groups", _section_groups),), (_write_cluster_files,)),
+    (
+        ("pipeline",),
+        (("spearman", _section_spearman),),
+        (_write_summary, _write_spearman, _write_augmented),
+    ),
+)
+
+
+def _build_report(ctx: _Context, which: str, outputs) -> dict:
+    report = {
+        "tool": {"name": "arealstat", "version": __version__, "command": which},
+        "config": asdict(ctx.config),
+        "dropped_units": {
+            "geometry_only": list(ctx.dataset.dropped_geometry_ids),
+            "attributes_only": list(ctx.dataset.dropped_table_ids),
+            "missing_values": list(ctx.dropped_missing),
+        },
+        "weights": _section_weights(ctx),
+    }
+    for _, sections, _ in outputs:
+        for key, section in sections:
+            report[key] = section(ctx)
+    return report
+
+
 def _run(config: PipelineConfig, which: str) -> dict:
     if which not in SUBCOMMANDS:
         raise PipelineError("config", f"unknown subcommand {which!r}")
@@ -1109,69 +1106,17 @@ def _run(config: PipelineConfig, which: str) -> dict:
         config.validate()
         os.makedirs(config.output_dir, exist_ok=True)
     ctx = _Context(config=config)
-
-    with _stage("ingest"):
-        _stage_ingest(ctx)
-    with _stage("weights"):
-        _stage_weights(ctx)
-
-    if which == "pipeline":
-        with _stage("summarize"):
-            _stage_summarize(ctx)
-        with _stage("zscore"):
-            _stage_zscore(ctx)
-    if which in ("hotspot", "pipeline"):
-        with _stage("gi_star"):
-            _stage_gi_star(ctx)
-
-    if which in ("regress", "cluster", "pipeline"):
-        if which != "pipeline":
-            with _stage("zscore"):
-                _stage_zscore(ctx)
-        with _stage("vif_prune"):
-            _stage_vif_prune(ctx)
-        with _stage("stepwise_aic"):
-            _stage_stepwise(ctx)
-        with _stage("significance_prune"):
-            _stage_significance(ctx)
-        with _stage("diagnostics"):
-            _stage_diagnostics(ctx)
-        with _stage("lm_tests"):
-            _stage_lm(ctx)
-        with _stage("model_decision"):
-            _stage_decision(ctx)
-        with _stage("spatial_fit"):
-            _stage_spatial(ctx)
-        with _stage("compare"):
-            _stage_compare(ctx)
-
-    if which in ("cluster", "pipeline"):
-        with _stage("ward_cluster"):
-            _stage_cluster(ctx)
-        with _stage("profile"):
-            _stage_profile(ctx)
-
-    if which == "pipeline":
-        with _stage("spearman"):
-            _stage_spearman(ctx)
-
-    report = _build_report(ctx, which)
+    for tag, run_stage, subcommands in _STAGES:
+        if which in subcommands:
+            with _stage(tag):
+                run_stage(ctx)
+    outputs = [entry for entry in _OUTPUTS if which in entry[0]]
+    report = _build_report(ctx, which, outputs)
     with _stage("outputs"):
-        outdir = config.output_dir
-        if which in ("weights", "pipeline"):
-            _write_weights_files(ctx, outdir)
-        if which in ("hotspot", "pipeline"):
-            _write_hotspot(ctx, outdir)
-            _write_hotspot_maps(ctx, outdir)
-        if which in ("regress", "pipeline"):
-            _write_regress_files(ctx, outdir)
-        if which in ("cluster", "pipeline"):
-            _write_cluster_files(ctx, outdir)
-        if which == "pipeline":
-            _write_summary(ctx, outdir)
-            _write_spearman(ctx, outdir)
-            _write_augmented(ctx, outdir)
-        _write_report(ctx, report, outdir)
+        for _, _, writers in outputs:
+            for write in writers:
+                write(ctx, config.output_dir)
+        _write_report(ctx, report, config.output_dir)
     return report
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from arealstat import weights as weights_module
+from arealstat.cli import _apply_overrides, _build_parser
 from arealstat.cli import main as cli_main
 from arealstat.pipeline import (
     PipelineConfig,
@@ -50,8 +51,11 @@ def county_run(tmp_path_factory):
     return config, report
 
 
-def write_tiny_dataset(directory, outcome_values, n_side=3, extra_geometry=None):
-    """A small lattice dataset with two predictor columns."""
+def write_tiny_dataset(
+    directory, outcome_values, n_side=3, extra_geometry=None, constant_p2=False
+):
+    """A small lattice dataset with two predictor columns; p2 is all ones
+    when constant_p2 is set."""
     os.makedirs(directory, exist_ok=True)
     rng = np.random.default_rng(7)
     n = n_side * n_side
@@ -71,7 +75,7 @@ def write_tiny_dataset(directory, outcome_values, n_side=3, extra_geometry=None)
         fh.write(feature_collection(features))
     attr_path = os.path.join(directory, "attr.csv")
     p1 = rng.normal(size=n)
-    p2 = rng.normal(size=n)
+    p2 = np.ones(n) if constant_p2 else rng.normal(size=n)
     with open(attr_path, "w") as fh:
         fh.write("GEOID,out,p1,p2\n")
         for i, uid in enumerate(ids):
@@ -158,6 +162,35 @@ class TestConfig:
         with pytest.raises(PipelineError, match="config"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", "0.05"),
+            ("snap_tolerance", "1e-3"),
+            ("vif_threshold", None),
+            ("allow_islands", "false"),
+            ("group_k", True),
+            ("candidate_predictor_columns", ["x", 3]),
+        ],
+    )
+    def test_mistyped_value_fails_in_config_stage(self, tmp_path, capsys, key, value):
+        doc = {
+            "geometry_path": "g",
+            "attributes_path": "a",
+            "id_property": "GEOID",
+            "id_column": "GEOID",
+            "outcome_column": "y",
+            "candidate_predictor_columns": ["x"],
+            "output_dir": str(tmp_path / "out"),
+        }
+        doc[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["weights", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "[config]" in err
+        assert key in err
+
 
 class TestFullRun:
     def test_all_files_written(self, county_run):
@@ -226,6 +259,23 @@ class TestFullRun:
             run_subcommand(c2, sub)
             assert sorted(os.listdir(outdir)) == names
 
+    def test_report_sections_per_subcommand(self, county_run, tmp_path):
+        config, _ = county_run
+        common = {"tool", "config", "dropped_units", "weights"}
+        model = {"selection", "ols", "decision", "spatial", "comparison"}
+        expected = {
+            "weights": common,
+            "hotspot": common | {"hotspot"},
+            "regress": common | model,
+            "cluster": common | model | {"groups"},
+            "pipeline": common | {"hotspot"} | model | {"groups", "summary", "spearman"},
+        }
+        for sub, keys in expected.items():
+            outdir = tmp_path / sub
+            run_subcommand(dataclasses.replace(config, output_dir=str(outdir)), sub)
+            with open(outdir / "report.json") as fh:
+                assert set(json.load(fh)) == keys, sub
+
     def test_subcommand_files_match_full_run(self, county_run, tmp_path):
         config, _ = county_run
         shared = {
@@ -282,6 +332,23 @@ class TestStageErrors:
         config = tiny_config(d, geo, attr)
         run_subcommand(config, "weights")
         assert os.path.exists(os.path.join(config.output_dir, "weights.txt"))
+
+    @pytest.mark.parametrize("sub", ["regress", "cluster", "pipeline"])
+    def test_constant_predictor_fails_in_zscore(self, tmp_path, sub):
+        d = str(tmp_path)
+        geo, attr = write_tiny_dataset(d, list(range(9)), constant_p2=True)
+        config = tiny_config(d, geo, attr)
+        with pytest.raises(PipelineError) as err:
+            run_subcommand(config, sub)
+        assert err.value.stage == "zscore"
+        assert "p2" in str(err.value)
+
+    def test_constant_predictor_leaves_hotspot_alone(self, tmp_path):
+        d = str(tmp_path)
+        # 4 x 4: on a 3 x 3 lattice the centre's Gi* neighbourhood is every unit
+        geo, attr = write_tiny_dataset(d, list(range(16)), n_side=4, constant_p2=True)
+        report = run_subcommand(tiny_config(d, geo, attr), "hotspot")
+        assert sum(report["hotspot"]["counts"].values()) == 16
 
     def test_missing_geometry_file(self, tmp_path):
         d = str(tmp_path)
@@ -394,6 +461,36 @@ class TestCli:
         with open(os.path.join(out, "groups.csv")) as fh:
             rows = fh.read().strip().splitlines()[1:]
         assert len(rows) == 3
+
+    def test_every_override_flag_sets_its_field(self, county):
+        config = load_config(county["config"])
+        args = _build_parser().parse_args(
+            [
+                "regress",
+                "--config", county["config"],
+                "--output-dir", "elsewhere",
+                "--alpha", "0.1",
+                "--fdr-alpha", "0.2",
+                "--vif-threshold", "5",
+                "--group-k", "3",
+                "--contiguity", "rook",
+                "--snap-tolerance", "0.001",
+                "--allow-islands",
+            ]
+        )
+        assert _apply_overrides(config, args) == dataclasses.replace(
+            config,
+            output_dir="elsewhere",
+            alpha=0.1,
+            fdr_alpha=0.2,
+            vif_threshold=5.0,
+            group_k=3,
+            contiguity="rook",
+            snap_tolerance=0.001,
+            allow_islands=True,
+        )
+        bare = _build_parser().parse_args(["regress", "--config", county["config"]])
+        assert _apply_overrides(config, bare) == config
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
