@@ -43,7 +43,8 @@ def gi_star(
 
     Requires binary weights built with a self-link: the statistic's null
     moments assume w_ij in {0, 1} and the unit's own value inside its
-    neighborhood sum.
+    neighborhood sum.  A unit whose neighborhood holds every unit has no
+    null variance and is refused.
     """
     if weights.mode != "binary":
         raise ValueError("hot-spot statistic requires binary weights")
@@ -70,7 +71,14 @@ def gi_star(
     w = weights.matrix
     wsum = np.asarray(w.sum(axis=1)).ravel()
     wsq = np.asarray(w.multiply(w).sum(axis=1)).ravel()
-    z = (w @ xc) / (s * np.sqrt((n * wsq - wsum * wsum) / (n - 1)))
+    spread = n * wsq - wsum * wsum
+    flat = np.flatnonzero(spread <= 0.0)
+    if flat.size:
+        raise ValueError(
+            f"unit {flat[0]}'s neighborhood holds every unit, so n*sum(w^2) - "
+            "sum(w)^2 is 0 and its z-score is undefined"
+        )
+    z = (w @ xc) / (s * np.sqrt(spread / (n - 1)))
 
     p = 2.0 * _scipy_stats.norm.sf(np.abs(z))
     fdr = bh_fdr(p, alpha=fdr_alpha)

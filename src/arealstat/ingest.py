@@ -4,20 +4,29 @@ Geometry arrives as RFC 7946 feature collections restricted to Polygon and
 MultiPolygon features; attributes arrive as comma-delimited text with a
 header row.  The two sources are joined on a shared unit identifier, with
 unmatched units either dropped (and reported) or treated as fatal.
+
+Geometry is stored once, in a flat ragged layout (GeoArrow's): every ring
+vertex in one (V, 2) float64 array, cut into rings, polygons and units by
+three offset arrays.  Within a polygon ring 0 is the outer ring, normalized
+counterclockwise, and holes are clockwise.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 __all__ = [
     "AreaUnit",
+    "AreaUnits",
     "AttributeTable",
     "MergedDataset",
     "parse_geometry",
@@ -28,19 +37,101 @@ __all__ = [
     "drop_missing_rows",
 ]
 
-# geometry is stored as polygons -> rings -> (x, y) points; ring 0 is the
-# outer ring, normalized counterclockwise, holes clockwise
-Ring = list[tuple[float, float]]
-PolygonGeom = list[Ring]
-
 
 @dataclass(frozen=True)
 class AreaUnit:
-    """One areal unit: an identifier, a multipolygon, and its raw properties."""
+    """One areal unit: an id, polygons -> rings -> (x, y) tuples, and its raw properties."""
 
     id: str
     geometry: tuple
     properties: dict = field(compare=False)
+
+
+@dataclass(eq=False)
+class AreaUnits:
+    """Areal units with their geometry in flat read-only arrays.
+
+    Unit i owns polygons ``unit_offsets[i]:unit_offsets[i + 1]``, polygon p
+    rings ``polygon_offsets[p]:polygon_offsets[p + 1]`` and ring r rows
+    ``ring_offsets[r]:ring_offsets[r + 1]`` of ``xy``; a ring repeats its
+    first vertex last.  Indexing and iteration give :class:`AreaUnit` views
+    built on demand.  Units are equal when their ids and geometry are.
+    """
+
+    ids: list[str]
+    properties: list[dict]
+    xy: np.ndarray
+    ring_offsets: np.ndarray
+    polygon_offsets: np.ndarray
+    unit_offsets: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for a in self._arrays():
+            a.flags.writeable = False
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.xy, self.ring_offsets, self.polygon_offsets, self.unit_offsets
+
+    @classmethod
+    def of(cls, units) -> AreaUnits:
+        """``units`` itself if it is an AreaUnits; an iterable of AreaUnit
+        goes through the checks and normalization of :func:`parse_geometry`."""
+        if isinstance(units, cls):
+            return units
+        return _flatten((u.id, u.properties, u.geometry) for u in units)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> AreaUnit:
+        return next(iter(self.take([range(len(self.ids))[i]])))
+
+    def __iter__(self):
+        coords = list(map(tuple, self.xy.tolist()))
+        for uid, polys, props in zip(self.ids, self._nested(coords), self.properties):
+            yield AreaUnit(uid, tuple(tuple(map(tuple, p)) for p in polys), props)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AreaUnits):
+            return NotImplemented
+        return self.ids == other.ids and all(
+            np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays())
+        )
+
+    def _nested(self, coords: list) -> list[list[list[list]]]:
+        """Per unit, its polygons as lists of rings, each ring a slice of
+        ``coords`` (one entry per row of ``xy``)."""
+        ring, poly, unit = (a.tolist() for a in self._arrays()[1:])
+        rings = [coords[a:b] for a, b in zip(ring[:-1], ring[1:])]
+        polys = [rings[a:b] for a, b in zip(poly[:-1], poly[1:])]
+        return [polys[a:b] for a, b in zip(unit[:-1], unit[1:])]
+
+    def take(self, index) -> AreaUnits:
+        """The units at the integer positions ``index``, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        polygons, unit_offsets = _gather(self.unit_offsets, index)
+        rings, polygon_offsets = _gather(self.polygon_offsets, polygons)
+        vertices, ring_offsets = _gather(self.ring_offsets, rings)
+        return AreaUnits(
+            [self.ids[i] for i in index.tolist()],
+            [self.properties[i] for i in index.tolist()],
+            self.xy[vertices], ring_offsets, polygon_offsets, unit_offsets,
+        )
+
+    def memo(self, key: str, build):
+        """``build(self)``, computed once per container (the arrays are read-only)."""
+        if key not in self._memo:
+            self._memo[key] = build(self)
+        return self._memo[key]
+
+
+def _gather(offsets: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The members of the groups ``index``, in order, and their offsets."""
+    starts = offsets[index]
+    counts = offsets[index + 1] - starts
+    new = np.concatenate([[0], np.cumsum(counts)])
+    return np.arange(new[-1]) + np.repeat(starts - new[:-1], counts), new
 
 
 @dataclass(eq=False)
@@ -76,7 +167,7 @@ class AttributeTable:
 class MergedDataset:
     """Geometry and attributes aligned on id, geometry-file order preserved."""
 
-    units: list[AreaUnit]
+    units: AreaUnits
     table: AttributeTable
     dropped_geometry_ids: list[str]
     dropped_table_ids: list[str]
@@ -91,69 +182,122 @@ class MergedDataset:
         return len(self.units)
 
 
-def _signed_area(ring: Ring) -> float:
-    # shoelace; positive for counterclockwise rings in planar coordinates
-    a = 0.0
-    for (x0, y0), (x1, y1) in zip(ring[:-1], ring[1:]):
-        a += x0 * y1 - x1 * y0
-    return 0.5 * a
-
-
-def _normalize_ring(ring: Ring, outer: bool) -> Ring:
-    area = _signed_area(ring)
-    if area == 0.0:
-        return ring
-    if outer != (area > 0.0):
-        return ring[::-1]
-    return ring
-
-
-def _check_ring(ring, where: str) -> Ring:
-    if not isinstance(ring, (list, tuple)) or len(ring) < 4:
-        raise ValueError(f"{where}: ring must have at least 4 points")
-    pts = []
-    for pt in ring:
-        if not isinstance(pt, (list, tuple)) or len(pt) < 2:
-            raise ValueError(f"{where}: ring point must be an (x, y) pair")
-        pts.append((float(pt[0]), float(pt[1])))
-    if pts[0] != pts[-1]:
-        raise ValueError(f"{where}: ring is not closed (first point != last)")
-    return pts
-
-
-def _unit_id(raw, index: int) -> str:
-    if isinstance(raw, str):
-        if not raw:
-            raise ValueError(f"feature {index}: empty id")
-        return raw
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return str(raw)
-    raise ValueError(
-        f"feature {index}: id property must be a string or integer, got {type(raw).__name__}"
-    )
-
-
-def parse_geometry(data: bytes | str, id_property: str) -> list[AreaUnit]:
-    """Parse an RFC 7946 feature collection into a list of AreaUnit.
-
-    Every feature must carry ``id_property`` and a Polygon or MultiPolygon
-    geometry.  Outer rings are normalized counterclockwise and holes
-    clockwise so downstream area computations are sign-stable; coordinate
-    order is otherwise preserved.
-    """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def _as_xy(points: list) -> np.ndarray | None:
+    """``points`` as a (V, 2) float64 array, each coordinate converted as
+    float() does; None if some point is not an (x, y) pair of numbers."""
+    if not set(map(type, points)) <= {list, tuple} and not all(
+        isinstance(pt, (list, tuple)) for pt in points
+    ):
+        return None
+    lengths = set(map(len, points))
+    if lengths and min(lengths) < 2:
+        return None
+    if lengths - {2}:
+        points = [pt[:2] for pt in points]
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed geometry document: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-        raise ValueError("geometry document is not a FeatureCollection")
-    features = doc.get("features")
-    if not isinstance(features, list):
-        raise ValueError("FeatureCollection has no feature list")
+        return np.fromiter(map(float, chain.from_iterable(points)), float).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
-    units: list[AreaUnit] = []
+
+def _checked_xy(points: list, ids: list, rings: list, polygons: list, units: list) -> np.ndarray:
+    """All ``points`` as one (V, 2) array.  Refuses the first ring, in
+    document order, with a point that is not an (x, y) pair of finite
+    numbers or with different first and last points.  ``rings``,
+    ``polygons`` and ``units`` are the offsets so far; the last polygon and
+    unit may be open."""
+
+    def refuse(k: int, problem: str):
+        p = bisect_right(polygons, k) - 1
+        u = bisect_right(units, p) - 1
+        where = f"feature {u} ({ids[u]!r}) polygon {p - units[u]} ring {k - polygons[p]}"
+        raise ValueError(f"{where}: {problem}")
+
+    xy = _as_xy(points)
+    if xy is None:
+        k = next(
+            k for k in range(len(rings) - 1) if _as_xy(points[rings[k] : rings[k + 1]]) is None
+        )
+        _checked_xy(points[: rings[k]], ids, rings[: k + 1], polygons, units)
+        refuse(k, "ring point must be an (x, y) pair of finite numbers")
+    if len(rings) > 1:
+        ends = np.asarray(rings)
+        nonfinite = np.logical_or.reduceat(~np.isfinite(xy).all(axis=1), ends[:-1])
+        bad = nonfinite | (xy[ends[:-1]] != xy[ends[1:] - 1]).any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if nonfinite[k]:
+                refuse(k, "ring coordinates must be finite numbers")
+            refuse(k, "ring is not closed (first point != last)")
+    return xy
+
+
+def _oriented(xy: np.ndarray, ring_offsets: np.ndarray, polygon_offsets: np.ndarray) -> np.ndarray:
+    """``xy`` with outer rings counterclockwise and holes clockwise;
+    zero-area rings keep their order.
+
+    Each ring's shoelace terms are added one at a time in ring order, as a
+    loop would (pairwise summation could flip the sign of a near-zero
+    area): with rings sorted by length, step j adds segment j of every ring
+    that has one.
+    """
+    starts, lengths = ring_offsets[:-1], np.diff(ring_offsets)
+    if not len(starts):
+        return xy
+    terms = xy[:-1, 0] * xy[1:, 1] - xy[1:, 0] * xy[:-1, 1]
+    order = np.argsort(-lengths, kind="stable")
+    first, segments = starts[order], lengths[order] - 1
+    total = np.zeros(len(order))
+    for j, m in enumerate(np.searchsorted(-segments, -np.arange(segments[0])).tolist()):
+        total[:m] += terms[first[:m] + j]
+    area = np.empty(len(order))
+    area[order] = 0.5 * total
+    outer = np.zeros(len(starts), dtype=bool)
+    outer[polygon_offsets[:-1]] = True
+    flip = np.repeat((area != 0.0) & (outer != (area > 0.0)), lengths)
+    index = np.arange(len(xy))
+    mirror = np.repeat(starts + ring_offsets[1:] - 1, lengths) - index
+    return xy[np.where(flip, mirror, index)] if flip.any() else xy
+
+
+def _flatten(features) -> AreaUnits:
+    """Check (id, properties, polygons) triples and store them as AreaUnits.
+
+    Structure is checked as each feature arrives.  The points are converted
+    and checked together after the last feature, or when a structural fault
+    stops the walk, so the first faulty ring in document order is reported.
+    """
+    ids, properties, points = [], [], []
+    rings, polygons, units = [0], [0], [0]
+    try:
+        for idx, (uid, props, raw_polys) in enumerate(features):
+            ids.append(uid)
+            properties.append(props)
+            if not isinstance(raw_polys, (list, tuple)) or not raw_polys:
+                raise ValueError(f"feature {idx} ({uid!r}): empty geometry")
+            for p, raw_rings in enumerate(raw_polys):
+                if not isinstance(raw_rings, (list, tuple)) or not raw_rings:
+                    raise ValueError(f"feature {idx} ({uid!r}): polygon {p} has no rings")
+                for r, ring in enumerate(raw_rings):
+                    if not isinstance(ring, (list, tuple)) or len(ring) < 4:
+                        raise ValueError(
+                            f"feature {idx} ({uid!r}) polygon {p} ring {r}: "
+                            "ring must have at least 4 points"
+                        )
+                    points += ring
+                    rings.append(len(points))
+                polygons.append(len(rings) - 1)
+            units.append(len(polygons) - 1)
+    except ValueError:
+        _checked_xy(points, ids, rings, polygons, units)
+        raise
+    xy = _checked_xy(points, ids, rings, polygons, units)
+    rings, polygons, units = (np.asarray(a, dtype=np.int64) for a in (rings, polygons, units))
+    return AreaUnits(ids, properties, _oriented(xy, rings, polygons), rings, polygons, units)
+
+
+def _features(features: list, id_property: str):
+    """(id, properties, polygons) of each GeoJSON feature, checked in turn."""
     seen: dict[str, int] = {}
     for idx, feat in enumerate(features):
         if not isinstance(feat, dict):
@@ -161,51 +305,72 @@ def parse_geometry(data: bytes | str, id_property: str) -> list[AreaUnit]:
         props = feat.get("properties") or {}
         if id_property not in props:
             raise ValueError(f"feature {idx} is missing id property {id_property!r}")
-        uid = _unit_id(props[id_property], idx)
-        if uid in seen:
+        uid = props[id_property]
+        if isinstance(uid, bool) or not isinstance(uid, (str, int)):
             raise ValueError(
-                f"duplicate unit id {uid!r} (features {seen[uid]} and {idx})"
+                f"feature {idx}: id property must be a string or integer, got {type(uid).__name__}"
             )
+        uid = str(uid)
+        if not uid:
+            raise ValueError(f"feature {idx}: empty id")
+        if uid in seen:
+            raise ValueError(f"duplicate unit id {uid!r} (features {seen[uid]} and {idx})")
         seen[uid] = idx
-
         geom = feat.get("geometry") or {}
         gtype = geom.get("type")
-        if gtype == "Polygon":
-            raw_polys = [geom.get("coordinates")]
-        elif gtype == "MultiPolygon":
-            raw_polys = geom.get("coordinates")
-        else:
+        if gtype not in ("Polygon", "MultiPolygon"):
             raise ValueError(
                 f"feature {idx} ({uid!r}): geometry type must be Polygon or "
                 f"MultiPolygon, got {gtype!r}"
             )
-        if not isinstance(raw_polys, list) or not raw_polys:
-            raise ValueError(f"feature {idx} ({uid!r}): empty geometry")
+        coords = geom.get("coordinates")
+        yield uid, dict(props), [coords] if gtype == "Polygon" else coords
 
-        polygons = []
-        for p, raw_rings in enumerate(raw_polys):
-            if not isinstance(raw_rings, list) or not raw_rings:
-                raise ValueError(f"feature {idx} ({uid!r}): polygon {p} has no rings")
-            rings = []
-            for r, raw_ring in enumerate(raw_rings):
-                ring = _check_ring(raw_ring, f"feature {idx} ({uid!r}) polygon {p} ring {r}")
-                rings.append(tuple(_normalize_ring(ring, outer=(r == 0))))
-            polygons.append(tuple(rings))
-        units.append(AreaUnit(id=uid, geometry=tuple(polygons), properties=dict(props)))
-    return units
+
+def parse_geometry(data: bytes | str, id_property: str) -> AreaUnits:
+    """Parse an RFC 7946 feature collection into AreaUnits.
+
+    Every feature must carry ``id_property`` and a Polygon or MultiPolygon
+    geometry whose rings are closed and have at least 4 points with finite
+    coordinates.  Outer rings are normalized counterclockwise and holes
+    clockwise so downstream area computations are sign-stable; coordinate
+    order is otherwise preserved.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    # Little but the arrays outlives the parse, so the cyclic collector would
+    # only walk the document tree: it is paused for the whole parse (around
+    # json.loads alone, the allocation count carries over and the
+    # collections just happen later).
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            doc = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed geometry document: {exc}") from exc
+        if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+            raise ValueError("geometry document is not a FeatureCollection")
+        features = doc.get("features")
+        if not isinstance(features, list):
+            raise ValueError("FeatureCollection has no feature list")
+        return _flatten(_features(features, id_property))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def to_feature_collection(
-    units: list[AreaUnit], extra_properties: dict[str, list] | None = None
+    units: AreaUnits | list[AreaUnit], extra_properties: dict[str, list] | None = None
 ) -> dict:
     """Build a feature-collection dict, optionally appending per-unit columns."""
+    units = AreaUnits.of(units)
     feats = []
-    for i, unit in enumerate(units):
-        props = dict(unit.properties)
+    for i, polys in enumerate(units._nested(units.xy.tolist())):
+        props = dict(units.properties[i])
         if extra_properties:
             for name, values in extra_properties.items():
                 props[name] = values[i]
-        polys = [[list(map(list, ring)) for ring in poly] for poly in unit.geometry]
         if len(polys) == 1:
             geometry = {"type": "Polygon", "coordinates": polys[0]}
         else:
@@ -214,7 +379,7 @@ def to_feature_collection(
     return {"type": "FeatureCollection", "features": feats}
 
 
-def serialize_geometry(units: list[AreaUnit]) -> bytes:
+def serialize_geometry(units: AreaUnits | list[AreaUnit]) -> bytes:
     """Inverse of parse_geometry; coordinates round-trip exactly."""
     return json.dumps(to_feature_collection(units), sort_keys=True).encode("utf-8")
 
@@ -274,7 +439,7 @@ def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
 
 
 def merge(
-    units: list[AreaUnit],
+    units: AreaUnits | list[AreaUnit],
     table: AttributeTable,
     policy: str = "drop-with-report",
 ) -> MergedDataset:
@@ -286,15 +451,16 @@ def merge(
     """
     if policy not in ("drop-with-report", "fail-on-any-unmatched"):
         raise ValueError(f"unknown merge policy {policy!r}")
-    if not units:
+    units = AreaUnits.of(units)
+    if not len(units):
         raise ValueError("no geometry units to merge")
     if table.n == 0:
         raise ValueError("no attribute rows to merge")
 
     row_of = {uid: i for i, uid in enumerate(table.ids)}
-    unit_ids = {u.id for u in units}
-    retained = [u for u in units if u.id in row_of]
-    dropped_geo = [u.id for u in units if u.id not in row_of]
+    unit_ids = set(units.ids)
+    retained = [i for i, uid in enumerate(units.ids) if uid in row_of]
+    dropped_geo = [uid for uid in units.ids if uid not in row_of]
     dropped_tab = [uid for uid in table.ids if uid not in unit_ids]
 
     if not retained:
@@ -305,14 +471,15 @@ def merge(
             f"geometry-only {dropped_geo}, attributes-only {dropped_tab}"
         )
 
-    order = [row_of[u.id] for u in retained]
+    kept = units.take(retained)
+    order = [row_of[uid] for uid in kept.ids]
     sub = AttributeTable(
-        ids=[u.id for u in retained],
+        ids=list(kept.ids),
         columns=list(table.columns),
         values=table.values[order, :].copy(),
     )
     return MergedDataset(
-        units=retained,
+        units=kept,
         table=sub,
         dropped_geometry_ids=dropped_geo,
         dropped_table_ids=dropped_tab,
@@ -342,7 +509,7 @@ def drop_missing_rows(
         values=dataset.table.values[keep, :].copy(),
     )
     reduced = MergedDataset(
-        units=[u for u, k in zip(dataset.units, keep) if k],
+        units=dataset.units.take(np.flatnonzero(keep)),
         table=sub,
         dropped_geometry_ids=list(dataset.dropped_geometry_ids),
         dropped_table_ids=list(dataset.dropped_table_ids),

@@ -286,7 +286,7 @@ def _stage_weights(ctx: _Context) -> None:
     adjacency = build(ctx.dataset.units, cfg.snap_tolerance)
     islands = _weights.detect_islands(adjacency)
     ctx.adjacency = adjacency
-    ctx.island_ids = [ctx.dataset.units[i].id for i in islands]
+    ctx.island_ids = [ctx.dataset.units.ids[i] for i in islands]
     ctx.w_gi = _weights.to_weights(adjacency, "binary", include_self=True)
     # report.json names the islands; every other warning stays visible
     with warnings.catch_warnings():
@@ -860,10 +860,10 @@ def _write_summary(ctx: _Context, outdir: str) -> None:
 def _write_hotspot(ctx: _Context, outdir: str) -> None:
     x = ctx.dataset.table.column(ctx.config.outcome_column)
     rows = []
-    for i, unit in enumerate(ctx.dataset.units):
+    for i, uid in enumerate(ctx.dataset.units.ids):
         rows.append(
             [
-                unit.id,
+                uid,
                 _fmt(x[i]),
                 _fmt(ctx.gi.z[i]),
                 _fmt(ctx.gi.p[i]),

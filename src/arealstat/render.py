@@ -12,7 +12,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .hotspot import CLASS_ORDER
-from .ingest import AreaUnit
+from .ingest import AreaUnit, AreaUnits
 
 __all__ = [
     "SEQUENTIAL_REDS",
@@ -73,15 +73,14 @@ def quantile_bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bins, edges
 
 
-def _transform(units: list[AreaUnit]):
-    xs, ys = [], []
-    for u in units:
-        for poly in u.geometry:
-            for x, y in poly[0]:
-                xs.append(x)
-                ys.append(y)
-    minx, maxx = min(xs), max(xs)
-    miny, maxy = min(ys), max(ys)
+def _transform(units: AreaUnits) -> tuple[np.ndarray, np.ndarray]:
+    """Map coordinates of every vertex: the outer rings' bounding box
+    scaled to fit the map frame, centred, y pointing down."""
+    outer = np.zeros(len(units.ring_offsets) - 1, dtype=bool)
+    outer[units.polygon_offsets[:-1]] = True
+    box = units.xy[np.repeat(outer, np.diff(units.ring_offsets))]
+    minx, miny = box.min(axis=0).tolist()
+    maxx, maxy = box.max(axis=0).tolist()
     dx = maxx - minx
     dy = maxy - miny
     map_w = _WIDTH - 2 * _PAD
@@ -94,25 +93,25 @@ def _transform(units: list[AreaUnit]):
         scale = min(sx, sy)
     offx = _PAD + 0.5 * (map_w - dx * scale)
     offy = _MAP_TOP + 0.5 * (map_h - dy * scale)
-
-    def tf(x: float, y: float) -> tuple[float, float]:
-        return offx + (x - minx) * scale, offy + (maxy - y) * scale
-
-    return tf
+    return offx + (units.xy[:, 0] - minx) * scale, offy + (maxy - units.xy[:, 1]) * scale
 
 
-def _unit_path(unit: AreaUnit, tf) -> str:
-    parts = []
-    for poly in unit.geometry:
-        for ring in poly:
-            pts = ring[:-1]
-            words = []
-            for k, (x, y) in enumerate(pts):
-                px, py = tf(x, y)
-                words.append(f"{'M' if k == 0 else 'L'} {px:.3f} {py:.3f}")
-            words.append("Z")
-            parts.append(" ".join(words))
-    return " ".join(parts)
+def _unit_paths(units: AreaUnits) -> list[str]:
+    """Each unit's SVG path data, one ``%``-format per ring (``'%.3f' %``
+    prints a float as ``f"{:.3f}"`` does); the closing vertex is implied
+    by ``Z``."""
+    px, py = _transform(units)
+    ends = units.ring_offsets
+    drawn = np.ones(len(px), dtype=bool)
+    drawn[ends[1:] - 1] = False
+    flat = np.column_stack([px, py])[drawn].ravel().tolist()
+    rings, k = [], 0
+    for m in (np.diff(ends) - 1).tolist():
+        fmt = "M %.3f %.3f" + " L %.3f %.3f" * (m - 1) + " Z"
+        rings.append(fmt % tuple(flat[k : k + 2 * m]))
+        k += 2 * m
+    first = units.polygon_offsets[units.unit_offsets].tolist()
+    return [" ".join(rings[a:b]) for a, b in zip(first[:-1], first[1:])]
 
 
 def _legend(entries: list[tuple[str, str]]) -> list[str]:
@@ -133,7 +132,7 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
 
 
 def render_choropleth(
-    units: list[AreaUnit],
+    units: AreaUnits | list[AreaUnit],
     values,
     kind: str = "quantile",
     palette: list[str] | None = None,
@@ -145,7 +144,8 @@ def render_choropleth(
     5 lower-closed quantile classes, "hotspot" expects the 7 hot/cold class
     labels, and "group" expects positive integer group labels.
     """
-    if not units:
+    units = AreaUnits.of(units)
+    if not len(units):
         raise ValueError("no units to render")
     if kind not in ("quantile", "hotspot", "group"):
         raise ValueError(f"unknown choropleth kind {kind!r}")
@@ -186,7 +186,7 @@ def render_choropleth(
         fill = [lut[int(g)] for g in values]
         legend = [(lut[g], f"group {g}") for g in groups]
 
-    tf = _transform(units)
+    paths = units.memo("svg_paths", _unit_paths)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
         f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
@@ -197,11 +197,11 @@ def render_choropleth(
             '<text x="400" y="24" text-anchor="middle" font-family="sans-serif" '
             f'font-size="16" fill="#111111">{escape(title)}</text>'
         )
-    for unit, color in zip(units, fill):
+    for uid, d, color in zip(units.ids, paths, fill):
         lines.append(
-            f'<path d="{_unit_path(unit, tf)}" fill="{color}" '
+            f'<path d="{d}" fill="{color}" '
             'fill-rule="evenodd" stroke="#333333" stroke-width="0.5">'
-            f"<title>{escape(unit.id)}</title></path>"
+            f"<title>{escape(uid)}</title></path>"
         )
     lines.extend(_legend(legend))
     lines.append("</svg>")

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .ingest import AreaUnit
+from .ingest import AreaUnit, serialize_geometry
 from .weights import SpatialWeights, queen_contiguity, to_weights
 
 __all__ = [
@@ -138,19 +138,7 @@ def synthetic_county(seed: int = 20240817) -> tuple[bytes, bytes]:
         detached_square(UNMATCHED_IDS[0], 30.0, 0.0),
         detached_square(UNMATCHED_IDS[1], 30.0, 5.0),
     ]
-    features = []
-    for unit in units:
-        polys = [[list(map(list, ring)) for ring in poly] for poly in unit.geometry]
-        features.append(
-            {
-                "type": "Feature",
-                "properties": dict(unit.properties),
-                "geometry": {"type": "Polygon", "coordinates": polys[0]},
-            }
-        )
-    geojson = json.dumps(
-        {"type": "FeatureCollection", "features": features}, sort_keys=True
-    ).encode("utf-8")
+    geojson = serialize_geometry(units)
 
     columns = {
         "income": income,

@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .ingest import AreaUnit
+from .ingest import AreaUnit, AreaUnits
 
 __all__ = [
     "AdjacencyList",
@@ -83,20 +82,19 @@ class SpatialWeights:
         return self.matrix.toarray()
 
 
-def _vertices(units: list[AreaUnit]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every ring vertex as one (m, 2) float array, the index of the unit
-    owning each vertex, and a mask that is False on each ring's last vertex."""
+def _owned_vertices(
+    units: AreaUnits | list[AreaUnit],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ring vertex, the index of the unit owning each, and a mask
+    that is False on each ring's closing vertex."""
     if len(units) < 2:
         raise ValueError("contiguity needs at least 2 units")
-    rings = [(i, ring) for i, u in enumerate(units) for poly in u.geometry for ring in poly]
-    lengths = np.array([len(ring) for _, ring in rings], dtype=np.int64)
-    xy = np.fromiter(chain.from_iterable(chain.from_iterable(r for _, r in rings)), float)
-    if xy.size != 2 * lengths.sum():
-        raise ValueError("every ring vertex must be an (x, y) pair")
-    owner = np.repeat(np.array([i for i, _ in rings], dtype=np.int64), lengths)
+    units = AreaUnits.of(units)
+    first = units.ring_offsets[units.polygon_offsets[units.unit_offsets]]
+    owner = np.repeat(np.arange(len(units)), np.diff(first))
     not_last = np.ones(len(owner), dtype=bool)
-    not_last[np.cumsum(lengths)[lengths > 0] - 1] = False
-    return xy.reshape(-1, 2), owner, not_last
+    not_last[units.ring_offsets[1:] - 1] = False
+    return units.xy, owner, not_last
 
 
 def _snap_keys(xy: np.ndarray, snap_tolerance: float | None) -> np.ndarray:
@@ -141,7 +139,7 @@ def _link_shared_keys(owner: np.ndarray, keys: np.ndarray, n: int) -> AdjacencyL
 
 
 def queen_contiguity(
-    units: list[AreaUnit], snap_tolerance: float | None = None
+    units: AreaUnits | list[AreaUnit], snap_tolerance: float | None = None
 ) -> AdjacencyList:
     """Neighbors share at least one snapped vertex.
 
@@ -149,14 +147,14 @@ def queen_contiguity(
     bounding-box diagonal); all units meeting on a quantized vertex become
     mutual neighbors.
     """
-    xy, owner, not_last = _vertices(units)
+    xy, owner, not_last = _owned_vertices(units)
     keys = _snap_keys(xy, snap_tolerance)
     # closing vertex repeats the first; skip it
     return _link_shared_keys(owner[not_last], keys[not_last], len(units))
 
 
 def rook_contiguity(
-    units: list[AreaUnit], snap_tolerance: float | None = None
+    units: AreaUnits | list[AreaUnit], snap_tolerance: float | None = None
 ) -> AdjacencyList:
     """Neighbors share a snapped edge (consecutive vertex pair).
 
@@ -164,7 +162,7 @@ def rook_contiguity(
     so orientation and traversal direction do not matter.  Segments whose
     endpoints snap together are dropped.
     """
-    xy, owner, not_last = _vertices(units)
+    xy, owner, not_last = _owned_vertices(units)
     keys = _snap_keys(xy, snap_tolerance)
     start = np.flatnonzero(not_last)
     a, b = keys[start], keys[start + 1]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from arealstat.ingest import AreaUnit
 from arealstat.weights import AdjacencyList
@@ -101,6 +102,65 @@ def square_ring(x0, y0, size=1.0):
         (x0, y0 + size),
         (x0, y0),
     ]
+
+
+# integers stay integers in the JSON text; the quotients are not short
+# decimals, so shoelace terms carry rounding
+COORDS = st.one_of(
+    st.integers(-50, 50),
+    st.builds(
+        lambda k, d, c: c + k / d,
+        st.integers(-(10**6), 10**6),
+        st.sampled_from([3.0, 7.0, 1e3]),
+        st.sampled_from([0.0, -250.0, 1e5]),
+    ),
+)
+
+
+@st.composite
+def raw_rings(draw):
+    """A closed ring of 4 to 40 vertices in either orientation: random
+    points, a path traced out and back (zero area, but its shoelace terms
+    cancel only up to rounding, so the sign of the sum depends on the order
+    of summation), or one point repeated."""
+    kind = draw(st.sampled_from(["random", "out_and_back", "point"]))
+    point = st.tuples(COORDS, COORDS)
+    if kind == "random":
+        pts = draw(st.lists(point, min_size=3, max_size=39))
+    elif kind == "out_and_back":
+        # seeded rather than drawn, so shrinking cannot make the terms exact
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m = draw(st.integers(3, 20))
+        offset = draw(st.sampled_from([0.0, -250.0, 1e5]))
+        path = list(zip(offset + rng.integers(-(10**6), 10**6, m) / 7.0,
+                        offset + rng.integers(-(10**6), 10**6, m) / 3.0))
+        cycle = [(float(x), float(y)) for x, y in path + path[-2:0:-1]]
+        # started inside the path, so that reversing changes the sequence
+        k = draw(st.integers(1, m - 2))
+        pts = cycle[k:] + cycle[:k]
+    else:
+        pts = [draw(point)] * draw(st.integers(3, 39))
+    ring = [list(pt) for pt in pts + pts[:1]]
+    return ring[::-1] if draw(st.booleans()) else ring
+
+
+@st.composite
+def multipolygon_features(draw):
+    """1 to 4 features of 1 to 3 polygons, each an outer ring and up to 2
+    holes, as Polygon or MultiPolygon GeoJSON."""
+    features = []
+    for i in range(draw(st.integers(1, 4))):
+        polys = draw(
+            st.lists(st.lists(raw_rings(), min_size=1, max_size=3), min_size=1, max_size=3)
+        )
+        if len(polys) == 1 and draw(st.booleans()):
+            geometry = {"type": "Polygon", "coordinates": polys[0]}
+        else:
+            geometry = {"type": "MultiPolygon", "coordinates": polys}
+        features.append(
+            {"type": "Feature", "properties": {"GEOID": f"u{i}"}, "geometry": geometry}
+        )
+    return features
 
 
 @pytest.fixture

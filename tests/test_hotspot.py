@@ -159,6 +159,13 @@ class TestGiStar:
         with pytest.raises(ValueError):
             gi_star(lattice_weights, x)
 
+    def test_neighborhood_of_every_unit_rejected(self):
+        # the centre of a 3 x 3 queen lattice neighbours all 9 units, so its
+        # n * sum(w^2) - sum(w)^2 = 9 * 9 - 9^2 is 0 and z would be 0/0
+        w = to_weights(queen_contiguity(grid_units(3, 3)), "binary", include_self=True)
+        with pytest.raises(ValueError, match="unit 4's neighborhood holds every unit"):
+            gi_star(w, np.arange(9.0))
+
     def test_length_mismatch_rejected(self, lattice_weights):
         with pytest.raises(ValueError):
             gi_star(lattice_weights, np.zeros(35))

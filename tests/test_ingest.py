@@ -1,11 +1,16 @@
 """Geometry parsing, attribute parsing, and the id join."""
 
+import gc
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from arealstat.ingest import (
+    AreaUnit,
+    AreaUnits,
     AttributeTable,
     drop_missing_rows,
     merge,
@@ -14,7 +19,64 @@ from arealstat.ingest import (
     serialize_geometry,
     to_feature_collection,
 )
-from conftest import feature_collection, polygon_feature, square_ring
+from conftest import feature_collection, multipolygon_features, polygon_feature, square_ring
+
+
+# Reference: the per-vertex ring checks and normalization that the flat
+# arrays replaced, kept verbatim so the vectorised path can be checked
+# against them.
+Ring = list[tuple[float, float]]
+
+
+def _signed_area(ring: Ring) -> float:
+    # shoelace; positive for counterclockwise rings in planar coordinates
+    a = 0.0
+    for (x0, y0), (x1, y1) in zip(ring[:-1], ring[1:]):
+        a += x0 * y1 - x1 * y0
+    return 0.5 * a
+
+
+def _normalize_ring(ring: Ring, outer: bool) -> Ring:
+    area = _signed_area(ring)
+    if area == 0.0:
+        return ring
+    if outer != (area > 0.0):
+        return ring[::-1]
+    return ring
+
+
+def _check_ring(ring, where: str) -> Ring:
+    if not isinstance(ring, (list, tuple)) or len(ring) < 4:
+        raise ValueError(f"{where}: ring must have at least 4 points")
+    pts = []
+    for pt in ring:
+        if not isinstance(pt, (list, tuple)) or len(pt) < 2:
+            raise ValueError(f"{where}: ring point must be an (x, y) pair")
+        pts.append((float(pt[0]), float(pt[1])))
+    if pts[0] != pts[-1]:
+        raise ValueError(f"{where}: ring is not closed (first point != last)")
+    return pts
+
+
+def oracle_geometry(feature, idx):
+    """One feature's geometry as the per-vertex parse built it."""
+    geom = feature["geometry"]
+    raw_polys = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
+    return oracle_polygons(raw_polys, idx)
+
+
+def oracle_polygons(raw_polys, idx):
+    return tuple(
+        tuple(
+            tuple(_normalize_ring(_check_ring(raw_ring, f"feature {idx}"), outer=(r == 0)))
+            for r, raw_ring in enumerate(raw_rings)
+        )
+        for raw_rings in raw_polys
+    )
+
+
+def bits(points):
+    return np.asarray(points, dtype=float).reshape(-1, 2).view(np.int64)
 
 
 def shoelace(ring):
@@ -141,6 +203,154 @@ class TestParseGeometry:
     def test_malformed_json(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_geometry("{not json", "GEOID")
+
+
+class TestMatchesLoopOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(multipolygon_features())
+    def test_orientation_and_coordinates_bit_equal(self, features):
+        doc = feature_collection(features)
+        units = parse_geometry(doc, "GEOID")
+        expected = [oracle_geometry(f, i) for i, f in enumerate(json.loads(doc)["features"])]
+        assert [u.geometry for u in units] == expected
+        flat = [pt for g in expected for poly in g for ring in poly for pt in ring]
+        assert np.array_equal(units.xy.view(np.int64), bits(flat))
+
+    @settings(max_examples=50, deadline=None)
+    @given(multipolygon_features())
+    def test_hand_built_units_get_the_same_normalization(self, features):
+        # normalizing twice may reverse a near-zero ring again: the reversed
+        # ring's terms are summed in the other order
+        hand_built = list(parse_geometry(feature_collection(features), "GEOID"))
+        units = AreaUnits.of(hand_built)
+        expected = [oracle_polygons(u.geometry, i) for i, u in enumerate(hand_built)]
+        assert [u.geometry for u in units] == expected
+        flat = [pt for g in expected for poly in g for ring in poly for pt in ring]
+        assert np.array_equal(units.xy.view(np.int64), bits(flat))
+
+    def test_take_gathers_whole_units(self):
+        features = [
+            {
+                "type": "Feature",
+                "properties": {"GEOID": "M"},
+                "geometry": {
+                    "type": "MultiPolygon",
+                    "coordinates": [
+                        [
+                            list(map(list, square_ring(0, 0, 4.0))),
+                            list(map(list, square_ring(1, 1))),
+                        ],
+                        [list(map(list, square_ring(6, 0)))],
+                    ],
+                },
+            },
+            polygon_feature("A", square_ring(9, 0)),
+            polygon_feature("B", square_ring(11, 0)),
+        ]
+        units = parse_geometry(feature_collection(features), "GEOID")
+        picked = units.take([2, 0])
+        assert [u.id for u in picked] == ["B", "M"]
+        assert [u.geometry for u in picked] == [units[2].geometry, units[0].geometry]
+        assert picked[-1] == units[0]
+
+
+def three_squares(bad=None, index=1):
+    """Three disjoint unit squares; ``bad`` replaces the second point of
+    feature ``index``'s ring."""
+    rings = [square_ring(3.0 * i, 0) for i in range(3)]
+    if bad is not None:
+        rings[index][1] = bad
+    return feature_collection([polygon_feature(uid, r) for uid, r in zip("ABC", rings)])
+
+
+class TestCoordinateValues:
+    @pytest.mark.parametrize(
+        "bad", [(math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf), (None, 0.0)]
+    )
+    def test_non_finite_and_null_coordinates_rejected(self, bad):
+        doc = three_squares(bad)
+        assert "NaN" in doc or "Infinity" in doc or "null" in doc
+        with pytest.raises(ValueError, match=r"feature 1 \('B'\) polygon 0 ring 0: .*finite"):
+            parse_geometry(doc, "GEOID")
+
+    def test_string_coordinate_named(self):
+        with pytest.raises(ValueError, match=r"feature 2 \('C'\) polygon 0 ring 0: .*pair"):
+            parse_geometry(three_squares((1.0, "x"), index=2), "GEOID")
+
+    def test_numeric_string_converts_as_float_does(self):
+        units = parse_geometry(three_squares(("4.0", "0")), "GEOID")
+        assert units[1].geometry == ((tuple(square_ring(3.0, 0)),),)
+
+    def test_first_bad_ring_in_document_order_is_named(self):
+        outer = list(map(list, square_ring(0, 0, 4.0)))
+        open_hole = list(map(list, square_ring(1, 1)[:-1] + [(1.5, 1.5)]))
+        nan_ring = list(map(list, square_ring(9, 0)))
+        nan_ring[2][0] = math.nan
+        short = [[0, 0], [1, 0], [0, 0]]
+        text_ring = list(map(list, square_ring(5, 0)))
+        text_ring[1][1] = "x"
+        holed = {"type": "Polygon", "coordinates": [outer, open_hole]}
+
+        def doc(*geometries):
+            return feature_collection(
+                [
+                    {"type": "Feature", "properties": {"GEOID": f"u{i}"}, "geometry": g}
+                    for i, g in enumerate(geometries)
+                ]
+            )
+
+        nan_poly = {"type": "Polygon", "coordinates": [nan_ring]}
+        short_poly = {"type": "Polygon", "coordinates": [short]}
+        text_poly = {"type": "Polygon", "coordinates": [text_ring]}
+        multi = {"type": "MultiPolygon", "coordinates": [[outer], [nan_ring]]}
+        cases = [
+            (doc(nan_poly, holed), "feature 0 ('u0') polygon 0 ring 0: ring coordinates"),
+            (doc(holed, nan_poly), "feature 0 ('u0') polygon 0 ring 1: ring is not closed"),
+            (doc(nan_poly, short_poly), "feature 0 ('u0') polygon 0 ring 0: ring coordinates"),
+            (doc(short_poly, nan_poly), "feature 0 ('u0') polygon 0 ring 0: ring must have"),
+            (doc(multi, holed), "feature 0 ('u0') polygon 1 ring 0: ring coordinates"),
+            (doc(nan_poly, text_poly), "feature 0 ('u0') polygon 0 ring 0: ring coordinates"),
+            (doc(holed, text_poly), "feature 0 ('u0') polygon 0 ring 1: ring is not closed"),
+            (doc(text_poly, nan_poly), "feature 0 ('u0') polygon 0 ring 0: ring point must"),
+            (doc(holed, {"type": "Point", "coordinates": [0, 0]}), "ring 1: ring is not closed"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ValueError) as err:
+                parse_geometry(text, "GEOID")
+            assert message in str(err.value)
+        missing_id = json.loads(doc(holed, nan_poly))
+        missing_id["features"][1]["properties"] = {}
+        with pytest.raises(ValueError, match="ring 1: ring is not closed"):
+            parse_geometry(json.dumps(missing_id), "GEOID")
+
+    def test_hand_built_units_get_the_same_checks(self):
+        ring = tuple(square_ring(0, 0)[:-1]) + ((0.5, 0.5),)
+        with pytest.raises(ValueError, match=r"feature 0 \('A'\) polygon 0 ring 0: .*clos"):
+            AreaUnits.of([AreaUnit(id="A", geometry=((ring,),), properties={})])
+
+
+class TestCollectorState:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "doc, fault",
+        [
+            (feature_collection([polygon_feature("A", square_ring(0, 0))]), None),
+            ("{not json", "malformed"),
+            (three_squares((math.nan, 0.0)), "finite"),
+        ],
+    )
+    def test_parse_leaves_the_collector_as_it_found_it(self, enabled, doc, fault):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if fault is None:
+                parse_geometry(doc, "GEOID")
+            else:
+                with pytest.raises(ValueError, match=fault):
+                    parse_geometry(doc, "GEOID")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestRoundTrip:

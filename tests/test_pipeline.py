@@ -350,6 +350,14 @@ class TestStageErrors:
         report = run_subcommand(tiny_config(d, geo, attr), "hotspot")
         assert sum(report["hotspot"]["counts"].values()) == 16
 
+    def test_hotspot_names_the_unit_whose_neighborhood_is_everything(self, tmp_path):
+        d = str(tmp_path)
+        geo, attr = write_tiny_dataset(d, list(range(9)))
+        with pytest.raises(PipelineError) as err:
+            run_subcommand(tiny_config(d, geo, attr), "hotspot")
+        assert err.value.stage == "gi_star"
+        assert "unit 4's neighborhood holds every unit" in str(err.value)
+
     def test_missing_geometry_file(self, tmp_path):
         d = str(tmp_path)
         geo, attr = write_tiny_dataset(d, list(range(9)))

@@ -4,15 +4,66 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from arealstat.hotspot import CLASS_ORDER
+from arealstat.ingest import AreaUnit, AreaUnits, parse_geometry
 from arealstat.render import (
+    _MAP_BOTTOM,
+    _MAP_TOP,
+    _PAD,
+    _WIDTH,
     HOTSPOT_PALETTE,
     SEQUENTIAL_REDS,
+    _unit_paths,
     quantile_bins,
     render_choropleth,
 )
-from conftest import grid_units
+from conftest import feature_collection, grid_units, multipolygon_features
+
+# Reference: the per-vertex transform and path text that the array
+# expressions replaced, kept verbatim so the new path can be checked
+# against them.
+def _transform(units: list[AreaUnit]):
+    xs, ys = [], []
+    for u in units:
+        for poly in u.geometry:
+            for x, y in poly[0]:
+                xs.append(x)
+                ys.append(y)
+    minx, maxx = min(xs), max(xs)
+    miny, maxy = min(ys), max(ys)
+    dx = maxx - minx
+    dy = maxy - miny
+    map_w = _WIDTH - 2 * _PAD
+    map_h = _MAP_BOTTOM - _MAP_TOP
+    if dx == 0 and dy == 0:
+        scale = 1.0
+    else:
+        sx = map_w / dx if dx > 0 else np.inf
+        sy = map_h / dy if dy > 0 else np.inf
+        scale = min(sx, sy)
+    offx = _PAD + 0.5 * (map_w - dx * scale)
+    offy = _MAP_TOP + 0.5 * (map_h - dy * scale)
+
+    def tf(x: float, y: float) -> tuple[float, float]:
+        return offx + (x - minx) * scale, offy + (maxy - y) * scale
+
+    return tf
+
+
+def _unit_path(unit: AreaUnit, tf) -> str:
+    parts = []
+    for poly in unit.geometry:
+        for ring in poly:
+            pts = ring[:-1]
+            words = []
+            for k, (x, y) in enumerate(pts):
+                px, py = tf(x, y)
+                words.append(f"{'M' if k == 0 else 'L'} {px:.3f} {py:.3f}")
+            words.append("Z")
+            parts.append(" ".join(words))
+    return " ".join(parts)
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -136,3 +187,21 @@ class TestChoropleth:
             render_choropleth(
                 units, np.arange(4.0), kind="quantile", palette=["#fff", "#000"]
             )
+
+
+class TestPathText:
+    @settings(max_examples=100, deadline=None)
+    @given(multipolygon_features())
+    def test_path_text_equals_loop_oracle(self, features):
+        units = parse_geometry(feature_collection(features), "GEOID")
+        views = list(units)
+        tf = _transform(views)
+        assert _unit_paths(units) == [_unit_path(u, tf) for u in views]
+
+    def test_path_text_is_built_once_per_container(self):
+        units = AreaUnits.of(grid_units(3, 3))
+        first = render_choropleth(units, np.arange(9.0), kind="quantile")
+        paths = units.memo("svg_paths", _unit_paths)
+        second = render_choropleth(units, np.arange(9.0)[::-1], kind="quantile")
+        assert units.memo("svg_paths", _unit_paths) is paths
+        assert all(d in first and d in second for d in paths)

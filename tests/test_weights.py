@@ -258,7 +258,7 @@ class TestContiguity:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_snap_stability_under_tiny_perturbation(self, seed):
         # vertices on an exact grid keep their adjacency when jittered by
-        # less than a quarter of the snap pitch
+        # less than a quarter of the snap pitch; each ring stays closed
         rng = np.random.default_rng(seed)
         units = grid_units(3, 3)
         tol = 0.01
@@ -266,12 +266,11 @@ class TestContiguity:
         for u in units:
             rings = []
             for ring in u.geometry[0]:
-                rings.append(
-                    tuple(
-                        (x + rng.uniform(-tol / 4, tol / 4), y + rng.uniform(-tol / 4, tol / 4))
-                        for x, y in ring
-                    )
-                )
+                pts = [
+                    (x + rng.uniform(-tol / 4, tol / 4), y + rng.uniform(-tol / 4, tol / 4))
+                    for x, y in ring[:-1]
+                ]
+                rings.append(tuple(pts + pts[:1]))
             jittered.append(AreaUnit(id=u.id, geometry=((tuple(rings[0]),),), properties={}))
         base = queen_contiguity(units, snap_tolerance=tol)
         moved = queen_contiguity(jittered, snap_tolerance=tol)
