@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
-from .stats import bh_fdr
+from .stats import _norm_sf, bh_fdr
 from .weights import SpatialWeights
 
 __all__ = ["HotspotResult", "gi_star", "classify"]
@@ -80,7 +79,7 @@ def gi_star(
         )
     z = (w @ xc) / (s * np.sqrt(spread / (n - 1)))
 
-    p = 2.0 * _scipy_stats.norm.sf(np.abs(z))
+    p = 2.0 * _norm_sf(np.abs(z))
     fdr = bh_fdr(p, alpha=fdr_alpha)
     classes = classify(z, fdr.adjusted_p)
     return HotspotResult(z=z, p=p, adjusted_p=fdr.adjusted_p, classes=classes)

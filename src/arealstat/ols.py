@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy import stats as _scipy_stats
 
+from .stats import _chi2_sf, _t_sf
 from .weights import SpatialWeights
 
 __all__ = [
@@ -187,7 +187,7 @@ def fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     se = np.sqrt(sigma2 * np.diag(xtx_inv))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    p = 2.0 * _scipy_stats.t.sf(np.abs(t), n - q)
+    p = 2.0 * _t_sf(np.abs(t), n - q)
 
     if sigma2_ml > 0:
         log_likelihood = -0.5 * n * (math.log(2 * math.pi) + math.log(sigma2_ml) + 1.0)
@@ -351,7 +351,7 @@ def jarque_bera(residuals: np.ndarray) -> tuple[float, float]:
     skew = m3 / m2**1.5
     kurt = m4 / m2**2
     stat = e.size / 6.0 * (skew**2 + 0.25 * (kurt - 3.0) ** 2)
-    return stat, float(_scipy_stats.chi2.sf(stat, 2))
+    return stat, float(_chi2_sf(stat, 2))
 
 
 def koenker_bassett(X: DesignMatrix, residuals: np.ndarray) -> tuple[float, float]:
@@ -368,7 +368,7 @@ def koenker_bassett(X: DesignMatrix, residuals: np.ndarray) -> tuple[float, floa
         )
     aux = fit(X, e**2)
     stat = X.n * aux.r2
-    return stat, float(_scipy_stats.chi2.sf(stat, X.q - 1))
+    return stat, float(_chi2_sf(stat, X.q - 1))
 
 
 def condition_number(X: DesignMatrix) -> float:
@@ -472,7 +472,6 @@ def lm_tests(
     mq = float(m_wxb @ m_wxb)
     j_term = mq / sigma2t + t_trace
 
-    chi2_sf = _scipy_stats.chi2.sf
     lm_error = d_e * d_e / t_trace
     lm_lag = d_y * d_y / j_term
 
@@ -487,14 +486,14 @@ def lm_tests(
         r_lag = (d_y - d_e) ** 2 / jt
         ratio = t_trace / j_term
         r_err = (d_e - ratio * d_y) ** 2 / (t_trace * (1.0 - ratio))
-        r_lag_p = float(chi2_sf(r_lag, 1))
-        r_err_p = float(chi2_sf(r_err, 1))
+        r_lag_p = float(_chi2_sf(r_lag, 1))
+        r_err_p = float(_chi2_sf(r_err, 1))
 
     return LmSuite(
         lm_error=lm_error,
-        lm_error_p=float(chi2_sf(lm_error, 1)),
+        lm_error_p=float(_chi2_sf(lm_error, 1)),
         lm_lag=lm_lag,
-        lm_lag_p=float(chi2_sf(lm_lag, 1)),
+        lm_lag_p=float(_chi2_sf(lm_lag, 1)),
         robust_lm_error=r_err,
         robust_lm_error_p=r_err_p,
         robust_lm_lag=r_lag,

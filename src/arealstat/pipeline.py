@@ -858,22 +858,24 @@ def _write_summary(ctx: _Context, outdir: str) -> None:
 
 
 def _write_hotspot(ctx: _Context, outdir: str) -> None:
+    # one %-format per row; "%.6g" % x spells every float as _fmt does
     x = ctx.dataset.table.column(ctx.config.outcome_column)
-    rows = []
-    for i, uid in enumerate(ctx.dataset.units.ids):
-        rows.append(
-            [
-                uid,
-                _fmt(x[i]),
-                _fmt(ctx.gi.z[i]),
-                _fmt(ctx.gi.p[i]),
-                _fmt(ctx.gi.adjusted_p[i]),
-                ctx.gi.classes[i],
-            ]
+    gi = ctx.gi
+    lines = ["id,x,z,p,adjusted_p,class"]
+    lines += [
+        "%s,%.6g,%.6g,%.6g,%.6g,%s" % row
+        for row in zip(
+            ctx.dataset.units.ids,
+            x.tolist(),
+            gi.z.tolist(),
+            gi.p.tolist(),
+            gi.adjusted_p.tolist(),
+            gi.classes,
         )
+    ]
     _write(
         os.path.join(outdir, "hotspot.csv"),
-        _csv_bytes(["id", "x", "z", "p", "adjusted_p", "class"], rows),
+        ("\n".join(lines) + "\n").encode("utf-8"),
     )
 
 

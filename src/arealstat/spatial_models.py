@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from scipy import stats as _scipy_stats
 
 from .ols import DesignMatrix, OlsFit, _rank_check
+from .stats import _norm_sf
 from .weights import SpatialWeights
 
 __all__ = [
@@ -233,21 +232,128 @@ class SpatialFit:
     se_available: bool
 
 
+# evaluations of the profile before the spatial parameter search gives up
+_MAX_EVALS = 500
+
+
+def _bounded_minimize(func, x1, x2, xatol, maxfun):
+    """Minimise ``func`` over [x1, x2] by Brent's (1973) bounded method.
+
+    Ported from ``_minimize_scalar_bounded`` in scipy/optimize/_optimize.py
+    (scipy 1.17; BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and
+    2003- SciPy Developers) with the same arithmetic in the same order, so
+    its iterates and evaluation count equal those of
+    ``minimize_scalar(method="bounded")``; the printing and the checks of
+    the bounds are left out.  Returns (x, nfev, status, last): status is 0
+    on convergence, 1 when ``maxfun`` evaluations were reached and 2 when a
+    NaN was seen, and ``last`` is the final point evaluated.
+    """
+    flag = 0
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # check for a parabolic fit
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # is the parabola acceptable?
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (
+                p < q * (b - xf)
+            ):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+
+        if golden:  # golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            flag = 1
+            break
+
+    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+        flag = 2
+    return xf, num, flag, x
+
+
 def _optimize_profile(fun, interval: tuple[float, float]) -> float:
     lo, hi = interval
     span = hi - lo
     margin = 1e-10 * span
-    res = scipy.optimize.minimize_scalar(
-        lambda p: -fun(p),
-        bounds=(lo + margin, hi - margin),
-        method="bounded",
-        options={"xatol": 1e-8},
+    param, _, status, last = _bounded_minimize(
+        lambda p: -fun(p), lo + margin, hi - margin, 1e-8, _MAX_EVALS
     )
-    if not res.success:
+    if status == 2:
         raise ValueError(
-            f"spatial parameter search did not converge: {res.message}"
+            "spatial parameter search did not converge: profile "
+            f"log-likelihood is NaN (last p={float(last)})"
         )
-    param = float(res.x)
+    if status == 1:
+        raise ValueError(
+            "spatial parameter search did not converge: reached "
+            f"{_MAX_EVALS} evaluations"
+        )
+    param = float(param)
     if min(param - lo, hi - param) < 1e-6 * span:
         raise ValueError(
             f"spatial parameter estimate {param} is pinned at the interval "
@@ -310,7 +416,7 @@ def _hessian_se(
 def _wald_p(est: np.ndarray | float, se: np.ndarray | float):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(np.asarray(est, dtype=float) / np.asarray(se, dtype=float))
-    return 2.0 * _scipy_stats.norm.sf(z)
+    return 2.0 * _norm_sf(z)
 
 
 def _spatial_fit(

@@ -7,6 +7,7 @@ Everything here is seeded; the same seed always yields the same bytes.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -184,8 +185,6 @@ def default_config(
 
 def write_synthetic_county(directory: str, seed: int = 20240817) -> str:
     """Write fixture files plus a ready-to-run config; returns config path."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     geo, csv_bytes = synthetic_county(seed)
     geo_path = os.path.join(directory, "tracts.geojson")

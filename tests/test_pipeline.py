@@ -4,11 +4,18 @@ and the command line front end."""
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import arealstat
+from arealstat import pipeline as pipeline_module
 from arealstat import weights as weights_module
 from arealstat.cli import _apply_overrides, _build_parser
 from arealstat.cli import main as cli_main
@@ -505,3 +512,69 @@ class TestCli:
             cli_main(["--version"])
         assert exc.value.code == 0
         assert "arealstat" in capsys.readouterr().out
+
+
+class TestHotspotCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats())
+    @example(float("nan"))
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.225e-308)
+    def test_percent_format_spells_floats_as_fmt(self, x):
+        assert "%.6g" % x == pipeline_module._fmt(x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.floats()), max_size=12))
+    def test_rows_match_per_cell_writer(self, tmp_path_factory, cells):
+        # the per-cell writer this one replaced, kept as the oracle
+        n = len(cells)
+        cols = np.array(cells, dtype=float).reshape(n, 4)
+        ids = [f"u{i}" for i in range(n)]
+        classes = ["Hot Spot - 99% Confidence" if i % 2 else "Not Significant" for i in range(n)]
+        table = types.SimpleNamespace(column=lambda name: cols[:, 0])
+        ctx = types.SimpleNamespace(
+            config=types.SimpleNamespace(outcome_column="y"),
+            dataset=types.SimpleNamespace(table=table, units=types.SimpleNamespace(ids=ids)),
+            gi=types.SimpleNamespace(
+                z=cols[:, 1], p=cols[:, 2], adjusted_p=cols[:, 3], classes=classes
+            ),
+        )
+        fmt = pipeline_module._fmt
+        expected = ["id,x,z,p,adjusted_p,class"] + [
+            ",".join([ids[i], *(fmt(v) for v in cols[i]), classes[i]]) for i in range(n)
+        ]
+        outdir = str(tmp_path_factory.mktemp("hotspot_csv"))
+        pipeline_module._write_hotspot(ctx, outdir)
+        with open(os.path.join(outdir, "hotspot.csv"), "rb") as fh:
+            assert fh.read() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+_IMPORT_GRAPH_PROBE = """
+import dataclasses, json, sys
+import arealstat
+from arealstat.pipeline import load_config, run_subcommand
+config = dataclasses.replace(load_config(sys.argv[1]), output_dir=sys.argv[2])
+run_subcommand(config, "pipeline")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] in
+                        (["scipy", "stats"], ["scipy", "optimize"]))))
+"""
+
+
+def test_pipeline_run_imports_no_scipy_stats_or_optimize(county, tmp_path):
+    # a fresh interpreter, so modules the test suite itself imported do not count
+    src = os.path.dirname(os.path.dirname(arealstat.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    out = str(tmp_path / "out")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_PROBE, county["config"], out],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert os.path.exists(os.path.join(out, "report.json"))

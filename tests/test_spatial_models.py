@@ -1,8 +1,13 @@
 """Spectral machinery and maximum-likelihood spatial regression."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import identity
 
 from arealstat import spatial_models
@@ -194,18 +199,89 @@ class TestErrorFit:
 
     def test_unconverged_optimizer_is_an_error(self, w10, cache10, monkeypatch):
         X, y = make_error_data(w10, 0.5, seed=73)
+        seen = []
 
-        def unconverged(fun, bounds, method, options):
-            return scipy.optimize.OptimizeResult(
-                x=0.5 * sum(bounds),
-                success=False,
-                status=1,
-                message="Maximum number of function calls reached.",
-            )
+        def nan_log_det(c, p):
+            seen.append(p)
+            return math.nan
 
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", unconverged)
-        with pytest.raises(ValueError, match="Maximum number of function calls"):
+        monkeypatch.setattr(spatial_models, "log_det", nan_log_det)
+        with pytest.raises(ValueError, match="log-likelihood is NaN") as exc:
             fit_error_ml(X, y, w10, cache=cache10)
+        last = float(re.search(r"last p=(\S+)\)", str(exc.value)).group(1))
+        assert last == float(seen[-1])
+
+    def test_evaluation_limit_is_an_error(self, w10, cache10, monkeypatch):
+        assert spatial_models._MAX_EVALS == 500
+        X, y = make_error_data(w10, 0.5, seed=73)
+        seen = []
+        inner = spatial_models.log_det
+
+        def recording(c, p):
+            seen.append(p)
+            return inner(c, p)
+
+        monkeypatch.setattr(spatial_models, "log_det", recording)
+        monkeypatch.setattr(spatial_models, "_MAX_EVALS", 4)
+        with pytest.raises(ValueError, match="reached 4 evaluations"):
+            fit_error_ml(X, y, w10, cache=cache10)
+        assert len(seen) == 4
+
+
+def quadratic(a, c, d):
+    return lambda x: a * (x - c) ** 2 + d
+
+
+def quartic(a, c, b):
+    return lambda x: a * (x - c) ** 4 + b * (x - c) ** 2 + 0.1 * x
+
+
+def wavy(a, c, k):
+    # several local minima inside the bounds
+    return lambda x: math.sin(k * (x - c)) + a * x * x
+
+
+class TestBoundedMinimizeMatchesScipy:
+    """The in-house bounded Brent search takes the same steps as
+    scipy.optimize.minimize_scalar(method="bounded"), the oracle it was
+    ported from."""
+
+    @staticmethod
+    def check(f, lo, hi, maxfun=500):
+        want = scipy.optimize.minimize_scalar(
+            f, bounds=(lo, hi), method="bounded",
+            options={"xatol": 1e-8, "maxiter": maxfun},
+        )
+        x, nfev, status, _ = spatial_models._bounded_minimize(f, lo, hi, 1e-8, maxfun)
+        assert (nfev, status) == (want.nfev, want.status)
+        assert float(x) == float(want.x) or (math.isnan(x) and math.isnan(want.x))
+        return status
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([quadratic, quartic, wavy]),
+        st.floats(1e-3, 1e3),
+        st.floats(-2.0, 2.0),
+        st.floats(0.5, 40.0),
+        st.floats(-3.0, 0.0),
+        st.floats(0.01, 4.0),
+    )
+    def test_profiles(self, family, a, c, k, lo, width):
+        self.check(family(a, c, k), lo, lo + width)
+
+    def test_profile_on_lattice(self, w10, cache10):
+        X, y = make_error_data(w10, 0.5, seed=73)
+        profile = lambda p: -error_concentrated_loglik(X, y, w10, p, cache=cache10)
+        lo, hi = cache10.interval
+        self.check(profile, lo + 1e-10 * (hi - lo), hi - 1e-10 * (hi - lo))
+
+    def test_evaluation_limit(self):
+        assert self.check(quadratic(1.0, 0.3, 0.0), -1.0, 1.0, maxfun=5) == 1
+
+    def test_nan(self):
+        assert self.check(lambda x: math.nan, -1.0, 1.0) == 2
+        # as in scipy, only a NaN at the last or the best point counts
+        assert self.check(lambda x: math.nan if x > 0.2 else (x - 0.5) ** 2, -1.0, 1.0) == 0
 
 
 class TestLagFit:

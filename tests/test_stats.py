@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
 from arealstat.ingest import AttributeTable
-from arealstat.stats import bh_fdr, spearman, summarize, zscore
+from arealstat.stats import _chi2_sf, _norm_sf, _t_sf, bh_fdr, spearman, summarize, zscore
 
 
 def table(columns, values):
@@ -204,3 +204,58 @@ class TestFdr:
             bh_fdr(np.array([0.5]), 0.0)
         with pytest.raises(ValueError):
             bh_fdr(np.array([0.5]), 1.0)
+
+
+def same_bits(a, b):
+    """Elementwise bit equality, with every NaN equal to every NaN."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all() and (a[~nan].view(np.int64) == b[~nan].view(np.int64)).all())
+
+
+# every float, plus the edges written out; df spans what a design can give
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+dfs = st.integers(min_value=1, max_value=10**4)
+
+
+class TestTailHelpersMatchScipyStats:
+    """The private upper-tail helpers are bit-equal to the scipy.stats
+    distributions they stand in for, which the library no longer imports."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=8))
+    def test_norm(self, xs):
+        x = np.array(xs + EDGES)
+        assert same_bits(_norm_sf(x), sps.norm.sf(x))
+        for v in x.tolist():
+            assert same_bits(_norm_sf(v), sps.norm.sf(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=8), dfs)
+    @example([], 1)
+    @example([], 10**4)
+    def test_t(self, xs, df):
+        x = np.array(xs + EDGES)
+        assert same_bits(_t_sf(x, df), sps.t.sf(x, df))
+        for v in x.tolist():
+            assert same_bits(_t_sf(v, df), sps.t.sf(v, df))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=8), dfs)
+    @example([], 1)
+    @example([], 10**4)
+    def test_chi2(self, xs, df):
+        x = np.array(xs + EDGES)
+        assert same_bits(_chi2_sf(x, df), sps.chi2.sf(x, df))
+        for v in x.tolist():
+            assert same_bits(_chi2_sf(v, df), sps.chi2.sf(v, df))
+
+    def test_scalars_stay_numpy_scalars(self):
+        for got, want in (
+            (_norm_sf(1.5), sps.norm.sf(1.5)),
+            (_t_sf(1.5, 7), sps.t.sf(1.5, 7)),
+            (_chi2_sf(1.5, 3), sps.chi2.sf(1.5, 3)),
+        ):
+            assert type(got) is type(want)
