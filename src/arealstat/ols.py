@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .stats import _chi2_sf, _t_sf
 from .weights import SpatialWeights
@@ -143,18 +142,36 @@ class OlsFit:
             raise KeyError(f"no coefficient named {name!r}") from None
 
 
-def _rank_check(X: DesignMatrix) -> None:
-    # pivoted QR exposes which columns a rank-deficient design can spare
-    _, r, pivot = scipy.linalg.qr(X.values, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.values.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int((diag > tol).sum())
-    if rank < X.q:
-        bad = sorted(X.names[j] for j in pivot[rank:])
+# a column whose unit vector keeps more than this norm in the numerical null
+# space of the design is named as part of a linear dependency
+_NULL_WEIGHT = 1e-8
+
+
+def _lstsq(
+    a: np.ndarray, b: np.ndarray, names: list[str] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of b, (n,) or (n, k), on the columns of a, from one
+    thin SVD.
+
+    Singular values up to s_max * max(n, q) * eps count as zero, the rule
+    of ``np.linalg.lstsq(rcond=None)``, and the coefficients are its
+    minimum-norm solution.  Also returns V/s over the kept singular values,
+    whose squared rows sum to diag((a'a)^-1) when a has full rank.  With
+    ``names``, a rank-deficient a is refused, naming every column that
+    carries weight in the null space.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    tol = s[0] * max(a.shape) * np.finfo(float).eps if s.size else 0.0
+    rank = int((s > tol).sum())
+    if names is not None and rank < a.shape[1]:
+        weight = np.sqrt((vt[rank:] ** 2).sum(axis=0))
+        bad = sorted(names[j] for j in np.flatnonzero(weight > _NULL_WEIGHT))
         raise ValueError(
-            f"design matrix is rank deficient (rank {rank} of {X.q}); "
+            f"design matrix is rank deficient (rank {rank} of {a.shape[1]}); "
             f"linearly dependent columns include {bad}"
         )
+    v_s = vt[:rank].T / s[:rank]
+    return v_s @ (u[:, :rank].T @ b), v_s
 
 
 def fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
@@ -171,9 +188,7 @@ def fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     n, q = X.n, X.q
     if n <= q:
         raise ValueError(f"need more observations than parameters (n={n}, q={q})")
-    _rank_check(X)
-
-    beta, _, _, _ = np.linalg.lstsq(X.values, y, rcond=None)
+    beta, v_s = _lstsq(X.values, y, X.names)
     fitted = X.values @ beta
     e = y - fitted
     sse = float(e @ e)
@@ -183,8 +198,7 @@ def fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     sigma2 = sse / (n - q)
     sigma2_ml = sse / n
 
-    xtx_inv = np.linalg.inv(X.values.T @ X.values)
-    se = np.sqrt(sigma2 * np.diag(xtx_inv))
+    se = np.sqrt(sigma2 * (v_s**2).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
     p = 2.0 * _t_sf(np.abs(t), n - q)
@@ -227,8 +241,7 @@ def vif(X: DesignMatrix) -> np.ndarray:
     for k, j in enumerate(range(1, X.q)):
         target = X.values[:, j]
         others = np.delete(X.values, j, axis=1)
-        coef, _, _, _ = np.linalg.lstsq(others, target, rcond=None)
-        resid = target - others @ coef
+        resid = target - others @ _lstsq(others, target)[0]
         sse = float(resid @ resid)
         tss = float(np.sum((target - target.mean()) ** 2))
         if tss == 0.0:
@@ -374,7 +387,7 @@ def koenker_bassett(X: DesignMatrix, residuals: np.ndarray) -> tuple[float, floa
 def condition_number(X: DesignMatrix) -> float:
     """Condition index of the design after scaling columns to unit length.
 
-    Computed as sqrt(largest/smallest eigenvalue of the scaled cross
+    Computed as sqrt(largest/smallest eigenvalue) of the scaled cross
     product; numerically singular designs report inf.
     """
     norms = np.linalg.norm(X.values, axis=0)
@@ -467,8 +480,7 @@ def lm_tests(
         raise ValueError("weights have no links; spatial tests are undefined")
 
     wxb = w @ ols_fit.fitted
-    coef, _, _, _ = np.linalg.lstsq(X.values, wxb, rcond=None)
-    m_wxb = wxb - X.values @ coef
+    m_wxb = wxb - X.values @ _lstsq(X.values, wxb)[0]
     mq = float(m_wxb @ m_wxb)
     j_term = mq / sigma2t + t_trace
 

@@ -28,6 +28,7 @@ from . import spatial_models as _spatial
 from . import stats as _stats
 from . import weights as _weights
 from .ingest import (
+    MergedDataset,
     drop_missing_rows,
     merge,
     parse_attributes,
@@ -210,39 +211,39 @@ class _Context:
     """Accumulated state shared by the stages of one run."""
 
     config: PipelineConfig
-    dataset: object = None
+    dataset: MergedDataset | None = None
     dropped_missing: list = field(default_factory=list)
-    adjacency: object = None
+    adjacency: _weights.AdjacencyList | None = None
     island_ids: list = field(default_factory=list)
-    w_gi: object = None
-    w_rs: object = None
-    gi: object = None
+    w_gi: _weights.SpatialWeights | None = None
+    w_rs: _weights.SpatialWeights | None = None
+    gi: _hotspot.HotspotResult | None = None
     summary_rows: list = field(default_factory=list)
-    z_outcome: np.ndarray = None
+    z_outcome: np.ndarray | None = None
     z_columns: dict = field(default_factory=dict)
-    design_full: object = None
+    design_full: _ols.DesignMatrix | None = None
     vif_removed: list = field(default_factory=list)
-    design_vif: object = None
+    design_vif: _ols.DesignMatrix | None = None
     stepwise_trace: list = field(default_factory=list)
-    design_step: object = None
+    design_step: _ols.DesignMatrix | None = None
     sig_removed: list = field(default_factory=list)
-    design_final: object = None
-    fit_final: object = None
-    diagnostics: object = None
-    kb_skipped: str = None
-    lm_suite: object = None
-    spatial_skip_reason: str = None
-    decision: str = None
-    decision_warning: str = None
-    spatial_fit: object = None
-    comparison: object = None
+    design_final: _ols.DesignMatrix | None = None
+    fit_final: _ols.OlsFit | None = None
+    diagnostics: _ols.DiagnosticsReport | None = None
+    kb_skipped: str | None = None
+    lm_suite: _ols.LmSuite | None = None
+    spatial_skip_reason: str | None = None
+    decision: str | None = None
+    decision_warning: str | None = None
+    spatial_fit: _spatial.SpatialFit | None = None
+    comparison: _spatial.ModelComparison | None = None
     cluster_features: list = field(default_factory=list)
-    dendrogram: object = None
-    assignments: np.ndarray = None
+    dendrogram: _cluster.Dendrogram | None = None
+    assignments: np.ndarray | None = None
     profiles: list = field(default_factory=list)
-    spearman_column: str = None
+    spearman_column: str | None = None
     spearman_rows: list = field(default_factory=list)
-    spearman_skip_reason: str = None
+    spearman_skip_reason: str | None = None
 
 
 def _analysis_columns(config: PipelineConfig, table_columns: list[str]) -> list[str]:

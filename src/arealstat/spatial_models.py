@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .ols import DesignMatrix, OlsFit, _rank_check
+from .ols import DesignMatrix, OlsFit, _lstsq
 from .stats import _norm_sf
 from .weights import SpatialWeights
 
@@ -120,9 +120,10 @@ def log_det(cache: SpectralCache, p: float) -> float:
     return cache.log_dets[p]
 
 
-def _validate_inputs(
-    X: DesignMatrix, y: np.ndarray, weights: SpatialWeights
-) -> np.ndarray:
+def _prepare(X, y, weights, cache):
+    """Check the inputs and return y, Wy, the least-squares coefficients of
+    y and Wy on X (one solve, which also refuses a rank-deficient design),
+    the cache and W."""
     if weights.mode != "row-standardized":
         raise ValueError("spatial models require row-standardized weights")
     if weights.include_self:
@@ -138,20 +139,12 @@ def _validate_inputs(
         raise ValueError(
             f"need more observations than parameters (n={X.n}, q={X.q} + spatial)"
         )
-    _rank_check(X)
-    return y
-
-
-def _prepare(X, y, weights, cache):
-    y = _validate_inputs(X, y, weights)
+    w = weights.matrix
+    wy = w @ y
+    coef, _ = _lstsq(X.values, np.column_stack([y, wy]), X.names)
     if cache is None:
         cache = spectral_cache(weights)
-    return y, cache, weights.matrix
-
-
-def _ls_coef(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    coef, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    return coef
+    return y, wy, coef, cache, w
 
 
 _LL_CONST = math.log(2.0 * math.pi) + 1.0
@@ -170,14 +163,14 @@ def error_concentrated_loglik(
 ) -> float:
     """Profile log-likelihood of the error model at lam, with b and sigma^2
     concentrated out by filtered least squares."""
-    y, cache, w = _prepare(X, y, weights, cache)
-    return _error_profile(X.values, y, w @ X.values, w @ y, cache, lam)
+    y, wy, _, cache, w = _prepare(X, y, weights, cache)
+    return _error_profile(X.values, y, w @ X.values, wy, cache, lam)
 
 
 def _error_profile(xv, y, wx, wy, cache, lam) -> float:
     xf = xv - lam * wx
     yf = y - lam * wy
-    resid = yf - xf @ _ls_coef(xf, yf)
+    resid = yf - xf @ _lstsq(xf, yf)[0]
     return _profile_ll(y.size, float(resid @ resid) / y.size, cache, lam)
 
 
@@ -190,10 +183,8 @@ def lag_concentrated_loglik(
 ) -> float:
     """Profile log-likelihood of the lag model at rho, concentrated through
     the two auxiliary regressions of y and Wy on X."""
-    y, cache, w = _prepare(X, y, weights, cache)
-    wy = w @ y
-    e0 = y - X.values @ _ls_coef(X.values, y)
-    e1 = wy - X.values @ _ls_coef(X.values, wy)
+    y, wy, coef, cache, _ = _prepare(X, y, weights, cache)
+    e0, e1 = (np.column_stack([y, wy]) - X.values @ coef).T
     return _lag_profile(e0, e1, cache, rho)
 
 
@@ -465,17 +456,16 @@ def fit_error_ml(
     cache: SpectralCache | None = None,
 ) -> SpatialFit:
     """Fit the spatial error model by concentrated maximum likelihood."""
-    y, cache, w = _prepare(X, y, weights, cache)
+    y, wy, _, cache, w = _prepare(X, y, weights, cache)
     xv = X.values
     wx = w @ xv
-    wy = w @ y
 
     lam = _optimize_profile(
         lambda p: _error_profile(xv, y, wx, wy, cache, p), cache.interval
     )
     xf = xv - lam * wx
     yf = y - lam * wy
-    beta = _ls_coef(xf, yf)
+    beta = _lstsq(xf, yf)[0]
     resid_f = yf - xf @ beta
     sigma2 = float(resid_f @ resid_f) / X.n
 
@@ -495,14 +485,10 @@ def fit_lag_ml(
     cache: SpectralCache | None = None,
 ) -> SpatialFit:
     """Fit the spatial lag model by concentrated maximum likelihood."""
-    y, cache, w = _prepare(X, y, weights, cache)
+    y, wy, coef, cache, w = _prepare(X, y, weights, cache)
     xv = X.values
-    wy = w @ y
-
-    b0 = _ls_coef(xv, y)
-    b1 = _ls_coef(xv, wy)
-    e0 = y - xv @ b0
-    e1 = wy - xv @ b1
+    b0, b1 = coef.T
+    e0, e1 = (np.column_stack([y, wy]) - xv @ coef).T
 
     rho = _optimize_profile(lambda p: _lag_profile(e0, e1, cache, p), cache.interval)
     beta = b0 - rho * b1

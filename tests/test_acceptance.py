@@ -203,6 +203,7 @@ def test_least_squares_matches_extended_precision_oracle():
     start = time.perf_counter()
     mpmath.mp.dps = 50
     worst = 0.0
+    worst_se = 0.0
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         n, k = 40, 4
@@ -219,12 +220,21 @@ def test_least_squares_matches_extended_precision_oracle():
             abs(float(exact[j]) - res.beta[j]) for j in range(k + 1)
         )
         worst = max(worst, diff)
+        # se_j = sqrt(s^2 [(X'X)^-1]_jj) with s^2 = e'e/(n - q) at the exact beta
+        e = ym - xm * exact
+        s2 = (e.T * e)[0] / (n - k - 1)
+        gram_inv = mpmath.inverse(gram)
+        for j in range(k + 1):
+            se = mpmath.sqrt(s2 * gram_inv[j, j])
+            worst_se = max(worst_se, abs(float((res.se[j] - se) / se)))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 10
+    ok = worst <= 1e-9 and worst_se <= 1e-12 and elapsed < 10
     report_line(
         "least-squares oracle",
         ok,
-        f"max |beta - exact| {worst:.2e} <= 1e-9, {elapsed:.2f}s < 10s",
+        f"max |beta - exact| {worst:.2e} <= 1e-9, "
+        f"max relative se error {worst_se:.2e} <= 1e-12, "
+        f"{elapsed:.2f}s < 10s",
     )
 
 

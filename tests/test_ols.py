@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from arealstat.ols import (
     INTERCEPT,
     LmSuite,
+    _lstsq,
     condition_number,
     design_matrix,
     fit,
@@ -126,6 +129,27 @@ class TestFit:
         with pytest.raises(ValueError, match="'a'|'b'"):
             fit(X, np.arange(10.0))
 
+    @pytest.mark.parametrize(
+        "columns, named",
+        [
+            # b = a + 1 is a + intercept: all three carry null-space weight
+            (lambda x: [("a", x), ("b", x + 1.0)], "['a', 'b', 'intercept']"),
+            (lambda x: [("a", x), ("b", 2.0 * x)], "['a', 'b']"),
+            (
+                lambda x: [("a", x), ("b", 3.0 * x), ("c", np.sin(x)),
+                           ("d", np.sin(x) - 2.0)],
+                "['a', 'b', 'c', 'd', 'intercept']",
+            ),
+        ],
+        ids=["shifted", "scaled", "two-dependencies"],
+    )
+    def test_every_dependent_column_named(self, columns, named):
+        x = np.arange(12.0)
+        X = design_matrix(columns(x) + [("e", np.cos(x))])
+        with pytest.raises(ValueError) as err:
+            fit(X, x**2)
+        assert str(err.value).endswith(f"linearly dependent columns include {named}")
+
     def test_more_columns_than_rows_rejected(self):
         X = design_matrix([("a", [1.0, 2.0]), ("b", [0.0, 1.0])])
         with pytest.raises(ValueError):
@@ -137,6 +161,45 @@ class TestFit:
         assert res.coefficient("x1") == res.beta[1]
         with pytest.raises(KeyError):
             res.coefficient("zzz")
+
+
+@st.composite
+def lstsq_problems(draw):
+    """A random design, of full rank or with duplicated, scaled and summed
+    columns inserted, n from q + 1 to 200, and a 1-d or (n, 2) response."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 6))
+    dependent = draw(
+        st.lists(st.sampled_from(["duplicate", "scaled", "summed"]), max_size=3)
+    )
+    q = k + len(dependent)
+    n = draw(st.integers(q + 1, 200))
+    a = rng.standard_normal((n, k))
+    for kind in dependent:
+        i, j = rng.integers(0, a.shape[1], size=2)
+        if kind == "duplicate":
+            col = a[:, i]
+        elif kind == "scaled":
+            col = draw(st.sampled_from([-3.0, -0.5, 0.25, 2.0, 7.0])) * a[:, i]
+        else:
+            col = a[:, i] + a[:, j]
+        a = np.insert(a, draw(st.integers(0, a.shape[1])), col, axis=1)
+    shape = draw(st.sampled_from([(n,), (n, 2)]))
+    return a, rng.standard_normal(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lstsq_problems())
+def test_lstsq_matches_numpy_minimum_norm_solution(problem):
+    """The one SVD behind every least-squares solve against
+    np.linalg.lstsq(rcond=None), which has the same singular value cutoff."""
+    a, b = problem
+    coef, _ = _lstsq(a, b)
+    ref, *_ = np.linalg.lstsq(a, b, rcond=None)
+    assert coef.shape == ref.shape
+    assert np.linalg.norm(coef - ref) <= 1e-10 * np.linalg.norm(ref)
+    resid_gap = (b - a @ coef) - (b - a @ ref)
+    assert np.linalg.norm(resid_gap) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestVif:

@@ -317,6 +317,15 @@ class TestLagFit:
         assert np.allclose(res.u, y - res.param * wy - X.values @ res.beta)
 
 
+@pytest.mark.parametrize("fit_fn", [fit_error_ml, fit_lag_ml])
+def test_rank_deficient_design_names_the_dependency(w10, cache10, fit_fn):
+    X, y = make_error_data(w10, 0.3, seed=84)
+    x1 = X.values[:, 1]
+    X = design_matrix([("x1", x1), ("x2", X.values[:, 2]), ("x3", 0.5 * x1)])
+    with pytest.raises(ValueError, match=r"rank 3 of 4.*\['x1', 'x3'\]"):
+        fit_fn(X, y, w10, cache=cache10)
+
+
 class TestCompare:
     def test_rows_and_preference(self, w10, cache10):
         X, y = make_error_data(w10, 0.6, seed=84)
