@@ -200,9 +200,10 @@ class SpatialFit:
     ``kind`` is "error" or "lag".  ``u`` holds the spatially correlated
     disturbance y - Xb for the error model and the innovation
     y - rho*W*y - Xb for the lag model.  Standard errors come from the
-    numerical Hessian of the full likelihood; when that Hessian is not
-    negative definite ``se_available`` is False and the se/p arrays are
-    NaN.
+    closed-form Hessian of the full likelihood in (b, p, sigma^2), with
+    the log-determinant's curvature from the memoised ``log_det``; when
+    that Hessian is not negative definite ``se_available`` is False and
+    the se/p arrays are NaN.
     """
 
     kind: str
@@ -353,42 +354,38 @@ def _optimize_profile(fun, interval: tuple[float, float]) -> float:
     return param
 
 
-def _numerical_hessian(f, theta: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    k = theta.size
-    h = np.zeros((k, k))
-    f0 = f(theta)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = steps[i]
-        h[i, i] = (f(theta + ei) - 2.0 * f0 + f(theta - ei)) / steps[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = steps[j]
-            val = (
-                f(theta + ei + ej)
-                - f(theta + ei - ej)
-                - f(theta - ei + ej)
-                + f(theta - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-            h[i, j] = val
-            h[j, i] = val
-    return h
+def _log_det_curvature(cache: SpectralCache, p: float) -> float:
+    """d^2/dp^2 ln det(I - pW) by Richardson extrapolation of central second
+    differences of the memoised ``log_det`` with steps h and h/2, where
+    h = min(1e-3, d/32) and d is the distance from p to the nearer end of
+    the interval."""
+    lo, hi = cache.interval
+    h = min(1e-3, min(p - lo, hi - p) / 32.0)
+    mid = 2.0 * log_det(cache, p)
+
+    def second_difference(s):
+        return (log_det(cache, p + s) - mid + log_det(cache, p - s)) / (s * s)
+
+    return (4.0 * second_difference(0.5 * h) - second_difference(h)) / 3.0
 
 
-def _hessian_se(
-    full_ll, beta: np.ndarray, param: float, sigma2: float, interval
-) -> tuple[np.ndarray, float, bool]:
-    theta = np.concatenate([beta, [param, sigma2]])
-    q = beta.size
-    steps = np.empty(q + 2)
-    steps[:q] = 1e-5 * np.maximum(np.abs(beta), 1.0)
-    steps[q] = 1e-5 * max(abs(param), 1.0)
-    steps[q + 1] = 1e-5 * sigma2
-    # the parameter step must not cross the interval edge where the
-    # log-determinant blows up
-    lo, hi = interval
-    steps[q] = min(steps[q], 0.5 * (hi - param), 0.5 * (param - lo))
-    hess = _numerical_hessian(full_ll, theta, steps)
+def _hessian_se(r, jac, cross, curvature, sigma2) -> tuple[np.ndarray, float, bool]:
+    """Standard errors of (b, p) from the closed-form Hessian of the full
+    log-likelihood -n/2 ln(2 pi s2) + ln det(I - pW) - r'r/(2 s2) in
+    (b, p, s2), given the innovation r, its Jacobian ``jac`` in (b, p), the
+    vector r' d^2r/(db dp) and ``curvature``, the second derivative of the
+    log-determinant at p."""
+    k = jac.shape[1]
+    q = k - 1
+    s4 = sigma2 * sigma2
+    hess = np.empty((k + 1, k + 1))
+    hess[:k, :k] = -(jac.T @ jac)
+    hess[:q, q] -= cross
+    hess[q, :q] -= cross
+    hess[:k, :k] /= sigma2
+    hess[q, q] += curvature
+    hess[:k, k] = hess[k, :k] = (jac.T @ r) / s4
+    hess[k, k] = r.size / (2.0 * s4) - float(r @ r) / (sigma2 * s4)
     neg = -hess
     try:
         eigs = np.linalg.eigvalsh(neg)
@@ -411,24 +408,20 @@ def _wald_p(est: np.ndarray | float, se: np.ndarray | float):
 
 
 def _spatial_fit(
-    kind, X, y, cache, param, beta, sigma2, resid, fitted, u
+    kind, X, y, cache, param, beta, sigma2, r, jac, cross, fitted, u
 ) -> SpatialFit:
-    """Likelihood, Hessian standard errors and fit scores shared by both
-    models; ``resid(b, p)`` is the innovation eps at coefficients b and
-    spatial parameter p."""
+    """Likelihood, standard errors and fit scores shared by both models.
+
+    ``r`` is the innovation at the estimate, ``jac`` its Jacobian in
+    (b, p) and ``cross`` the vector r' d^2r/(db dp); with the curvature of
+    the log-determinant they give the closed-form Hessian (Anselin 1988,
+    ch. 6; LeSage & Pace 2009, ch. 3).
+    """
     n, q = X.n, X.q
     ll = _profile_ll(n, sigma2, cache, param)
-
-    def full_ll(theta):
-        s2 = theta[q + 1]
-        r = resid(theta[:q], theta[q])
-        return (
-            -0.5 * n * math.log(2.0 * math.pi * s2)
-            + log_det(cache, theta[q])
-            - 0.5 * float(r @ r) / s2
-        )
-
-    beta_se, param_se, ok = _hessian_se(full_ll, beta, param, sigma2, cache.interval)
+    beta_se, param_se, ok = _hessian_se(
+        r, jac, cross, _log_det_curvature(cache, param), sigma2
+    )
     return SpatialFit(
         kind=kind,
         names=list(X.names),
@@ -469,12 +462,12 @@ def fit_error_ml(
     resid_f = yf - xf @ beta
     sigma2 = float(resid_f @ resid_f) / X.n
 
-    def resid(b, p):
-        return (y - p * wy) - (xv - p * wx) @ b
-
+    # eps = (I - lam W)(y - Xb): d eps/db = -(X - lam WX), d eps/dlam = -W(y - Xb)
     fitted = xv @ beta
+    jac = -np.column_stack([xf, wy - wx @ beta])
     return _spatial_fit(
-        "error", X, y, cache, lam, beta, sigma2, resid, fitted, y - fitted
+        "error", X, y, cache, lam, beta, sigma2, resid_f, jac, wx.T @ resid_f,
+        fitted, y - fitted,
     )
 
 
@@ -495,13 +488,13 @@ def fit_lag_ml(
     er = e0 - rho * e1
     sigma2 = float(er @ er) / X.n
 
-    def resid(b, p):
-        return y - p * wy - xv @ b
-
+    # eps = y - rho Wy - Xb is linear in (b, rho): no cross terms
     ident = sp.identity(X.n, format="csc")
     fitted = scipy.sparse.linalg.spsolve(ident - rho * w.tocsc(), xv @ beta)
+    u = y - rho * wy - xv @ beta
+    jac = -np.column_stack([xv, wy])
     return _spatial_fit(
-        "lag", X, y, cache, rho, beta, sigma2, resid, fitted, resid(beta, rho)
+        "lag", X, y, cache, rho, beta, sigma2, u, jac, 0.0, fitted, u
     )
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import arealstat
 from arealstat import pipeline as pipeline_module
+from arealstat import spatial_models
 from arealstat import weights as weights_module
 from arealstat.cli import _apply_overrides, _build_parser
 from arealstat.cli import main as cli_main
@@ -322,6 +323,26 @@ class TestFullRun:
         assert names[0] == config.outcome_column
         for col in config.candidate_predictor_columns:
             assert col in names
+
+
+def test_unavailable_standard_errors_are_left_blank(county, tmp_path, monkeypatch):
+    # a large positive log-determinant curvature makes the Hessian indefinite
+    monkeypatch.setattr(spatial_models, "_log_det_curvature", lambda c, p: 1e12)
+    config = dataclasses.replace(load_config(county["config"]), output_dir=str(tmp_path))
+    report = run_subcommand(config, "regress")
+    assert report["spatial"] is not None
+    with open(tmp_path / "report.json") as fh:
+        spatial = json.load(fh)["spatial"]
+    assert spatial["se_available"] is False
+    assert all(c["se"] is None and c["p"] is None for c in spatial["coefficients"])
+    text = (tmp_path / "report.txt").read_text()
+    assert "standard errors unavailable (Hessian not negative definite)" in text
+    rows = (tmp_path / "spatial_coefficients.csv").read_text().splitlines()
+    assert rows[0] == "name,coefficient,se,p,stars"
+    assert len(rows) == len(spatial["coefficients"]) + 1
+    for row in rows[1:]:
+        name, coefficient, se, p, stars = row.split(",")
+        assert coefficient and (se, p, stars) == ("", "", "")
 
 
 class TestStageErrors:

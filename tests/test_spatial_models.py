@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -315,6 +316,147 @@ class TestLagFit:
         res = fit_lag_ml(X, y, w10, cache=cache10)
         wy = w10.matrix @ y
         assert np.allclose(res.u, y - res.param * wy - X.values @ res.beta)
+
+
+def exact_curvature(cache, p):
+    """d^2/dp^2 ln det(I - pW) = -sum w^2/(1 - pw)^2 over the dense spectrum."""
+    omega = np.linalg.eigvalsh(cache.sym.toarray())
+    return float(-np.sum(omega**2 / (1.0 - p * omega) ** 2))
+
+
+def observed_hessian(kind, xv, y, wd, beta, p, s2, curvature):
+    """Hessian of the full log-likelihood in (beta, p, sigma^2), built block
+    by block with the dense weights wd: the innovation r, its Jacobian J in
+    (beta, p) and, for the error model, r' d^2r/(dbeta dp) = (WX)'r."""
+    n, q = xv.shape
+    if kind == "lag":
+        r = y - p * (wd @ y) - xv @ beta
+        jac = -np.column_stack([xv, wd @ y])
+        cross = np.zeros(q)
+    else:
+        u = y - xv @ beta
+        r = u - p * (wd @ u)
+        jac = -np.column_stack([xv - p * (wd @ xv), wd @ u])
+        cross = (wd @ xv).T @ r
+    h = np.empty((q + 2, q + 2))
+    h[: q + 1, : q + 1] = -(jac.T @ jac) / s2
+    h[:q, q] -= cross / s2
+    h[q, :q] -= cross / s2
+    h[q, q] += curvature
+    h[: q + 1, q + 1] = h[q + 1, : q + 1] = jac.T @ r / s2**2
+    h[q + 1, q + 1] = n / (2.0 * s2**2) - (r @ r) / s2**3
+    return h
+
+
+def oracle_se(kind, X, y, w, cache, res):
+    h = observed_hessian(
+        kind, X.values, y, w.to_dense(), res.beta, res.param, res.sigma2,
+        exact_curvature(cache, res.param),
+    )
+    se = np.sqrt(np.diag(np.linalg.inv(-h)))
+    return se[: X.q], se[X.q]
+
+
+FITS = {"error": (make_error_data, fit_error_ml), "lag": (make_lag_data, fit_lag_ml)}
+
+
+class TestStandardErrors:
+    """Standard errors against the exact observed information matrix."""
+
+    @pytest.mark.parametrize("kind", ["error", "lag"])
+    @pytest.mark.parametrize("side, seed", [(10, 90), (30, 91)])
+    def test_match_dense_oracle(self, kind, side, seed):
+        w = to_weights(queen_contiguity(grid_units(side, side)), "row-standardized")
+        cache = spectral_cache(w)
+        make, fit_fn = FITS[kind]
+        X, y = make(w, 0.5, seed=seed)
+        res = fit_fn(X, y, w, cache=cache)
+        assert res.se_available
+        beta_se, param_se = oracle_se(kind, X, y, w, cache, res)
+        np.testing.assert_allclose(res.beta_se, beta_se, rtol=1e-7, atol=0)
+        assert res.param_se == pytest.approx(param_se, rel=1e-7)
+
+    @pytest.mark.parametrize("side", [10, 30])
+    def test_curvature_near_interval_ends(self, side):
+        # 2e-6 * span is just inside the closest estimate the search accepts
+        w = to_weights(queen_contiguity(grid_units(side, side)), "row-standardized")
+        cache = spectral_cache(w)
+        lo, hi = cache.interval
+        gap = 2e-6 * (hi - lo)
+        for p in (lo + gap, lo + 1e-3, hi - 1e-3, hi - gap):
+            got = spatial_models._log_det_curvature(cache, p)
+            assert got == pytest.approx(exact_curvature(cache, p), rel=1e-6)
+
+    @pytest.mark.parametrize("kind", ["error", "lag"])
+    def test_unavailable_when_not_negative_definite(self, w10, cache10, kind, monkeypatch):
+        monkeypatch.setattr(spatial_models, "_log_det_curvature", lambda c, p: 1e12)
+        make, fit_fn = FITS[kind]
+        X, y = make(w10, 0.5, seed=93)
+        res = fit_fn(X, y, w10, cache=cache10)
+        assert not res.se_available
+        assert math.isnan(res.param_se) and math.isnan(res.param_p)
+        assert np.isnan(res.beta_se).all() and np.isnan(res.beta_p).all()
+
+    @pytest.mark.parametrize("kind", ["error", "lag"])
+    def test_closed_form_matches_high_precision_differences(self, kind):
+        # n = 25: central differences of the full log-likelihood at 40 digits
+        # check the block formula itself, independently of its derivation
+        w = to_weights(queen_contiguity(grid_units(5, 5)), "row-standardized")
+        cache = spectral_cache(w)
+        make, fit_fn = FITS[kind]
+        X, y = make(w, 0.5, seed=92)
+        res = fit_fn(X, y, w, cache=cache)
+        n, q = X.n, X.q
+        wd = w.to_dense()
+        closed = observed_hessian(
+            kind, X.values, y, wd, res.beta, res.param, res.sigma2,
+            exact_curvature(cache, res.param),
+        )
+
+        with mpmath.workdps(40):
+            wm = mpmath.matrix(wd.tolist())
+            xm = mpmath.matrix(X.values.tolist())
+            ym = mpmath.matrix(y.tolist())
+            eye = mpmath.eye(n)
+            log_dets = {}
+
+            def full_ll(theta):
+                b = mpmath.matrix(theta[:q])
+                p, s2 = theta[q], theta[q + 1]
+                a = eye - p * wm
+                if p not in log_dets:
+                    log_dets[p] = mpmath.log(mpmath.det(a))
+                r = a * ym - xm * b if kind == "lag" else a * (ym - xm * b)
+                rr = sum(v * v for v in r)
+                return (
+                    -mpmath.mpf(n) / 2 * mpmath.log(2 * mpmath.pi * s2)
+                    + log_dets[p] - rr / (2 * s2)
+                )
+
+            theta0 = [mpmath.mpf(float(v)) for v in (*res.beta, res.param, res.sigma2)]
+            step = mpmath.mpf("1e-12")
+
+            def at(*moves):
+                theta = list(theta0)
+                for i, s in moves:
+                    theta[i] += s * step
+                return full_ll(theta)
+
+            k = q + 2
+            f0 = full_ll(theta0)
+            numeric = np.empty((k, k))
+            for i in range(k):
+                numeric[i, i] = float((at((i, 1)) - 2 * f0 + at((i, -1))) / step**2)
+                for j in range(i + 1, k):
+                    val = (
+                        at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                        - at((i, -1), (j, 1)) + at((i, -1), (j, -1))
+                    ) / (4 * step**2)
+                    numeric[i, j] = numeric[j, i] = float(val)
+        np.testing.assert_allclose(closed, numeric, rtol=1e-9, atol=1e-9 * abs(numeric).max())
+        beta_se, param_se = oracle_se(kind, X, y, w, cache, res)
+        np.testing.assert_allclose(res.beta_se, beta_se, rtol=1e-7, atol=0)
+        assert res.param_se == pytest.approx(param_se, rel=1e-7)
 
 
 @pytest.mark.parametrize("fit_fn", [fit_error_ml, fit_lag_ml])
