@@ -36,11 +36,11 @@ print("unit 0 self-inclusive neighborhood size:", wg.matrix[0].nnz)
 
 # a detached polygon shows up as an island and gets an all-zero row
 units_with_island = units + [detached_square("900000", 50.0)]
-adj = queen_contiguity(units_with_island)
-print("islands:", [units_with_island[i].id for i in detect_islands(adj)])
+links = queen_contiguity(units_with_island)
+print("islands:", [units_with_island[i].id for i in detect_islands(links)])
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    w_island = to_weights(adj, "row-standardized")
+    w_island = to_weights(links, "row-standardized")
 print("island row sum:", w_island.to_dense()[16].sum())
 
 # the text serialization round-trips exactly

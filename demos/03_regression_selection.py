@@ -5,9 +5,10 @@ significance pruning, then the residual diagnostics.
 import numpy as np
 
 from arealstat.ols import (
+    condition_number,
     design_matrix,
-    fit,
-    run_diagnostics,
+    jarque_bera,
+    koenker_bassett,
     significance_prune,
     stepwise_aic,
     vif,
@@ -52,9 +53,8 @@ print(f"final model: n={final.n} r2={final.r2:.3f} adj_r2={final.adj_r2:.3f}")
 for name, b, se, p in zip(X.names, final.beta, final.se, final.p):
     print(f"  {name:10s} {b:8.3f}  (se {se:.3f}, p {p:.2g})")
 
-diag = run_diagnostics(X, final)
-jb_stat, jb_p = diag.jarque_bera
-kb_stat, kb_p = diag.koenker_bassett
+jb_stat, jb_p = jarque_bera(final.residuals)
+kb_stat, kb_p = koenker_bassett(X, final.residuals)
 print(f"normality:          stat {jb_stat:6.2f}  p {jb_p:.3f}")
 print(f"heteroskedasticity: stat {kb_stat:6.2f}  p {kb_p:.3f}")
-print(f"condition number:   {diag.condition_number:.2f}")
+print(f"condition number:   {condition_number(X):.2f}")

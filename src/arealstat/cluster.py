@@ -27,10 +27,14 @@ __all__ = [
     "GroupProfile",
     "profile",
     "MAX_TABLE_BYTES",
+    "LABEL_THRESHOLDS",
 ]
 
 # largest n x n float64 cost table ward_cluster allocates (n = 16 384)
 MAX_TABLE_BYTES = 2 * 1024**3
+
+# |mean| cut-offs between "around", "above"/"below" and "far above"/"far below"
+LABEL_THRESHOLDS = (0.25, 1.0)
 
 
 @dataclass(eq=False)
@@ -183,7 +187,7 @@ def profile(
     assignments: np.ndarray,
     features: np.ndarray,
     feature_names: list[str],
-    thresholds: tuple[float, float] = (0.25, 1.0),
+    thresholds: tuple[float, float] = LABEL_THRESHOLDS,
 ) -> list[GroupProfile]:
     """Describe each group by its mean of every (standardized) feature.
 

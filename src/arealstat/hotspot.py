@@ -68,9 +68,9 @@ def gi_star(
     s = math.sqrt(float(np.mean(xc * xc)))
 
     w = weights.matrix
-    wsum = np.asarray(w.sum(axis=1)).ravel()
-    wsq = np.asarray(w.multiply(w).sum(axis=1)).ravel()
-    spread = n * wsq - wsum * wsum
+    # binary weights are 1, so sum_j w_ij = sum_j w_ij^2 = the row length
+    wsum = weights.degree().astype(float)
+    spread = n * wsum - wsum * wsum
     flat = np.flatnonzero(spread <= 0.0)
     if flat.size:
         raise ValueError(

@@ -28,7 +28,6 @@ __all__ = [
     "koenker_bassett",
     "condition_number",
     "DiagnosticsReport",
-    "run_diagnostics",
     "LmSuite",
     "lm_tests",
     "model_decision",
@@ -405,20 +404,12 @@ def condition_number(X: DesignMatrix) -> float:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Residual diagnostics for one fitted regression."""
+    """Residual diagnostics for one fitted regression; ``koenker_bassett``
+    is None when the design has no slope to test against."""
 
     jarque_bera: tuple[float, float]
-    koenker_bassett: tuple[float, float]
+    koenker_bassett: tuple[float, float] | None
     condition_number: float
-
-
-def run_diagnostics(X: DesignMatrix, ols_fit: OlsFit) -> DiagnosticsReport:
-    """Bundle the three standard diagnostics for a fit on this design."""
-    return DiagnosticsReport(
-        jarque_bera=jarque_bera(ols_fit.residuals),
-        koenker_bassett=koenker_bassett(X, ols_fit.residuals),
-        condition_number=condition_number(X),
-    )
 
 
 @dataclass(eq=False)

@@ -213,7 +213,7 @@ class _Context:
     config: PipelineConfig
     dataset: MergedDataset | None = None
     dropped_missing: list = field(default_factory=list)
-    adjacency: _weights.AdjacencyList | None = None
+    links: _weights.SpatialWeights | None = None
     island_ids: list = field(default_factory=list)
     w_gi: _weights.SpatialWeights | None = None
     w_rs: _weights.SpatialWeights | None = None
@@ -244,6 +244,8 @@ class _Context:
     spearman_column: str | None = None
     spearman_rows: list = field(default_factory=list)
     spearman_skip_reason: str | None = None
+    # the report before _sanitize; the CSV tables are written from its sections
+    report: dict = field(default_factory=dict)
 
 
 def _analysis_columns(config: PipelineConfig, table_columns: list[str]) -> list[str]:
@@ -273,6 +275,14 @@ def _stage_ingest(ctx: _Context) -> None:
     merged = merge(units, table, policy=cfg.merge_policy)
     cols = _analysis_columns(cfg, merged.table.columns)
     reduced, dropped_missing = drop_missing_rows(merged, cols)
+    values = reduced.table.values[:, [reduced.table.columns.index(c) for c in cols]]
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"unit {reduced.table.ids[i]!r} has non-finite value "
+            f"{float(values[i, j])!r} in column {cols[j]!r}"
+        )
     if reduced.n < 3:
         raise ValueError(f"only {reduced.n} units remain after merge and missing-value drops")
     ctx.dataset = reduced
@@ -284,15 +294,15 @@ def _stage_weights(ctx: _Context) -> None:
     build = (
         _weights.queen_contiguity if cfg.contiguity == "queen" else _weights.rook_contiguity
     )
-    adjacency = build(ctx.dataset.units, cfg.snap_tolerance)
-    islands = _weights.detect_islands(adjacency)
-    ctx.adjacency = adjacency
+    links = build(ctx.dataset.units, cfg.snap_tolerance)
+    islands = _weights.detect_islands(links)
+    ctx.links = links
     ctx.island_ids = [ctx.dataset.units.ids[i] for i in islands]
-    ctx.w_gi = _weights.to_weights(adjacency, "binary", include_self=True)
+    ctx.w_gi = _weights.to_weights(links, "binary", include_self=True)
     # report.json names the islands; every other warning stays visible
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="row standardization left all-zero rows")
-        ctx.w_rs = _weights.to_weights(adjacency, "row-standardized")
+        ctx.w_rs = _weights.to_weights(links, "row-standardized")
 
 
 def _stage_summarize(ctx: _Context) -> None:
@@ -483,10 +493,10 @@ def _coef_rows(names, beta, se, p, t=None) -> list[dict]:
 
 def _section_weights(ctx: _Context) -> dict:
     return {
-        "n": ctx.adjacency.n,
+        "n": ctx.links.n,
         "contiguity": ctx.config.contiguity,
         "mode": "row-standardized",
-        "directed_links": int(ctx.adjacency.matrix.nnz),
+        "directed_links": int(ctx.links.matrix.nnz),
         "islands": list(ctx.island_ids),
     }
 
@@ -574,26 +584,21 @@ def _section_decision(ctx: _Context) -> dict:
     }
 
 
-def _spatial_coef_rows(ctx: _Context) -> list[dict]:
+def _section_spatial(ctx: _Context):
+    if ctx.spatial_fit is None:
+        return None
     sf = ctx.spatial_fit
     param_name = "lambda" if sf.kind == "error" else "rho"
     # the spatial parameter's row follows the intercept's
     names = [sf.names[0], param_name, *sf.names[1:]]
     beta = [sf.beta[0], sf.param, *sf.beta[1:]]
-    if not sf.se_available:
-        return _coef_rows(names, beta, None, None)
-    se = [sf.beta_se[0], sf.param_se, *sf.beta_se[1:]]
-    p = [sf.beta_p[0], sf.param_p, *sf.beta_p[1:]]
-    return _coef_rows(names, beta, se, p)
-
-
-def _section_spatial(ctx: _Context):
-    if ctx.spatial_fit is None:
-        return None
-    sf = ctx.spatial_fit
+    se = p = None
+    if sf.se_available:
+        se = [sf.beta_se[0], sf.param_se, *sf.beta_se[1:]]
+        p = [sf.beta_p[0], sf.param_p, *sf.beta_p[1:]]
     return {
         "kind": sf.kind,
-        "coefficients": _spatial_coef_rows(ctx),
+        "coefficients": _coef_rows(names, beta, se, p),
         "sigma2": float(sf.sigma2),
         "log_likelihood": float(sf.log_likelihood),
         "aic": float(sf.aic),
@@ -617,7 +622,7 @@ def _section_groups(ctx: _Context) -> dict:
         "k": ctx.config.group_k,
         "linkage": "ward-d2",
         "features": list(ctx.cluster_features),
-        "thresholds": [0.25, 1.0],
+        "thresholds": list(_cluster.LABEL_THRESHOLDS),
         "profiles": [
             {
                 "group": pr.group,
@@ -835,10 +840,20 @@ def _write(path: str, data: bytes) -> None:
         fh.write(data)
 
 
-def _csv_bytes(header: list[str], rows: list[list[str]]) -> bytes:
-    lines = [",".join(header)]
-    lines += [",".join(r) for r in rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
+
+
+def _write_table(path: str, columns: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` as CSV, each line's cells picked by column name:
+    strings as they are, integers in full, other numbers through _fmt."""
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _write_weights_files(ctx: _Context, outdir: str) -> None:
@@ -848,13 +863,10 @@ def _write_weights_files(ctx: _Context, outdir: str) -> None:
 
 
 def _write_summary(ctx: _Context, outdir: str) -> None:
-    rows = [
-        [r.name, _fmt(r.mean), _fmt(r.sd), str(r.n), _fmt(r.minimum), _fmt(r.maximum)]
-        for r in ctx.summary_rows
-    ]
-    _write(
+    _write_table(
         os.path.join(outdir, "summary.csv"),
-        _csv_bytes(["name", "mean", "sd", "n", "min", "max"], rows),
+        ["name", "mean", "sd", "n", "min", "max"],
+        ctx.report["summary"],
     )
 
 
@@ -897,79 +909,44 @@ def _write_hotspot_maps(ctx: _Context, outdir: str) -> None:
 
 
 def _write_regress_files(ctx: _Context, outdir: str) -> None:
-    fit = ctx.fit_final
-    rows = [
-        [
-            name,
-            _fmt(fit.beta[i]),
-            _fmt(fit.se[i]),
-            _fmt(fit.t[i]),
-            _fmt(fit.p[i]),
-            _stars(float(fit.p[i])),
-        ]
-        for i, name in enumerate(fit.names)
-    ]
-    _write(
+    _write_table(
         os.path.join(outdir, "ols_coefficients.csv"),
-        _csv_bytes(["name", "coefficient", "se", "t", "p", "stars"], rows),
+        ["name", "coefficient", "se", "t", "p", "stars"],
+        ctx.report["ols"]["coefficients"],
     )
-    if ctx.spatial_fit is not None:
-        srows = [
-            [
-                c["name"],
-                _fmt(c["coefficient"]),
-                _fmt(c["se"]) if c["se"] is not None else "",
-                _fmt(c["p"]) if c["p"] is not None else "",
-                c["stars"],
-            ]
-            for c in _spatial_coef_rows(ctx)
-        ]
-        _write(
+    if ctx.report["spatial"] is not None:
+        _write_table(
             os.path.join(outdir, "spatial_coefficients.csv"),
-            _csv_bytes(["name", "coefficient", "se", "p", "stars"], srows),
+            ["name", "coefficient", "se", "p", "stars"],
+            ctx.report["spatial"]["coefficients"],
         )
-    if ctx.comparison is not None:
-        crows = [
-            [
-                r["model"],
-                r["fit_statistic"],
-                _fmt(r["fit_value"]),
-                _fmt(r["log_likelihood"]),
-                _fmt(r["aic"]),
-                str(r["n_params"]),
-                "yes" if r["model"] == ctx.comparison.preferred else "no",
-            ]
-            for r in ctx.comparison.rows
+    cmp_ = ctx.report["comparison"]
+    if cmp_ is not None:
+        rows = [
+            {**r, "preferred": "yes" if r["model"] == cmp_["preferred"] else "no"}
+            for r in cmp_["rows"]
         ]
-        _write(
+        _write_table(
             os.path.join(outdir, "comparison.csv"),
-            _csv_bytes(
-                [
-                    "model",
-                    "fit_statistic",
-                    "fit_value",
-                    "log_likelihood",
-                    "aic",
-                    "n_params",
-                    "preferred",
-                ],
-                crows,
-            ),
+            ["model", "fit_statistic", "fit_value", "log_likelihood", "aic",
+             "n_params", "preferred"],
+            rows,
         )
 
 
 def _write_cluster_files(ctx: _Context, outdir: str) -> None:
     names = [ctx.config.outcome_column] + ctx.cluster_features
-    header = ["group", "count"]
-    for n in names:
-        header += [f"mean_{n}", f"label_{n}"]
-    rows = []
-    for pr in ctx.profiles:
-        row = [str(pr.group), str(pr.count)]
-        for n, m, lab in zip(pr.feature_names, pr.means, pr.labels):
-            row += [_fmt(m), lab]
-        rows.append(row)
-    _write(os.path.join(outdir, "groups.csv"), _csv_bytes(header, rows))
+    rows = [
+        {
+            "group": pr["group"],
+            "count": pr["count"],
+            **{f"mean_{n}": m for n, m in pr["means"].items()},
+            **{f"label_{n}": lab for n, lab in pr["labels"].items()},
+        }
+        for pr in ctx.report["groups"]["profiles"]
+    ]
+    columns = ["group", "count"] + [f"{k}_{n}" for n in names for k in ("mean", "label")]
+    _write_table(os.path.join(outdir, "groups.csv"), columns, rows)
     svg = _render.render_choropleth(
         ctx.dataset.units,
         ctx.assignments,
@@ -980,21 +957,20 @@ def _write_cluster_files(ctx: _Context, outdir: str) -> None:
 
 
 def _write_spearman(ctx: _Context, outdir: str) -> None:
-    if ctx.spearman_skip_reason:
+    section = ctx.report["spearman"]
+    if "skipped_reason" in section:
         return
-    rows = [
-        [ctx.spearman_column, r["versus"], _fmt(r["rho"]), _fmt(r["p"]), r["stars"]]
-        for r in ctx.spearman_rows
-    ]
-    _write(
+    column = section["column"]
+    _write_table(
         os.path.join(outdir, "spearman.csv"),
-        _csv_bytes(["column", "versus", "rho", "p", "stars"], rows),
+        ["column", "versus", "rho", "p", "stars"],
+        [{"column": column, **r} for r in section["rows"]],
     )
     svg = _render.render_choropleth(
         ctx.dataset.units,
-        ctx.dataset.table.column(ctx.spearman_column),
+        ctx.dataset.table.column(column),
         kind="quantile",
-        title=ctx.spearman_column,
+        title=column,
     )
     _write(os.path.join(outdir, "map_comparison.svg"), svg.encode("utf-8"))
 
@@ -1014,13 +990,11 @@ def _write_augmented(ctx: _Context, outdir: str) -> None:
     )
 
 
-def _write_report(ctx: _Context, report: dict, outdir: str) -> None:
-    payload = json.dumps(_sanitize(report), indent=2, sort_keys=True) + "\n"
+def _write_report(report: dict, outdir: str) -> None:
+    clean = _sanitize(report)
+    payload = json.dumps(clean, indent=2, sort_keys=True) + "\n"
     _write(os.path.join(outdir, "report.json"), payload.encode("utf-8"))
-    _write(
-        os.path.join(outdir, "report.txt"),
-        _render_report_text(_sanitize(report)).encode("utf-8"),
-    )
+    _write(os.path.join(outdir, "report.txt"), _render_report_text(clean).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -1114,13 +1088,13 @@ def _run(config: PipelineConfig, which: str) -> dict:
             with _stage(tag):
                 run_stage(ctx)
     outputs = [entry for entry in _OUTPUTS if which in entry[0]]
-    report = _build_report(ctx, which, outputs)
+    ctx.report = _build_report(ctx, which, outputs)
     with _stage("outputs"):
         for _, _, writers in outputs:
             for write in writers:
                 write(ctx, config.output_dir)
-        _write_report(ctx, report, config.output_dir)
-    return report
+        _write_report(ctx.report, config.output_dir)
+    return ctx.report
 
 
 def run_pipeline(config: PipelineConfig) -> dict:

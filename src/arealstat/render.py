@@ -135,7 +135,6 @@ def render_choropleth(
     units: AreaUnits | list[AreaUnit],
     values,
     kind: str = "quantile",
-    palette: list[str] | None = None,
     title: str = "",
 ) -> str:
     """Render one choropleth as a complete SVG document string.
@@ -155,34 +154,26 @@ def render_choropleth(
         )
 
     if kind == "quantile":
-        colors = palette if palette is not None else SEQUENTIAL_REDS
-        if len(colors) != 5:
-            raise ValueError("quantile palette needs exactly 5 colors")
         bins, edges = quantile_bins(np.asarray(values, dtype=float))
-        fill = [colors[b] for b in bins]
+        fill = [SEQUENTIAL_REDS[b] for b in bins]
         labels = (
             [f"< {edges[0]:.6g}"]
             + [f"[{edges[k]:.6g}, {edges[k + 1]:.6g})" for k in range(3)]
             + [f">= {edges[3]:.6g}"]
         )
-        legend = list(zip(colors, labels))
+        legend = list(zip(SEQUENTIAL_REDS, labels))
     elif kind == "hotspot":
-        lut = dict(HOTSPOT_PALETTE)
-        if palette is not None:
-            if len(palette) != len(CLASS_ORDER):
-                raise ValueError(
-                    f"hotspot palette needs exactly {len(CLASS_ORDER)} colors"
-                )
-            lut = dict(zip(CLASS_ORDER, palette))
-        bad = sorted({c for c in values if c not in lut})
+        bad = sorted({c for c in values if c not in HOTSPOT_PALETTE})
         if bad:
             raise ValueError(f"unknown hotspot classes {bad}")
-        fill = [lut[c] for c in values]
-        legend = [(lut[c], c) for c in CLASS_ORDER]
+        fill = [HOTSPOT_PALETTE[c] for c in values]
+        legend = [(HOTSPOT_PALETTE[c], c) for c in CLASS_ORDER]
     else:
         groups = sorted(set(int(g) for g in values))
-        colors = palette if palette is not None else CATEGORICAL_PALETTE
-        lut = {g: colors[k % len(colors)] for k, g in enumerate(groups)}
+        lut = {
+            g: CATEGORICAL_PALETTE[k % len(CATEGORICAL_PALETTE)]
+            for k, g in enumerate(groups)
+        }
         fill = [lut[int(g)] for g in values]
         legend = [(lut[g], f"group {g}") for g in groups]
 

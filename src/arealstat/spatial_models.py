@@ -68,17 +68,19 @@ def spectral_cache(weights: SpatialWeights) -> SpectralCache:
         raise ValueError("spectral cache requires row-standardized weights")
     if weights.include_self:
         raise ValueError("spectral cache requires weights without self-links")
-    adj = weights.adjacency
-    n = adj.n
-    deg = adj.degree()
+    n = weights.n
+    deg = weights.degree()
     if (deg == 0).any():
         isolated = [int(i) for i in np.nonzero(deg == 0)[0]]
         raise ValueError(
             f"isolated units {isolated} have zero degree; the normalized "
             "adjacency is undefined"
         )
+    # A is W's own link pattern with unit values, so that W = D^-1 A
+    w = weights.matrix
+    adj = sp.csr_matrix((np.ones(w.nnz), w.indices, w.indptr), shape=w.shape)
     d_isqrt = sp.diags(1.0 / np.sqrt(deg.astype(float)))
-    sym = (d_isqrt @ adj.matrix @ d_isqrt).tocsc()
+    sym = (d_isqrt @ adj @ d_isqrt).tocsc()
     v0 = np.random.default_rng(0).standard_normal(n)
     omega_min = float(
         scipy.sparse.linalg.eigsh(

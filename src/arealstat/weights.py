@@ -6,9 +6,10 @@ snap pitch before comparison so nearly-touching boundaries from noisy
 sources still register as neighbors.  Weights come in binary and
 row-standardized modes and round-trip through a plain text format.
 
-The link pattern and the weights are each stored as one n x n
-``scipy.sparse.csr_matrix`` with sorted column indices; every other view
-(degrees, neighbor lists, dense arrays) is derived from those matrices.
+Contiguity returns binary weights without self-links, whose n x n
+``scipy.sparse.csr_matrix`` is the link pattern; every weights object is one
+such matrix with sorted column indices, and every other view (degrees,
+neighbor lists, dense arrays) is derived from it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import scipy.sparse as sp
 from .ingest import AreaUnit, AreaUnits
 
 __all__ = [
-    "AdjacencyList",
     "SpatialWeights",
     "queen_contiguity",
     "rook_contiguity",
@@ -36,13 +36,17 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class AdjacencyList:
-    """Symmetric neighbor structure over units indexed 0..n-1.
+class SpatialWeights:
+    """Sparse spatial weights over units indexed 0..n-1.
 
-    ``matrix`` is the n x n CSR link pattern: sorted column indices, every
-    stored value 1.0, no diagonal.  Row i's indices are unit i's neighbors.
+    ``matrix`` is the n x n CSR weights matrix with sorted column indices;
+    row i holds unit i's neighbors (and itself, with ``include_self``) and
+    their weights.  Contiguity links are the binary weights without
+    self-links: every stored value 1.0, no diagonal.
     """
 
+    mode: str
+    include_self: bool
     matrix: sp.csr_matrix
 
     @property
@@ -54,29 +58,10 @@ class AdjacencyList:
 
     @property
     def neighbors(self) -> list[np.ndarray]:
-        """Per-unit neighbor indices as read-only slices of the CSR indices."""
+        """Per-unit column indices as read-only slices of the CSR indices."""
         indices = self.matrix.indices.view()
         indices.flags.writeable = False
         return np.split(indices, self.matrix.indptr[1:-1])
-
-
-@dataclass(eq=False)
-class SpatialWeights:
-    """Sparse spatial weights derived from an adjacency list.
-
-    ``matrix`` is the n x n CSR weights matrix with sorted column indices;
-    row i holds unit i's neighbors (and itself, with ``include_self``) and
-    their weights.
-    """
-
-    adjacency: AdjacencyList
-    mode: str
-    include_self: bool
-    matrix: sp.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -118,7 +103,7 @@ def _snap_keys(xy: np.ndarray, snap_tolerance: float | None) -> np.ndarray:
     return np.rint(xy / pitch)
 
 
-def _link_shared_keys(owner: np.ndarray, keys: np.ndarray, n: int) -> AdjacencyList:
+def _link_shared_keys(owner: np.ndarray, keys: np.ndarray, n: int) -> SpatialWeights:
     """Units meeting on any key become mutual neighbors: the off-diagonal
     pattern of B B^T, where B is the unit x distinct-key incidence."""
     order = np.lexsort(keys.T[::-1])
@@ -135,12 +120,12 @@ def _link_shared_keys(owner: np.ndarray, keys: np.ndarray, n: int) -> AdjacencyL
     a = sp.csr_matrix(
         (np.ones(int(off.sum())), (shared.row[off], shared.col[off])), shape=(n, n)
     )
-    return AdjacencyList(matrix=a)
+    return SpatialWeights(mode="binary", include_self=False, matrix=a)
 
 
 def queen_contiguity(
     units: AreaUnits | list[AreaUnit], snap_tolerance: float | None = None
-) -> AdjacencyList:
+) -> SpatialWeights:
     """Neighbors share at least one snapped vertex.
 
     Each vertex is quantized to the snap pitch (default 1e-9 of the
@@ -155,7 +140,7 @@ def queen_contiguity(
 
 def rook_contiguity(
     units: AreaUnits | list[AreaUnit], snap_tolerance: float | None = None
-) -> AdjacencyList:
+) -> SpatialWeights:
     """Neighbors share a snapped edge (consecutive vertex pair).
 
     Each boundary segment is keyed by its sorted pair of snapped endpoints,
@@ -172,26 +157,31 @@ def rook_contiguity(
     return _link_shared_keys(owner[start][keep], edges[keep], len(units))
 
 
-def detect_islands(adjacency: AdjacencyList) -> list[int]:
+def detect_islands(links: SpatialWeights) -> list[int]:
     """Indices of units with no neighbors, ascending."""
-    return np.flatnonzero(adjacency.degree() == 0).tolist()
+    return np.flatnonzero(links.degree() == 0).tolist()
 
 
 def to_weights(
-    adjacency: AdjacencyList, mode: str, include_self: bool = False
+    links: SpatialWeights, mode: str, include_self: bool = False
 ) -> SpatialWeights:
-    """Turn adjacency into weights.
+    """Turn contiguity links into weights.
 
     ``mode`` is ``"binary"`` (every link weight 1) or ``"row-standardized"``
     (each row rescaled to sum to 1).  With ``include_self`` a self-link is
     added before any standardization.  Isolated units keep an all-zero row
-    under row standardization; a warning names them.
+    under row standardization; a warning names them.  ``links`` must be
+    binary weights without self-links, as contiguity returns them.
     """
     if mode not in ("binary", "row-standardized"):
         raise ValueError(f"unknown weights mode {mode!r}")
-    w = adjacency.matrix
+    if links.mode != "binary" or links.include_self:
+        raise ValueError(
+            "weights must be built from contiguity links (binary, without self-links)"
+        )
+    w = links.matrix
     if include_self:
-        w = w + sp.identity(adjacency.n, format="csr")
+        w = w + sp.identity(links.n, format="csr")
     if mode == "row-standardized":
         deg = np.diff(w.indptr)
         islands = np.flatnonzero(deg == 0).tolist()
@@ -201,9 +191,7 @@ def to_weights(
                 stacklevel=2,
             )
         w = sp.csr_matrix((1.0 / np.repeat(deg, deg), w.indices, w.indptr), shape=w.shape)
-    return SpatialWeights(
-        adjacency=adjacency, mode=mode, include_self=include_self, matrix=w
-    )
+    return SpatialWeights(mode=mode, include_self=include_self, matrix=w)
 
 
 def lag(weights: SpatialWeights, x: np.ndarray) -> np.ndarray:
@@ -232,12 +220,12 @@ def write_weights(weights: SpatialWeights) -> str:
 def read_weights(text: str) -> SpatialWeights:
     """Parse the plain text format written by :func:`write_weights`.
 
-    The adjacency reconstructed from the links drops any self-links;
-    ``include_self`` is inferred from their presence.  Input the spatial
-    code would misuse is refused with a message naming the unit: self-links
-    on some units but not all, a link without its reverse, a binary weight
-    other than 1, or a row-standardized weight other than 1/degree (within
-    1e-12).  When several links are at fault, the first by (i, j) is named.
+    ``include_self`` is inferred from the presence of self-links.  Input
+    the spatial code would misuse is refused with a message naming the
+    unit: self-links on some units but not all, a link without its reverse,
+    a binary weight other than 1, or a row-standardized weight other than
+    1/degree (within 1e-12).  When several links are at fault, the first by
+    (i, j) is named.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -303,12 +291,7 @@ def read_weights(text: str) -> SpatialWeights:
             f"unit {jj[k]}; expected {float(expected[k])!r}"
         )
 
-    links = ~diag
-    adjacency = sp.csr_matrix(
-        (np.ones(int(links.sum())), (ii[links], jj[links])), shape=(n, n)
-    )
     return SpatialWeights(
-        adjacency=AdjacencyList(matrix=adjacency),
         mode=mode,
         include_self=has_self,
         matrix=sp.csr_matrix((data, jj, indptr), shape=(n, n)),

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from arealstat.ingest import AreaUnit
-from arealstat.weights import AdjacencyList
+from arealstat.weights import SpatialWeights
 
 
 def square_unit(uid, x0, y0, size=1.0, properties=None):
@@ -33,12 +33,14 @@ def grid_units(nx, ny):
 
 
 def adjacency_from_neighbors(neighbors):
-    """AdjacencyList whose CSR pattern lists ``neighbors[i]`` in row i."""
+    """Binary contiguity links whose CSR pattern lists ``neighbors[i]`` in row i."""
     n = len(neighbors)
     rows = np.repeat(np.arange(n), [len(nb) for nb in neighbors])
     cols = np.concatenate([np.asarray(nb, dtype=np.int64) for nb in neighbors])
-    return AdjacencyList(
-        matrix=sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n))
+    return SpatialWeights(
+        mode="binary",
+        include_self=False,
+        matrix=sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n)),
     )
 
 

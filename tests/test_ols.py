@@ -20,7 +20,6 @@ from arealstat.ols import (
     koenker_bassett,
     lm_tests,
     model_decision,
-    run_diagnostics,
     significance_prune,
     stepwise_aic,
     vif,
@@ -394,13 +393,6 @@ class TestResidualDiagnostics:
         X = design_matrix([("z", np.zeros(5))])
         with pytest.raises(ValueError, match="z"):
             condition_number(X)
-
-    def test_bundled_diagnostics(self):
-        X, y = random_problem(54, n=60)
-        res = fit(X, y)
-        report = run_diagnostics(X, res)
-        assert report.jarque_bera == jarque_bera(res.residuals)
-        assert report.condition_number == condition_number(X)
 
 
 @pytest.fixture(scope="module")

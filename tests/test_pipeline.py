@@ -465,6 +465,69 @@ class TestIslands:
         )
 
 
+def county_with_cells(county, directory, cells, extra_column=None):
+    """The synthetic county with ``cells`` ({(id, column): text}) replaced
+    and its attribute rows reversed, so that file order is not geometry
+    order; ``extra_column`` (name, {id: text}) appends a column no stage
+    reads.  Returns the new config path."""
+    with open(county["config"]) as fh:
+        config = json.load(fh)
+    with open(config["attributes_path"]) as fh:
+        header, *rows = fh.read().splitlines()
+    columns = header.split(",")
+    edited = []
+    for row in rows:
+        fields = row.split(",")
+        for (uid, column), text in cells.items():
+            if fields[0] == uid:
+                fields[columns.index(column)] = text
+        if extra_column is not None:
+            fields.append(extra_column[1].get(fields[0], "1.0"))
+        edited.append(",".join(fields))
+    if extra_column is not None:
+        header += "," + extra_column[0]
+    attr_path = os.path.join(directory, "attributes.csv")
+    with open(attr_path, "w") as fh:
+        fh.write("\n".join([header] + edited[::-1]) + "\n")
+    config["attributes_path"] = attr_path
+    config_path = os.path.join(directory, "config.json")
+    with open(config_path, "w") as fh:
+        json.dump(config, fh)
+    return config_path
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("sub", ["hotspot", "regress", "pipeline"])
+    @pytest.mark.parametrize(
+        "token, value", [("inf", "inf"), ("-inf", "-inf"), ("Infinity", "inf"), ("1e999", "inf")]
+    )
+    def test_refused_at_ingest_naming_unit_and_column(
+        self, county, tmp_path, capsys, sub, token, value
+    ):
+        # unit 100010's bad income comes first in the file, 100004 first in
+        # geometry order
+        cells = {("100004", "prevalence"): token, ("100010", "income"): token}
+        config_path = county_with_cells(county, str(tmp_path), cells)
+        code = cli_main([sub, "--config", config_path, "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"[ingest] unit '100004' has non-finite value {value} in column 'prevalence'" in err
+
+    def test_unread_column_leaves_the_run_alone(self, county, tmp_path):
+        config_path = county_with_cells(
+            county, str(tmp_path), {}, extra_column=("unused", {"100004": "inf"})
+        )
+        for name, path in (("base", county["config"]), ("edited", config_path)):
+            out = str(tmp_path / name)
+            assert cli_main(["pipeline", "--config", path, "--output-dir", out]) == 0
+        # the reports echo the config, whose paths differ
+        for name in PIPELINE_FILES:
+            if not name.startswith("report."):
+                with open(tmp_path / "base" / name, "rb") as a, \
+                        open(tmp_path / "edited" / name, "rb") as b:
+                    assert a.read() == b.read(), name
+
+
 class TestCli:
     def test_pipeline_exit_zero(self, county, tmp_path, capsys):
         out = str(tmp_path / "cli_out")

@@ -181,13 +181,6 @@ class TestChoropleth:
         with pytest.raises(ValueError):
             render_choropleth(grid_units(2, 2), np.arange(4.0), kind="heat")
 
-    def test_custom_quantile_palette_must_have_five_colors(self):
-        units = grid_units(2, 2)
-        with pytest.raises(ValueError):
-            render_choropleth(
-                units, np.arange(4.0), kind="quantile", palette=["#fff", "#000"]
-            )
-
 
 class TestPathText:
     @settings(max_examples=100, deadline=None)

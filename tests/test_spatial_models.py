@@ -9,11 +9,13 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.sparse import identity
 
 from arealstat import spatial_models
 from arealstat.ols import design_matrix, fit
 from arealstat.spatial_models import (
+    SpectralCache,
     compare,
     error_concentrated_loglik,
     fit_error_ml,
@@ -23,8 +25,14 @@ from arealstat.spatial_models import (
     spectral_cache,
 )
 from arealstat.synth import autoregressive_solver
-from arealstat.weights import queen_contiguity, to_weights
-from conftest import adjacency_from_neighbors, grid_units
+from arealstat.weights import (
+    queen_contiguity,
+    read_weights,
+    rook_contiguity,
+    to_weights,
+    write_weights,
+)
+from conftest import adjacency_from_neighbors, grid_units, torus_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +63,41 @@ def make_lag_data(w, rho, seed, beta=(1.0, 2.0, -1.0)):
     return X, y
 
 
+def adjacency_sym(adj):
+    """S = D^-1/2 A D^-1/2 from the contiguity links themselves: the
+    construction spectral_cache used before it read A off W's own pattern,
+    kept verbatim as the oracle."""
+    deg = adj.degree()
+    d_isqrt = sp.diags(1.0 / np.sqrt(deg.astype(float)))
+    return (d_isqrt @ adj.matrix @ d_isqrt).tocsc()
+
+
 class TestSpectralCache:
+    @pytest.mark.parametrize(
+        "links",
+        [
+            queen_contiguity(grid_units(10, 10)),
+            rook_contiguity(grid_units(7, 9)),
+            torus_adjacency(6, 5),
+        ],
+        ids=["queen", "rook", "torus"],
+    )
+    @pytest.mark.parametrize("via_text", [False, True])
+    def test_sym_and_log_det_bit_equal_to_adjacency_oracle(self, links, via_text):
+        w = to_weights(links, "row-standardized")
+        if via_text:
+            w = read_weights(write_weights(w))
+        cache = spectral_cache(w)
+        sym = adjacency_sym(links)
+        for got, want in ((cache.sym.indptr, sym.indptr),
+                          (cache.sym.indices, sym.indices),
+                          (cache.sym.data, sym.data)):
+            assert np.array_equal(got, want)
+        oracle = SpectralCache(sym=sym, interval=cache.interval)
+        lo, hi = cache.interval
+        for p in (lo + 1e-6, 0.5 * lo, -0.1, 0.0, 0.3, 0.9, hi - 1e-6):
+            assert log_det(cache, p) == log_det(oracle, p)
+
     def test_interval_brackets_zero(self, w10, cache10):
         # dense oracle: the ends are 1/min and 1/max of W's own spectrum
         dense_eigs = np.linalg.eigvals(w10.to_dense()).real

@@ -38,7 +38,7 @@ def same_adjacency(a, b):
 
 
 # Reference: the bucket-based contiguity search that the CSR construction
-# replaced, kept verbatim (only the returned AdjacencyList is built from the
+# replaced, kept verbatim (only the returned links are built from the
 # neighbor lists) so the vectorised search can be checked against it.
 def _snap_pitch(units, snap_tolerance):
     if snap_tolerance is not None:
@@ -388,6 +388,15 @@ class TestWeightModes:
         with pytest.warns(UserWarning, match=r"\[3\]"):
             w = to_weights(adj, "row-standardized")
         assert w.to_dense()[3].sum() == 0.0
+
+    def test_only_contiguity_links_are_accepted(self):
+        links = queen_contiguity(grid_units(3, 3))
+        for built in (
+            to_weights(links, "row-standardized"),
+            to_weights(links, "binary", include_self=True),
+        ):
+            with pytest.raises(ValueError, match="contiguity links"):
+                to_weights(built, "binary")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
