@@ -140,15 +140,20 @@ def ward_cluster(points: np.ndarray) -> Dendrogram:
     return Dendrogram(n=n, merges=merges)
 
 
-def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
+def cut(dendrogram: Dendrogram, k: int, ids=None) -> np.ndarray:
     """Labels 1..k from stopping the agglomeration at k groups.
 
-    The first n-k merges are replayed; groups are numbered by the first
-    leaf index at which each one appears.
+    The first n-k merges are replayed; groups are numbered in the order of
+    their smallest member of ``ids``, one sortable id per leaf (by default
+    the leaf index), so that with unit ids the numbering does not depend on
+    the order of the units.
     """
     n = dendrogram.n
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in 1..{n}, got {k}")
+    keys = range(n) if ids is None else list(ids)
+    if len(keys) != n:
+        raise ValueError(f"ids must hold one id per leaf ({n}), got {len(keys)}")
     parent: dict[int, int] = {}
     for s in range(n - k):
         left, right, _, _ = dendrogram.merges[s]
@@ -160,16 +165,12 @@ def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
             i = parent[i]
         return i
 
-    labels = np.zeros(n, dtype=int)
-    next_label = 1
+    roots = [find(i) for i in range(n)]
+    # in id order, the first leaf met of each group holds its smallest id
     label_of: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        if root not in label_of:
-            label_of[root] = next_label
-            next_label += 1
-        labels[i] = label_of[root]
-    return labels
+    for i in sorted(range(n), key=keys.__getitem__):
+        label_of.setdefault(roots[i], len(label_of) + 1)
+    return np.array([label_of[root] for root in roots], dtype=int)
 
 
 @dataclass(eq=False)

@@ -57,6 +57,10 @@ def gi_star(
         raise ValueError("hot-spot statistic needs at least 3 units")
     if np.isnan(x).any():
         raise ValueError("x contains missing values")
+    infinite = np.flatnonzero(np.isinf(x))
+    if infinite.size:
+        i = int(infinite[0])
+        raise ValueError(f"x has non-finite value {x[i]} at unit {i}")
     if np.all(x == x[0]):
         raise ValueError("x is constant; z-scores are undefined")
 

@@ -107,6 +107,12 @@ def design_matrix(columns: list[tuple[str, np.ndarray]]) -> DesignMatrix:
             )
         if np.isnan(a).any():
             raise ValueError(f"column {name!r} contains missing values")
+        infinite = np.flatnonzero(np.isinf(a))
+        if infinite.size:
+            i = int(infinite[0])
+            raise ValueError(
+                f"column {name!r} has non-finite value {a[i]} at row {i}"
+            )
         names.append(name)
         arrays.append(a)
     values = np.column_stack([np.ones(n)] + arrays)

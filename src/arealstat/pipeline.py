@@ -439,7 +439,9 @@ def _stage_cluster(ctx: _Context) -> None:
     ctx.cluster_features = ranked[:count]
     points = np.column_stack([ctx.z_columns[c] for c in ctx.cluster_features])
     ctx.dendrogram = _cluster.ward_cluster(points)
-    ctx.assignments = _cluster.cut(ctx.dendrogram, ctx.config.group_k)
+    ctx.assignments = _cluster.cut(
+        ctx.dendrogram, ctx.config.group_k, ids=ctx.dataset.units.ids
+    )
 
 
 def _stage_profile(ctx: _Context) -> None:

@@ -6,10 +6,15 @@ Two models over row-standardized contiguity weights W:
 * spatial lag:   y = rho*W*y + Xb + eps
 
 Both are fit by concentrating the likelihood down to the single spatial
-parameter, searched over the interval where the Jacobian determinant is
-positive.  The log-determinant term is evaluated exactly from a sparse LU
-factorization of I - pS, where S is the symmetric degree-normalized
-adjacency that shares W's spectrum; no dense n x n matrix is formed.
+parameter, searched over (-1, 1): W is row-stochastic, so every eigenvalue
+lies in [-1, 1] and the Jacobian determinant is positive there without an
+eigensolve.  Brent's search is polished by one Newton step on the
+concentrated score, so the estimate sits at the score's root and not at
+the search's bracket.  The log-determinant term is evaluated exactly from
+a sparse LU factorization of I - pS, where S is the symmetric
+degree-normalized adjacency that shares W's spectrum; the lag model's
+fitted values come from the same LU at the estimate.  No dense n x n
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ __all__ = [
 @dataclass(eq=False)
 class SpectralCache:
     """The sparse symmetric normalization S = D^-1/2 A D^-1/2 of the
-    adjacency behind W, the open interval of spatial parameter values with a
-    positive Jacobian determinant, and the log-determinants found so far,
-    keyed by parameter value."""
+    adjacency behind W, the open interval (-1, 1) searched for the spatial
+    parameter, and the log-determinants found so far, keyed by parameter
+    value."""
 
     sym: sp.csc_matrix
     interval: tuple[float, float]
@@ -60,15 +65,18 @@ def spectral_cache(weights: SpatialWeights) -> SpectralCache:
 
     Row-standardized W = D^-1 A is similar to the symmetric S, so both have
     the same real spectrum and det(I - pW) = det(I - pS).  W is
-    row-stochastic, so its largest eigenvalue is exactly 1; the smallest
-    comes from sparse Lanczos iteration (ARPACK) started from a fixed
-    vector, so that repeated runs agree bit for bit.
+    row-stochastic, so every eigenvalue lies in [-1, 1] and I - pS is
+    positive definite for p in (-1, 1), the interval searched (the
+    restricted range of LeSage & Pace 2009, ch. 4).  No eigenvalue is
+    computed.  For bipartite links, such as the rook lattice, -1 is an
+    eigenvalue and the interval is the whole feasible range
+    (1/omega_min, 1/omega_max); otherwise an estimate in
+    (1/omega_min, -1] is refused as pinned at the boundary.
     """
     if weights.mode != "row-standardized":
         raise ValueError("spectral cache requires row-standardized weights")
     if weights.include_self:
         raise ValueError("spectral cache requires weights without self-links")
-    n = weights.n
     deg = weights.degree()
     if (deg == 0).any():
         isolated = [int(i) for i in np.nonzero(deg == 0)[0]]
@@ -81,15 +89,7 @@ def spectral_cache(weights: SpatialWeights) -> SpectralCache:
     adj = sp.csr_matrix((np.ones(w.nnz), w.indices, w.indptr), shape=w.shape)
     d_isqrt = sp.diags(1.0 / np.sqrt(deg.astype(float)))
     sym = (d_isqrt @ adj @ d_isqrt).tocsc()
-    v0 = np.random.default_rng(0).standard_normal(n)
-    omega_min = float(
-        scipy.sparse.linalg.eigsh(
-            sym, k=1, which="SA", tol=0, v0=v0, return_eigenvectors=False
-        )[0]
-    )
-    if not omega_min < 0:
-        raise ValueError("adjacency spectrum does not straddle 0; no valid interval")
-    return SpectralCache(sym=sym, interval=(1.0 / omega_min, 1.0))
+    return SpectralCache(sym=sym, interval=(-1.0, 1.0))
 
 
 def log_det(cache: SpectralCache, p: float) -> float:
@@ -106,20 +106,28 @@ def log_det(cache: SpectralCache, p: float) -> float:
         )
     p = float(p)
     if p not in cache.log_dets:
-        lu = scipy.sparse.linalg.splu(
-            sp.identity(cache.n, format="csc") - p * cache.sym,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        pivots = lu.U.diagonal()
-        if not (pivots > 0).all():
-            raise ValueError(
-                f"sparse LU of I - pS at p={p!r} has a non-positive pivot; "
-                f"I - pS is not positive definite inside ({lo}, {hi})"
-            )
-        cache.log_dets[p] = float(np.sum(np.log(pivots)))
+        _factorize(cache, p)
     return cache.log_dets[p]
+
+
+def _factorize(cache: SpectralCache, p: float):
+    """Sparse LU of I - pS, whose pivots give ``log_det`` at p (memoised
+    here) and whose solve serves the lag model's fitted values."""
+    lu = scipy.sparse.linalg.splu(
+        sp.identity(cache.n, format="csc") - p * cache.sym,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    pivots = lu.U.diagonal()
+    if not (pivots > 0).all():
+        lo, hi = cache.interval
+        raise ValueError(
+            f"sparse LU of I - pS at p={p!r} has a non-positive pivot; "
+            f"I - pS is not positive definite inside ({lo}, {hi})"
+        )
+    cache.log_dets[p] = float(np.sum(np.log(pivots)))
+    return lu
 
 
 def _prepare(X, y, weights, cache):
@@ -228,6 +236,10 @@ class SpatialFit:
 
 # evaluations of the profile before the spatial parameter search gives up
 _MAX_EVALS = 500
+# Brent's absolute tolerance on p.  The Newton step that follows the search
+# squares its error, so the search need not resolve p to sqrt(eps), where
+# profile values differ by rounding alone and its steps wander.
+_XATOL = 1e-7
 
 
 def _bounded_minimize(func, x1, x2, xatol, maxfun):
@@ -331,17 +343,28 @@ def _bounded_minimize(func, x1, x2, xatol, maxfun):
 
 
 def _optimize_profile(fun, interval: tuple[float, float]) -> float:
+    """Maximise the profile ``fun`` over the interval by Brent's search.
+
+    A search that meets a NaN profile value is refused at that first p:
+    Brent's method notices a NaN only at its best or its last point, and
+    would otherwise converge to the edge of a NaN region.
+    """
     lo, hi = interval
     span = hi - lo
     margin = 1e-10 * span
-    param, _, status, last = _bounded_minimize(
-        lambda p: -fun(p), lo + margin, hi - margin, 1e-8, _MAX_EVALS
+
+    def negated(p):
+        value = fun(p)
+        if math.isnan(value):
+            raise ValueError(
+                "spatial parameter search did not converge: profile "
+                f"log-likelihood is NaN at p={float(p)}"
+            )
+        return -value
+
+    param, _, status, _ = _bounded_minimize(
+        negated, lo + margin, hi - margin, _XATOL, _MAX_EVALS
     )
-    if status == 2:
-        raise ValueError(
-            "spatial parameter search did not converge: profile "
-            f"log-likelihood is NaN (last p={float(last)})"
-        )
     if status == 1:
         raise ValueError(
             "spatial parameter search did not converge: reached "
@@ -356,19 +379,24 @@ def _optimize_profile(fun, interval: tuple[float, float]) -> float:
     return param
 
 
-def _log_det_curvature(cache: SpectralCache, p: float) -> float:
-    """d^2/dp^2 ln det(I - pW) by Richardson extrapolation of central second
-    differences of the memoised ``log_det`` with steps h and h/2, where
-    h = min(1e-3, d/32) and d is the distance from p to the nearer end of
-    the interval."""
+def _log_det_derivatives(cache: SpectralCache, p: float) -> tuple[float, float, float]:
+    """The first three derivatives of ln det(I - pW) at p from the memoised
+    ``log_det`` at p, p +- h/2 and p +- h, where h = min(1e-3, d/32) and d
+    is the distance from p to the nearer end of the interval: Richardson
+    extrapolation of central first and second differences with steps h
+    and h/2, and the central third difference."""
     lo, hi = cache.interval
     h = min(1e-3, min(p - lo, hi - p) / 32.0)
     mid = 2.0 * log_det(cache, p)
-
-    def second_difference(s):
-        return (log_det(cache, p + s) - mid + log_det(cache, p - s)) / (s * s)
-
-    return (4.0 * second_difference(0.5 * h) - second_difference(h)) / 3.0
+    (up1, down1), (up2, down2) = (
+        (log_det(cache, p + s), log_det(cache, p - s)) for s in (0.5 * h, h)
+    )
+    slope = (4.0 * (up1 - down1) / h - (up2 - down2) / (2.0 * h)) / 3.0
+    curvature = (
+        4.0 * (up1 - mid + down1) / (0.25 * h * h) - (up2 - mid + down2) / (h * h)
+    ) / 3.0
+    third = (up2 - 2.0 * up1 + 2.0 * down1 - down2) / (0.25 * h**3)
+    return slope, curvature, third
 
 
 def _hessian_se(r, jac, cross, curvature, sigma2) -> tuple[np.ndarray, float, bool]:
@@ -403,6 +431,58 @@ def _hessian_se(r, jac, cross, curvature, sigma2) -> tuple[np.ndarray, float, bo
     return se[:q], float(se[q]), True
 
 
+def _estimate(cache, n, profile, state):
+    """The spatial parameter at the root of its concentrated score, the
+    model's state there, the standard errors and, when the Newton step was
+    taken, the LU of I - pS at the estimate.
+
+    ``profile(p)`` is the concentrated log-likelihood that Brent's search
+    maximises.  ``state(p)`` returns (b, sigma^2, r, jac, cross) at p: the
+    coefficients, the residual variance, the innovation r, its Jacobian in
+    (b, p) and the vector r' d^2r/(db dp).  With the curvature of the
+    log-determinant they give the closed-form Hessian (Anselin 1988, ch. 6;
+    LeSage & Pace 2009, ch. 3) and its standard errors.
+
+    Brent's search compares profile values, which are flat to rounding
+    within about sqrt(eps) of the peak, so it places p only that closely.
+    One Newton step on the concentrated score follows,
+    p <- p + s(p)*se_p^2, since the profile's curvature is -1/se_p^2; by
+    the envelope theorem s(p) = -r'(dr/dp)/sigma^2 + L'(p), and L' comes
+    from the four log-determinants the curvature already factorised.  The
+    step is tried only inside the interval and kept only if the profile
+    does not fall by more than the rounding of its terms.  b, sigma^2, the
+    likelihood and the Hessian are then those at the new p, with the
+    curvature carried there by the third derivative from the same four
+    points, so that the step costs one LU, at the new p.
+    """
+    param = _optimize_profile(profile, cache.interval)
+    current = state(param)
+    _, sigma2, r, jac, cross = current
+    slope, curvature, third = _log_det_derivatives(cache, param)
+    beta_se, param_se, ok = _hessian_se(r, jac, cross, curvature, sigma2)
+    lu = None
+    lo, hi = cache.interval
+    if ok:
+        step = param + (-float(r @ jac[:, -1]) / sigma2 + slope) * param_se**2
+        if lo < step < hi:
+            lu = _factorize(cache, step)
+            moved = state(step)
+            # this close to the peak the profile moves by a few ulps of its
+            # terms either way; a fall of more than 64 means a bad step
+            terms = 0.5 * n * (_LL_CONST + abs(math.log(sigma2)))
+            slack = 64 * np.finfo(float).eps * (terms + abs(log_det(cache, param)))
+            fall = _profile_ll(n, sigma2, cache, param) - _profile_ll(
+                n, moved[1], cache, step
+            )
+            if fall <= slack:
+                curvature += third * (step - param)
+                beta_se, param_se, ok = _hessian_se(*moved[2:], curvature, moved[1])
+                param, current = step, moved
+            else:
+                lu = None
+    return param, current, beta_se, param_se, ok, lu
+
+
 def _wald_p(est: np.ndarray | float, se: np.ndarray | float):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(np.asarray(est, dtype=float) / np.asarray(se, dtype=float))
@@ -410,20 +490,11 @@ def _wald_p(est: np.ndarray | float, se: np.ndarray | float):
 
 
 def _spatial_fit(
-    kind, X, y, cache, param, beta, sigma2, r, jac, cross, fitted, u
+    kind, X, y, cache, param, beta, sigma2, beta_se, param_se, ok, fitted, u
 ) -> SpatialFit:
-    """Likelihood, standard errors and fit scores shared by both models.
-
-    ``r`` is the innovation at the estimate, ``jac`` its Jacobian in
-    (b, p) and ``cross`` the vector r' d^2r/(db dp); with the curvature of
-    the log-determinant they give the closed-form Hessian (Anselin 1988,
-    ch. 6; LeSage & Pace 2009, ch. 3).
-    """
+    """Likelihood, Wald p-values and fit scores shared by both models."""
     n, q = X.n, X.q
     ll = _profile_ll(n, sigma2, cache, param)
-    beta_se, param_se, ok = _hessian_se(
-        r, jac, cross, _log_det_curvature(cache, param), sigma2
-    )
     return SpatialFit(
         kind=kind,
         names=list(X.names),
@@ -455,20 +526,22 @@ def fit_error_ml(
     xv = X.values
     wx = w @ xv
 
-    lam = _optimize_profile(
-        lambda p: _error_profile(xv, y, wx, wy, cache, p), cache.interval
-    )
-    xf = xv - lam * wx
-    yf = y - lam * wy
-    beta = _lstsq(xf, yf)[0]
-    resid_f = yf - xf @ beta
-    sigma2 = float(resid_f @ resid_f) / X.n
+    def state(lam):
+        xf = xv - lam * wx
+        yf = y - lam * wy
+        beta = _lstsq(xf, yf)[0]
+        resid_f = yf - xf @ beta
+        # eps = (I - lam W)(y - Xb): d eps/db = -(X - lam WX),
+        # d eps/dlam = -W(y - Xb)
+        jac = -np.column_stack([xf, wy - wx @ beta])
+        return beta, float(resid_f @ resid_f) / X.n, resid_f, jac, wx.T @ resid_f
 
-    # eps = (I - lam W)(y - Xb): d eps/db = -(X - lam WX), d eps/dlam = -W(y - Xb)
+    lam, (beta, sigma2, *_), beta_se, lam_se, ok, _ = _estimate(
+        cache, X.n, lambda p: _error_profile(xv, y, wx, wy, cache, p), state
+    )
     fitted = xv @ beta
-    jac = -np.column_stack([xf, wy - wx @ beta])
     return _spatial_fit(
-        "error", X, y, cache, lam, beta, sigma2, resid_f, jac, wx.T @ resid_f,
+        "error", X, y, cache, lam, beta, sigma2, beta_se, lam_se, ok,
         fitted, y - fitted,
     )
 
@@ -480,23 +553,29 @@ def fit_lag_ml(
     cache: SpectralCache | None = None,
 ) -> SpatialFit:
     """Fit the spatial lag model by concentrated maximum likelihood."""
-    y, wy, coef, cache, w = _prepare(X, y, weights, cache)
+    y, wy, coef, cache, _ = _prepare(X, y, weights, cache)
     xv = X.values
     b0, b1 = coef.T
     e0, e1 = (np.column_stack([y, wy]) - xv @ coef).T
-
-    rho = _optimize_profile(lambda p: _lag_profile(e0, e1, cache, p), cache.interval)
-    beta = b0 - rho * b1
-    er = e0 - rho * e1
-    sigma2 = float(er @ er) / X.n
-
     # eps = y - rho Wy - Xb is linear in (b, rho): no cross terms
-    ident = sp.identity(X.n, format="csc")
-    fitted = scipy.sparse.linalg.spsolve(ident - rho * w.tocsc(), xv @ beta)
-    u = y - rho * wy - xv @ beta
     jac = -np.column_stack([xv, wy])
+
+    def state(rho):
+        beta = b0 - rho * b1
+        er = e0 - rho * e1
+        u = y - rho * wy - xv @ beta
+        return beta, float(er @ er) / X.n, u, jac, 0.0
+
+    rho, (beta, sigma2, u, *_), beta_se, rho_se, ok, lu = _estimate(
+        cache, X.n, lambda p: _lag_profile(e0, e1, cache, p), state
+    )
+    if lu is None:
+        lu = _factorize(cache, rho)
+    # (I - rho W)^-1 = D^-1/2 (I - rho S)^-1 D^1/2, since W = D^-1/2 S D^1/2
+    d_sqrt = np.sqrt(weights.degree().astype(float))
+    fitted = lu.solve(d_sqrt * (xv @ beta)) / d_sqrt
     return _spatial_fit(
-        "lag", X, y, cache, rho, beta, sigma2, u, jac, 0.0, fitted, u
+        "lag", X, y, cache, rho, beta, sigma2, beta_se, rho_se, ok, fitted, u
     )
 
 

@@ -95,6 +95,10 @@ def zscore(x: np.ndarray) -> np.ndarray:
         raise ValueError("zscore needs at least 2 values")
     if np.isnan(x).any():
         raise ValueError("zscore input contains missing values")
+    infinite = np.flatnonzero(np.isinf(x))
+    if infinite.size:
+        i = int(infinite[0])
+        raise ValueError(f"zscore input has non-finite value {x[i]} at position {i}")
     sd = float(np.std(x, ddof=1))
     if sd == 0.0:
         raise ValueError("zscore input is constant")

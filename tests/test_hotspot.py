@@ -159,6 +159,14 @@ class TestGiStar:
         with pytest.raises(ValueError):
             gi_star(lattice_weights, x)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_value_named_by_unit(self, bad):
+        w = to_weights(queen_contiguity(grid_units(5, 5)), "binary", include_self=True)
+        x = np.arange(25.0)
+        x[4] = bad
+        with pytest.raises(ValueError, match=rf"non-finite value {bad} at unit 4$"):
+            gi_star(w, x)
+
     def test_neighborhood_of_every_unit_rejected(self):
         # the centre of a 3 x 3 queen lattice neighbours all 9 units, so its
         # n * sum(w^2) - sum(w)^2 = 9 * 9 - 9^2 is 0 and z would be 0/0

@@ -61,6 +61,14 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             design_matrix([("a", [1.0, np.nan])])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_value_named_by_column_and_row(self, bad):
+        # one value per unit of a 5 x 5 lattice, the fifth infinite
+        x = np.arange(25.0)
+        x[4] = bad
+        with pytest.raises(ValueError, match=rf"column 'b' has non-finite value {bad} at row 4$"):
+            design_matrix([("a", np.ones(25)), ("b", x)])
+
     def test_drop_protects_intercept(self):
         X = design_matrix([("a", [1.0, 2.0, 3.0])])
         with pytest.raises(ValueError):

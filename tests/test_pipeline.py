@@ -3,7 +3,9 @@ and the command line front end."""
 
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -327,7 +329,7 @@ class TestFullRun:
 
 def test_unavailable_standard_errors_are_left_blank(county, tmp_path, monkeypatch):
     # a large positive log-determinant curvature makes the Hessian indefinite
-    monkeypatch.setattr(spatial_models, "_log_det_curvature", lambda c, p: 1e12)
+    monkeypatch.setattr(spatial_models, "_log_det_derivatives", lambda c, p: (0.0, 1e12, 0.0))
     config = dataclasses.replace(load_config(county["config"]), output_dir=str(tmp_path))
     report = run_subcommand(config, "regress")
     assert report["spatial"] is not None
@@ -662,3 +664,123 @@ def test_pipeline_run_imports_no_scipy_stats_or_optimize(county, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert os.path.exists(os.path.join(out, "report.json"))
+
+
+# Reordering the units may move a number by rounding only.  Full-precision
+# floats agree to 1e-8 relative: the spatial estimate sits at its score
+# root, to about 1e-10, and its standard errors move with the rounding of
+# the log-determinant's curvature under a new LU ordering, up to 2e-9.
+# A small p-value moves by z^2 times its se's relative change, so p-values
+# are compared by their logarithms, which move by twice that change, and
+# get no floor; one near 1 may instead match as it is.  Text
+# written with six significant digits agrees to one unit in the sixth
+# digit.  Values that are rounding noise themselves, such as the OLS
+# intercept of z-scored data (4.4e-17 in one order, -8.2e-16 in the
+# other), need an absolute floor.
+_FLOAT_REL = 1e-8
+_TEXT_REL = 2e-5
+_NOISE_FLOOR = 1e-12
+_P_VALUES = {"p", "adjusted_p", "gi_p", "gi_p_adj"}
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
+
+
+def _close(a: float, b: float, rel: float, floor: float = _NOISE_FLOOR) -> bool:
+    return math.isclose(a, b, rel_tol=rel, abs_tol=floor) or (
+        math.isnan(a) and math.isnan(b)
+    )
+
+
+def _assert_same_numbers(a, b, where: str, key: str = "") -> None:
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b), where
+        for k in a:
+            _assert_same_numbers(a[k], b[k], f"{where}.{k}", k)
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_numbers(x, y, f"{where}[{i}]", key)
+    elif isinstance(a, float) and isinstance(b, float):
+        if key in _P_VALUES:
+            assert _close(a, b, _FLOAT_REL, 0.0) or (
+                min(a, b) > 0.0 and _close(math.log(a), math.log(b), _FLOAT_REL, 0.0)
+            ), (where, a, b)
+        else:
+            assert _close(a, b, _FLOAT_REL), (where, a, b)
+    else:
+        assert a == b, (where, a, b)
+
+
+def _assert_same_text(a: list[str], b: list[str], where: str) -> None:
+    """Records equal up to rounding: the text between numbers exactly,
+    integers exactly (ids among them) and decimals within _TEXT_REL."""
+    assert len(a) == len(b), where
+    for x, y in zip(a, b):
+        assert _NUMBER.sub("#", x) == _NUMBER.sub("#", y), (where, x, y)
+        for u, v in zip(_NUMBER.findall(x), _NUMBER.findall(y)):
+            if re.fullmatch(r"-?\d+", u):
+                assert u == v, (where, x, y)
+            else:
+                assert _close(float(u), float(v), _TEXT_REL), (where, x, y)
+
+
+def _unit_order_free(outdir: str, name: str, inputs: tuple[str, ...]):
+    """The file's content with the input order taken out: features keyed by
+    id, id lists sorted, text records sorted, input paths left out."""
+    path = os.path.join(outdir, name)
+    if name.endswith("json"):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if name == "augmented.geojson":
+            return {f["properties"]["GEOID"]: f for f in doc["features"]}
+        for key in ("geometry_path", "output_dir"):
+            doc["config"].pop(key)
+        for key, ids in doc["dropped_units"].items():
+            doc["dropped_units"][key] = sorted(ids)
+        return doc
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    records = text.split(">") if name.endswith(".svg") else text.splitlines()
+    # report.txt lists the dropped ids in input order
+    records = [_QUOTED_LIST.sub(_sorted_list, r) for r in records]
+    return sorted(r for r in records if not any(p in r for p in inputs))
+
+
+_QUOTED_LIST = re.compile(r"\[('[^']*'(?:, '[^']*')*)\]")
+
+
+def _sorted_list(match) -> str:
+    return "[" + ", ".join(sorted(match.group(1).split(", "))) + "]"
+
+
+class TestUnitOrder:
+    """Reversing the GeoJSON features leaves every number in every output
+    in place by unit id; group numbers go by each group's smallest id."""
+
+    @pytest.mark.parametrize("sub", ["regress", "pipeline"])
+    def test_reversed_features_match_by_unit_id(self, county, tmp_path, sub):
+        config = load_config(county["config"])
+        with open(config.geometry_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["features"].reverse()
+        reversed_path = str(tmp_path / "reversed.geojson")
+        with open(reversed_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        dirs = [str(tmp_path / "given"), str(tmp_path / "reversed")]
+        run_subcommand(dataclasses.replace(config, output_dir=dirs[0]), sub)
+        run_subcommand(
+            dataclasses.replace(config, output_dir=dirs[1], geometry_path=reversed_path),
+            sub,
+        )
+        names = sorted(os.listdir(dirs[0]))
+        assert names == sorted(os.listdir(dirs[1]))
+        # weights.txt names units by row index, which follows the input order
+        names = [n for n in names if n != "weights.txt"]
+        inputs = (config.geometry_path, reversed_path, *dirs)
+        for name in names:
+            given, moved = (_unit_order_free(d, name, inputs) for d in dirs)
+            if isinstance(given, list):
+                _assert_same_text(given, moved, name)
+            else:
+                _assert_same_numbers(given, moved, name)
+        if sub == "pipeline":
+            assert "groups.csv" in names and "augmented.geojson" in names

@@ -10,6 +10,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.sparse import identity
 
 from arealstat import spatial_models
@@ -26,6 +27,7 @@ from arealstat.spatial_models import (
 )
 from arealstat.synth import autoregressive_solver
 from arealstat.weights import (
+    SpatialWeights,
     queen_contiguity,
     read_weights,
     rook_contiguity,
@@ -98,13 +100,25 @@ class TestSpectralCache:
         for p in (lo + 1e-6, 0.5 * lo, -0.1, 0.0, 0.3, 0.9, hi - 1e-6):
             assert log_det(cache, p) == log_det(oracle, p)
 
-    def test_interval_brackets_zero(self, w10, cache10):
-        # dense oracle: the ends are 1/min and 1/max of W's own spectrum
-        dense_eigs = np.linalg.eigvals(w10.to_dense()).real
-        lo, hi = cache10.interval
-        assert lo < 0 < hi
-        assert lo == pytest.approx(1.0 / dense_eigs.min(), rel=1e-12)
-        assert hi == pytest.approx(1.0 / dense_eigs.max(), rel=1e-12)
+    def test_interval_brackets_zero(self):
+        # the restricted range (-1, 1) lies inside the feasible range
+        # (1/omega_min, 1/omega_max) of W's own dense spectrum, and equals
+        # it for the bipartite rook lattice, whose omega_min is exactly -1
+        for name, links in (
+            ("queen", queen_contiguity(grid_units(10, 10))),
+            ("rook", rook_contiguity(grid_units(7, 9))),
+            ("torus", torus_adjacency(6, 5)),
+        ):
+            w = to_weights(links, "row-standardized")
+            dense_eigs = np.linalg.eigvals(w.to_dense()).real
+            dense_lo, dense_hi = 1.0 / dense_eigs.min(), 1.0 / dense_eigs.max()
+            lo, hi = spectral_cache(w).interval
+            assert (lo, hi) == (-1.0, 1.0)
+            assert hi == pytest.approx(dense_hi, rel=1e-12)
+            if name == "rook":
+                assert lo == pytest.approx(dense_lo, rel=1e-12)
+            else:
+                assert dense_lo < lo - 0.1, name
 
     def test_row_standardized_upper_bound_is_one(self, cache10):
         assert cache10.interval[1] == pytest.approx(1.0, abs=1e-8)
@@ -251,8 +265,33 @@ class TestErrorFit:
         monkeypatch.setattr(spatial_models, "log_det", nan_log_det)
         with pytest.raises(ValueError, match="log-likelihood is NaN") as exc:
             fit_error_ml(X, y, w10, cache=cache10)
-        last = float(re.search(r"last p=(\S+)\)", str(exc.value)).group(1))
-        assert last == float(seen[-1])
+        # refused at the first NaN, which the message names
+        first = float(re.search(r"NaN at p=(\S+)$", str(exc.value)).group(1))
+        assert len(seen) == 1
+        assert first == float(seen[0])
+
+    def test_search_into_a_nan_region_is_refused(self):
+        # Brent alone converges to the edge of the NaN region, 0.19999999
+        seen = []
+
+        def profile(p):
+            seen.append(float(p))
+            return math.nan if p > 0.2 else -((p - 0.5) ** 2)
+
+        with pytest.raises(ValueError, match="NaN") as exc:
+            spatial_models._optimize_profile(profile, (-1.0, 1.0))
+        first = float(re.search(r"NaN at p=(\S+)$", str(exc.value)).group(1))
+        assert first == next(p for p in seen if p > 0.2)
+
+    def test_estimate_beyond_minus_one_is_refused_as_pinned(self, w10, cache10):
+        # planted -1.5 is feasible for queen links (1/omega_min is about
+        # -1.97), so the profile rises toward -1, the end of the interval
+        X, y = make_error_data(w10, -1.5, seed=73)
+        grid = [error_concentrated_loglik(X, y, w10, g, cache=cache10)
+                for g in (-0.999, -0.99, -0.9)]
+        assert grid[0] > grid[1] > grid[2]
+        with pytest.raises(ValueError, match=r"pinned at the interval boundary \(-1\.0, 1\.0\)"):
+            fit_error_ml(X, y, w10, cache=cache10)
 
     def test_evaluation_limit_is_an_error(self, w10, cache10, monkeypatch):
         assert spatial_models._MAX_EVALS == 500
@@ -420,18 +459,33 @@ class TestStandardErrors:
 
     @pytest.mark.parametrize("side", [10, 30])
     def test_curvature_near_interval_ends(self, side):
-        # 2e-6 * span is just inside the closest estimate the search accepts
-        w = to_weights(queen_contiguity(grid_units(side, side)), "row-standardized")
-        cache = spectral_cache(w)
-        lo, hi = cache.interval
+        # 2e-6 * span is just inside the closest estimate the search accepts.
+        # 1 = 1/omega_max is singular for every W, and -1 = 1/omega_min for
+        # the bipartite rook lattice; the steps shrink toward either end.
+        # For queen links -1 is not singular and rounding over the shrunken
+        # steps grows: 1.5e-6 relative at -1 + 1e-3, so -1 + 1e-2 is checked.
+        # The slope feeds the Newton step; the third derivative only carries
+        # the curvature over that step, about 1e-8, so 1e-2 is ample for it.
+        lo, hi = -1.0, 1.0
         gap = 2e-6 * (hi - lo)
-        for p in (lo + gap, lo + 1e-3, hi - 1e-3, hi - gap):
-            got = spatial_models._log_det_curvature(cache, p)
-            assert got == pytest.approx(exact_curvature(cache, p), rel=1e-6)
+        for build, points in (
+            (queen_contiguity, (lo + 1e-2, hi - 1e-3, hi - gap)),
+            (rook_contiguity, (lo + gap, lo + 1e-3, hi - 1e-3, hi - gap)),
+        ):
+            w = to_weights(build(grid_units(side, side)), "row-standardized")
+            cache = spectral_cache(w)
+            assert cache.interval == (lo, hi)
+            omega = np.linalg.eigvalsh(cache.sym.toarray())
+            for p in points:
+                slope, curvature, third = spatial_models._log_det_derivatives(cache, p)
+                assert curvature == pytest.approx(exact_curvature(cache, p), rel=1e-6)
+                ratio = omega / (1.0 - p * omega)
+                assert slope == pytest.approx(-np.sum(ratio), rel=1e-6)
+                assert third == pytest.approx(-2.0 * np.sum(ratio**3), rel=1e-2)
 
     @pytest.mark.parametrize("kind", ["error", "lag"])
     def test_unavailable_when_not_negative_definite(self, w10, cache10, kind, monkeypatch):
-        monkeypatch.setattr(spatial_models, "_log_det_curvature", lambda c, p: 1e12)
+        monkeypatch.setattr(spatial_models, "_log_det_derivatives", lambda c, p: (0.0, 1e12, 0.0))
         make, fit_fn = FITS[kind]
         X, y = make(w10, 0.5, seed=93)
         res = fit_fn(X, y, w10, cache=cache10)
@@ -499,6 +553,109 @@ class TestStandardErrors:
         beta_se, param_se = oracle_se(kind, X, y, w, cache, res)
         np.testing.assert_allclose(res.beta_se, beta_se, rtol=1e-7, atol=0)
         assert res.param_se == pytest.approx(param_se, rel=1e-7)
+
+
+def exact_score(kind, X, y, w, cache):
+    """The concentrated score s(p) = r'W(y - Xb)/sigma^2 + L'(p) (error) or
+    r'Wy/sigma^2 + L'(p) (lag), with b and sigma^2 at p from dense least
+    squares and L' = -sum w/(1 - pw) over the dense spectrum."""
+    omega = np.linalg.eigvalsh(cache.sym.toarray())
+    wd = w.to_dense()
+    xv, wy, wx = X.values, wd @ y, wd @ X.values
+
+    def score(p):
+        if kind == "error":
+            b = np.linalg.lstsq(xv - p * wx, y - p * wy, rcond=None)[0]
+            u = y - xv @ b
+            r = u - p * (wd @ u)
+            tail = wd @ u
+        else:
+            b = np.linalg.lstsq(xv, y - p * wy, rcond=None)[0]
+            r = y - p * wy - xv @ b
+            tail = wy
+        return (r @ tail) / (r @ r / y.size) - np.sum(omega / (1.0 - p * omega))
+
+    return score
+
+
+def permuted(w, perm):
+    """The same weights with unit perm[i] renumbered i."""
+    m = w.matrix[perm][:, perm].tocsr()
+    m.sort_indices()
+    return SpatialWeights(mode=w.mode, include_self=w.include_self, matrix=m)
+
+
+class TestScoreRoot:
+    """The estimate sits at the root of the concentrated score, not at
+    Brent's bracket, which ends about sqrt(eps) from it."""
+
+    @pytest.mark.parametrize("kind", ["error", "lag"])
+    @pytest.mark.parametrize(
+        "side, planted, seed", [(10, 0.5, 110), (20, 0.2, 111), (30, 0.5, 112)]
+    )
+    def test_matches_dense_score_root(self, kind, side, planted, seed):
+        w = to_weights(queen_contiguity(grid_units(side, side)), "row-standardized")
+        cache = spectral_cache(w)
+        make, fit_fn = FITS[kind]
+        X, y = make(w, planted, seed=seed)
+        res = fit_fn(X, y, w, cache=cache)
+        score = exact_score(kind, X, y, w, cache)
+        root = scipy.optimize.brentq(
+            score, res.param - 1e-6, res.param + 1e-6, xtol=1e-15, rtol=1e-15
+        )
+        assert abs(res.param - root) < 1e-11
+
+    @pytest.mark.parametrize("kind", ["error", "lag"])
+    def test_unit_order_does_not_move_the_estimate(self, kind):
+        w = to_weights(queen_contiguity(grid_units(30, 30)), "row-standardized")
+        make, fit_fn = FITS[kind]
+        X, y = make(w, 0.5, seed=113)
+        res = fit_fn(X, y, w, cache=spectral_cache(w))
+        rng = np.random.default_rng(114)
+        for _ in range(3):
+            perm = rng.permutation(w.n)
+            Xp = design_matrix([(name, X.values[perm, j]) for j, name in enumerate(X.names) if j])
+            wp = permuted(w, perm)
+            moved = fit_fn(Xp, y[perm], wp, cache=spectral_cache(wp))
+            assert abs(moved.param - res.param) < 1e-11
+            np.testing.assert_allclose(moved.beta, res.beta, rtol=1e-9, atol=1e-12)
+            assert moved.sigma2 == pytest.approx(res.sigma2, rel=1e-11)
+            assert moved.log_likelihood == pytest.approx(res.log_likelihood, rel=1e-12)
+
+
+class TestNoEigensolve:
+    def test_fits_run_without_arpack_or_a_separate_solve(self, w10, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("not expected to run")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", refuse)
+        cache = spectral_cache(w10)
+        X, y = make_error_data(w10, 0.5, seed=115)
+        assert fit_error_ml(X, y, w10, cache=cache).kind == "error"
+        X, y = make_lag_data(w10, 0.5, seed=116)
+        assert fit_lag_ml(X, y, w10, cache=spectral_cache(w10)).kind == "lag"
+
+    def test_lag_fit_factorises_the_estimate_at_most_once_more(self, w10, monkeypatch):
+        inner = spatial_models._factorize
+        calls = []
+
+        def recording(c, p):
+            calls.append(p)
+            return inner(c, p)
+
+        monkeypatch.setattr(spatial_models, "_factorize", recording)
+        for seed in range(117, 121):
+            X, y = make_lag_data(w10, 0.5, seed=seed)
+            cache = spectral_cache(w10)
+            calls.clear()
+            res = fit_lag_ml(X, y, w10, cache=cache)
+            counts = {p: calls.count(p) for p in calls}
+            # Brent's and the curvature's points once each; the estimate once
+            # more at most, when the Newton step left it at Brent's point
+            assert counts[res.param] <= 2
+            assert all(v == 1 for p, v in counts.items() if p != res.param)
+            assert len(calls) <= len(cache.log_dets) + 1
 
 
 @pytest.mark.parametrize("fit_fn", [fit_error_ml, fit_lag_ml])

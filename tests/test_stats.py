@@ -69,6 +69,14 @@ class TestZscore:
         with pytest.raises(ValueError):
             zscore(np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_value_named_by_position(self, bad):
+        # one value per unit of a 5 x 5 lattice, the fifth infinite
+        x = np.arange(25.0)
+        x[4] = bad
+        with pytest.raises(ValueError, match=rf"non-finite value {bad} at position 4$"):
+            zscore(x)
+
 
 def rank_then_pearson(x, y):
     """Oracle: average-rank transform, then plain Pearson correlation."""
