@@ -7,145 +7,24 @@ outputs at every step.
 """
 
 from ._version import __version__
-from .ingest import (
-    AreaUnit,
-    AreaUnits,
-    AttributeTable,
-    MergedDataset,
-    drop_missing_rows,
-    merge,
-    parse_attributes,
-    parse_geometry,
-    serialize_geometry,
-    to_feature_collection,
-)
-from .weights import (
-    SpatialWeights,
-    detect_islands,
-    lag,
-    queen_contiguity,
-    read_weights,
-    rook_contiguity,
-    to_weights,
-    write_weights,
-)
-from .stats import FdrResult, SummaryRow, bh_fdr, spearman, summarize, zscore
-from .hotspot import CLASS_ORDER, HotspotResult, classify, gi_star
-from .ols import (
-    INTERCEPT,
-    DesignMatrix,
-    DiagnosticsReport,
-    LmSuite,
-    OlsFit,
-    condition_number,
-    design_matrix,
-    fit,
-    jarque_bera,
-    koenker_bassett,
-    lm_tests,
-    model_decision,
-    significance_prune,
-    stepwise_aic,
-    vif,
-    vif_prune,
-)
-from .spatial_models import (
-    ModelComparison,
-    SpatialFit,
-    SpectralCache,
-    compare,
-    error_concentrated_loglik,
-    fit_error_ml,
-    fit_lag_ml,
-    lag_concentrated_loglik,
-    log_det,
-    spectral_cache,
-)
-from .cluster import Dendrogram, GroupProfile, cut, profile, ward_cluster
-from .render import (
-    CATEGORICAL_PALETTE,
-    HOTSPOT_PALETTE,
-    SEQUENTIAL_REDS,
-    quantile_bins,
-    render_choropleth,
-)
-from .pipeline import (
-    PipelineConfig,
-    PipelineError,
-    load_config,
-    run_pipeline,
-    run_subcommand,
-)
+from . import cluster, hotspot, ingest, ols, pipeline, render, spatial_models, stats, weights
+from .ingest import *
+from .weights import *
+from .stats import *
+from .hotspot import *
+from .ols import *
+from .spatial_models import *
+from .cluster import *
+from .render import *
+from .pipeline import *
 
-__all__ = [
-    "__version__",
-    "AreaUnit",
-    "AreaUnits",
-    "AttributeTable",
-    "MergedDataset",
-    "parse_geometry",
-    "parse_attributes",
-    "merge",
-    "drop_missing_rows",
-    "to_feature_collection",
-    "serialize_geometry",
-    "SpatialWeights",
-    "queen_contiguity",
-    "rook_contiguity",
-    "detect_islands",
-    "to_weights",
-    "lag",
-    "write_weights",
-    "read_weights",
-    "SummaryRow",
-    "FdrResult",
-    "summarize",
-    "zscore",
-    "spearman",
-    "bh_fdr",
-    "CLASS_ORDER",
-    "HotspotResult",
-    "gi_star",
-    "classify",
-    "INTERCEPT",
-    "DesignMatrix",
-    "OlsFit",
-    "LmSuite",
-    "DiagnosticsReport",
-    "design_matrix",
-    "fit",
-    "vif",
-    "vif_prune",
-    "stepwise_aic",
-    "significance_prune",
-    "jarque_bera",
-    "koenker_bassett",
-    "condition_number",
-    "lm_tests",
-    "model_decision",
-    "SpectralCache",
-    "SpatialFit",
-    "ModelComparison",
-    "spectral_cache",
-    "log_det",
-    "error_concentrated_loglik",
-    "lag_concentrated_loglik",
-    "fit_error_ml",
-    "fit_lag_ml",
-    "compare",
-    "Dendrogram",
-    "GroupProfile",
-    "ward_cluster",
-    "cut",
-    "profile",
-    "SEQUENTIAL_REDS",
-    "HOTSPOT_PALETTE",
-    "CATEGORICAL_PALETTE",
-    "quantile_bins",
-    "render_choropleth",
-    "PipelineConfig",
-    "PipelineError",
-    "load_config",
-    "run_pipeline",
-    "run_subcommand",
-]
+__all__ = ["__version__"]
+__all__ += ingest.__all__
+__all__ += weights.__all__
+__all__ += stats.__all__
+__all__ += hotspot.__all__
+__all__ += ols.__all__
+__all__ += spatial_models.__all__
+__all__ += cluster.__all__
+__all__ += render.__all__
+__all__ += pipeline.__all__

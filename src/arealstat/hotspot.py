@@ -16,7 +16,7 @@ import numpy as np
 from .stats import _norm_sf, bh_fdr
 from .weights import SpatialWeights
 
-__all__ = ["HotspotResult", "gi_star", "classify"]
+__all__ = ["HotspotResult", "gi_star", "classify", "CLASS_ORDER"]
 
 CLASS_ORDER = ["cold99", "cold95", "cold90", "none", "hot90", "hot95", "hot99"]
 

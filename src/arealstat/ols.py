@@ -31,6 +31,7 @@ __all__ = [
     "LmSuite",
     "lm_tests",
     "model_decision",
+    "INTERCEPT",
 ]
 
 INTERCEPT = "intercept"
@@ -152,25 +153,35 @@ class OlsFit:
 _NULL_WEIGHT = 1e-8
 
 
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Thin SVD u, s, vt of a, its numerical rank, and a mask of the columns
+    that carry weight in its null space.
+
+    Singular values up to s_max * max(n, q) * eps count as zero, the rule
+    of ``np.linalg.lstsq(rcond=None)``.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    tol = s[0] * max(a.shape) * np.finfo(float).eps if s.size else 0.0
+    rank = int((s > tol).sum())
+    dependent = np.sqrt((vt[rank:] ** 2).sum(axis=0)) > _NULL_WEIGHT
+    return u, s, vt, rank, dependent
+
+
 def _lstsq(
     a: np.ndarray, b: np.ndarray, names: list[str] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least squares of b, (n,) or (n, k), on the columns of a, from one
     thin SVD.
 
-    Singular values up to s_max * max(n, q) * eps count as zero, the rule
-    of ``np.linalg.lstsq(rcond=None)``, and the coefficients are its
-    minimum-norm solution.  Also returns V/s over the kept singular values,
-    whose squared rows sum to diag((a'a)^-1) when a has full rank.  With
+    The coefficients are the minimum-norm solution over the singular values
+    that ``_svd`` keeps.  Also returns V/s over those singular values, whose
+    squared rows sum to diag((a'a)^-1) when a has full rank.  With
     ``names``, a rank-deficient a is refused, naming every column that
     carries weight in the null space.
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    tol = s[0] * max(a.shape) * np.finfo(float).eps if s.size else 0.0
-    rank = int((s > tol).sum())
+    u, s, vt, rank, dependent = _svd(a)
     if names is not None and rank < a.shape[1]:
-        weight = np.sqrt((vt[rank:] ** 2).sum(axis=0))
-        bad = sorted(names[j] for j in np.flatnonzero(weight > _NULL_WEIGHT))
+        bad = sorted(names[j] for j in np.flatnonzero(dependent))
         raise ValueError(
             f"design matrix is rank deficient (rank {rank} of {a.shape[1]}); "
             f"linearly dependent columns include {bad}"
@@ -237,22 +248,23 @@ def fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
 def vif(X: DesignMatrix) -> np.ndarray:
     """Variance inflation factor for each slope column.
 
-    Each slope is regressed on the intercept and the remaining slopes;
-    VIF = 1/(1 - R^2) of that regression, infinite when the fit is exact.
+    VIF = 1/(1 - R^2) of the slope regressed on the intercept and the
+    remaining slopes, which is the slope's diagonal entry of the inverse
+    correlation matrix of the slopes: the squared row norm of V/s from one
+    thin SVD of the centred slopes scaled to unit length.  A slope with
+    weight in the null space of that SVD is an exact combination of the
+    others; its VIF is infinite, as is any VIF of 1e12 or more.
     """
     if X.q < 3:
         raise ValueError("variance inflation needs at least 2 slope columns")
-    out = np.empty(X.q - 1)
-    for k, j in enumerate(range(1, X.q)):
-        target = X.values[:, j]
-        others = np.delete(X.values, j, axis=1)
-        resid = target - others @ _lstsq(others, target)[0]
-        sse = float(resid @ resid)
-        tss = float(np.sum((target - target.mean()) ** 2))
-        if tss == 0.0:
-            raise ValueError(f"design column {X.names[j]!r} is constant")
-        r2 = 1.0 - sse / tss
-        out[k] = math.inf if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
+    slopes = X.values[:, 1:]
+    constant = np.flatnonzero(slopes.min(axis=0) == slopes.max(axis=0))
+    if constant.size:
+        raise ValueError(f"design column {X.slope_names[constant[0]]!r} is constant")
+    centred = slopes - slopes.mean(axis=0)
+    _, s, vt, rank, dependent = _svd(centred / np.linalg.norm(centred, axis=0))
+    out = ((vt[:rank].T / s[:rank]) ** 2).sum(axis=1)
+    out[dependent | (out >= 1e12)] = math.inf
     return out
 
 
@@ -517,21 +529,22 @@ def model_decision(suite: LmSuite, alpha: float = 0.05) -> str:
     Neither plain test significant: stay.  Exactly one: fit that model.
     Both: defer to the robust pair; if both robust tests fire the larger
     statistic wins (error on exact ties), if neither fires stay with least
-    squares under a warning.
+    squares under a warning.  A degenerate suite is refused only when both
+    plain tests fire, the one case that reads the robust pair.
     """
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
-    if suite.degenerate:
-        raise ValueError(
-            "robust spatial dependence tests are degenerate; decision rule "
-            "is undefined"
-        )
     err_sig = suite.lm_error_p < alpha
     lag_sig = suite.lm_lag_p < alpha
     if not err_sig and not lag_sig:
         return "stay-OLS"
     if err_sig != lag_sig:
         return "fit-error" if err_sig else "fit-lag"
+    if suite.degenerate:
+        raise ValueError(
+            "robust spatial dependence tests are degenerate; decision rule "
+            "is undefined"
+        )
     r_err_sig = suite.robust_lm_error_p < alpha
     r_lag_sig = suite.robust_lm_lag_p < alpha
     if r_err_sig and r_lag_sig:

@@ -2,10 +2,11 @@
 
 One staged executor covers the full pipeline and every subcommand subset,
 so a partial run's files and report sections are byte-identical to the
-matching pieces of a full run.  Two tables decide what each subcommand
-does: ``_STAGES`` lists the stages it runs, ``_OUTPUTS`` the report
-sections and files it writes.  Any stage failure surfaces as a
-PipelineError tagged with the stage name.
+matching pieces of a full run.  Three tables decide what each subcommand
+does: ``_STAGES`` lists the stages it runs, ``_SECTIONS`` the report
+sections it builds and lays out in report.txt, and ``_FILES`` the files it
+writes.  Any stage failure surfaces as a PipelineError tagged with the
+stage name.
 """
 
 from __future__ import annotations
@@ -493,6 +494,18 @@ def _coef_rows(names, beta, se, p, t=None) -> list[dict]:
     return rows
 
 
+def _section_config(ctx: _Context) -> dict:
+    return asdict(ctx.config)
+
+
+def _section_dropped_units(ctx: _Context) -> dict:
+    return {
+        "geometry_only": list(ctx.dataset.dropped_geometry_ids),
+        "attributes_only": list(ctx.dataset.dropped_table_ids),
+        "missing_values": list(ctx.dropped_missing),
+    }
+
+
 def _section_weights(ctx: _Context) -> dict:
     return {
         "n": ctx.links.n,
@@ -647,189 +660,158 @@ def _section_spearman(ctx: _Context) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# text rendering
+# text rendering: one function per report section, from its sanitized JSON
+# form to its report.txt lines under the heading
+
+
+def _text_config(config: dict) -> list[str]:
+    return [f"  {key} = {config[key]!r}" for key in sorted(config)]
+
+
+def _text_dropped_units(dropped: dict) -> list[str]:
+    return [
+        f"  geometry only: {dropped['geometry_only'] or 'none'}",
+        f"  attributes only: {dropped['attributes_only'] or 'none'}",
+        f"  missing values: {dropped['missing_values'] or 'none'}",
+    ]
+
+
+def _text_weights(w: dict) -> list[str]:
+    return [
+        f"  {w['contiguity']} contiguity over {w['n']} units, "
+        f"{w['directed_links']} directed links, mode {w['mode']}",
+        f"  islands: {w['islands'] or 'none'}",
+    ]
+
+
+def _text_summary(rows: list[dict]) -> list[str]:
+    return ["  name mean sd n min max"] + [
+        f"  {r['name']} {_fmt(r['mean'])} {_fmt(r['sd'])} {r['n']} "
+        f"{_fmt(r['min'])} {_fmt(r['max'])}"
+        for r in rows
+    ]
+
+
+def _text_hotspot(h: dict) -> list[str]:
+    counts = " ".join(f"{k}={v}" for k, v in h["counts"].items())
+    return [
+        f"  fdr alpha {_fmt(h['fdr_alpha'])}",
+        f"  counts: {counts}",
+        f"  z range: [{_fmt(h['min_z'])}, {_fmt(h['max_z'])}]",
+    ]
+
+
+def _text_selection(s: dict) -> list[str]:
+    lines = [f"  candidates: {', '.join(s['candidates'])}"]
+    lines += [
+        f"  removed by collinearity: {r['column']} (VIF={_fmt(r['vif'])})"
+        for r in s["vif_removed"]
+    ] or ["  removed by collinearity: none"]
+    for t in s["stepwise_trace"]:
+        col = "" if t["column"] is None else f" {t['column']}"
+        lines.append(f"  stepwise {t['action']}{col}: AIC {_fmt(t['aic'])}")
+    lines.append(f"  removed by significance: {', '.join(s['significance_removed']) or 'none'}")
+    lines.append(f"  final columns: {', '.join(s['final_columns']) or 'none'}")
+    return lines
+
+
+def _text_ols(o: dict) -> list[str]:
+    lines = ["  name coefficient se t p"]
+    for c in o["coefficients"]:
+        lines.append(
+            f"  {c['name']} {_fmt(c['coefficient'])} {_fmt(c['se'])} "
+            f"{_fmt(c.get('t'))} {_fmt(c['p'])}{c['stars']}"
+        )
+    lines.append(
+        f"  n={o['n']} q={o['q']} r2={_fmt(o['r2'])} adj_r2={_fmt(o['adj_r2'])} "
+        f"sigma2={_fmt(o['sigma2'])}"
+    )
+    lines.append(f"  log_likelihood={_fmt(o['log_likelihood'])} aic={_fmt(o['aic'])}")
+    d = o["diagnostics"]
+    jb = d["jarque_bera"]
+    lines.append(f"  jarque-bera: stat {_fmt(jb['stat'])}, p {_fmt(jb['p'])}")
+    if d["koenker_bassett"] is None:
+        lines.append(f"  koenker-bassett: skipped ({d['koenker_bassett_skipped']})")
+    else:
+        kb = d["koenker_bassett"]
+        lines.append(f"  koenker-bassett: stat {_fmt(kb['stat'])}, p {_fmt(kb['p'])}")
+    cn = d["condition_number"]
+    cn_text = cn if isinstance(cn, str) else _fmt(cn)
+    lines.append(f"  condition number: {cn_text}")
+    lm = o["lm_tests"]
+    if lm is not None:
+        lines.append("  spatial dependence tests (chi-squared, 1 df):")
+        for key in ("lm_error", "lm_lag", "robust_lm_error", "robust_lm_lag"):
+            lines.append(f"    {key}: stat {_fmt(lm[key]['stat'])}, p {_fmt(lm[key]['p'])}")
+        if lm["degenerate"]:
+            lines.append("    robust variants degenerate")
+    return lines
+
+
+def _text_decision(dec: dict) -> list[str]:
+    if dec["skipped_reason"]:
+        return [f"  skipped: {dec['skipped_reason']}"]
+    lines = [f"  {dec['decision']} (alpha {_fmt(dec['alpha'])})"]
+    if dec["warning"]:
+        lines.append(f"  warning: {dec['warning']}")
+    return lines
+
+
+def _text_spatial(sp_: dict) -> list[str]:
+    lines = ["  name coefficient se p"]
+    for c in sp_["coefficients"]:
+        lines.append(
+            f"  {c['name']} {_fmt(c['coefficient'])} {_fmt(c['se'])} "
+            f"{_fmt(c['p'])}{c['stars']}"
+        )
+    lines.append(
+        f"  sigma2={_fmt(sp_['sigma2'])} log_likelihood={_fmt(sp_['log_likelihood'])} "
+        f"aic={_fmt(sp_['aic'])} pseudo_r2={_fmt(sp_['pseudo_r2'])}"
+    )
+    if not sp_["se_available"]:
+        lines.append("  standard errors unavailable (Hessian not negative definite)")
+    return lines
+
+
+def _text_comparison(cmp_: dict) -> list[str]:
+    lines = ["  model fit_statistic fit_value log_likelihood aic n_params"]
+    for r in cmp_["rows"]:
+        lines.append(
+            f"  {r['model']} {r['fit_statistic']} {_fmt(r['fit_value'])} "
+            f"{_fmt(r['log_likelihood'])} {_fmt(r['aic'])} {r['n_params']}"
+        )
+    lines.append(f"  preferred: {cmp_['preferred']}")
+    lines.append(f"  note: {cmp_['note']}")
+    return lines
+
+
+def _text_groups(g: dict) -> list[str]:
+    lines = [f"  k={g['k']} linkage={g['linkage']} features: {', '.join(g['features'])}"]
+    for pr in g["profiles"]:
+        lines.append(f"  group {pr['group']} (n={pr['count']}):")
+        for name in pr["means"]:
+            lines.append(f"    {name}: mean {_fmt(pr['means'][name])} ({pr['labels'][name]})")
+    return lines
+
+
+def _text_spearman(s: dict) -> list[str]:
+    if "skipped_reason" in s:
+        return [f"  skipped: {s['skipped_reason']}"]
+    return [f"  comparison column: {s['column']}"] + [
+        f"  vs {r['versus']}: rho {_fmt(r['rho'])}, p {_fmt(r['p'])}{r['stars']}"
+        for r in s["rows"]
+    ]
 
 
 def _render_report_text(report: dict) -> str:
-    lines: list[str] = []
     tool = report["tool"]
-    lines.append(f"{tool['name']} {tool['version']} report ({tool['command']})")
-    lines.append("=" * len(lines[0]))
-    lines.append("")
-    lines.append("config")
-    lines.append("------")
-    for key in sorted(report["config"]):
-        lines.append(f"  {key} = {report['config'][key]!r}")
-    lines.append("")
-
-    dropped = report["dropped_units"]
-    lines.append("dropped units")
-    lines.append("-------------")
-    lines.append(f"  geometry only: {dropped['geometry_only'] or 'none'}")
-    lines.append(f"  attributes only: {dropped['attributes_only'] or 'none'}")
-    lines.append(f"  missing values: {dropped['missing_values'] or 'none'}")
-    lines.append("")
-
-    w = report["weights"]
-    lines.append("weights")
-    lines.append("-------")
-    lines.append(
-        f"  {w['contiguity']} contiguity over {w['n']} units, "
-        f"{w['directed_links']} directed links, mode {w['mode']}"
-    )
-    lines.append(f"  islands: {w['islands'] or 'none'}")
-    lines.append("")
-
-    if "summary" in report:
-        lines.append("summary")
-        lines.append("-------")
-        lines.append("  name mean sd n min max")
-        for r in report["summary"]:
-            lines.append(
-                f"  {r['name']} {_fmt(r['mean'])} {_fmt(r['sd'])} {r['n']} "
-                f"{_fmt(r['min'])} {_fmt(r['max'])}"
-            )
-        lines.append("")
-
-    if "hotspot" in report:
-        h = report["hotspot"]
-        lines.append("hot and cold spots")
-        lines.append("------------------")
-        lines.append(f"  fdr alpha {_fmt(h['fdr_alpha'])}")
-        counts = " ".join(f"{k}={v}" for k, v in h["counts"].items())
-        lines.append(f"  counts: {counts}")
-        lines.append(f"  z range: [{_fmt(h['min_z'])}, {_fmt(h['max_z'])}]")
-        lines.append("")
-
-    if "selection" in report:
-        s = report["selection"]
-        lines.append("model selection")
-        lines.append("---------------")
-        lines.append(f"  candidates: {', '.join(s['candidates'])}")
-        if s["vif_removed"]:
-            for r in s["vif_removed"]:
-                lines.append(f"  removed by collinearity: {r['column']} (VIF={_fmt(r['vif'])})")
-        else:
-            lines.append("  removed by collinearity: none")
-        for t in s["stepwise_trace"]:
-            col = "" if t["column"] is None else f" {t['column']}"
-            lines.append(f"  stepwise {t['action']}{col}: AIC {_fmt(t['aic'])}")
-        lines.append(
-            f"  removed by significance: {', '.join(s['significance_removed']) or 'none'}"
-        )
-        lines.append(f"  final columns: {', '.join(s['final_columns']) or 'none'}")
-        lines.append("")
-
-        o = report["ols"]
-        lines.append("final least-squares fit")
-        lines.append("-----------------------")
-        lines.append("  name coefficient se t p")
-        for c in o["coefficients"]:
-            lines.append(
-                f"  {c['name']} {_fmt(c['coefficient'])} {_fmt(c['se'])} "
-                f"{_fmt(c.get('t'))} {_fmt(c['p'])}{c['stars']}"
-            )
-        lines.append(
-            f"  n={o['n']} q={o['q']} r2={_fmt(o['r2'])} adj_r2={_fmt(o['adj_r2'])} "
-            f"sigma2={_fmt(o['sigma2'])}"
-        )
-        lines.append(
-            f"  log_likelihood={_fmt(o['log_likelihood'])} aic={_fmt(o['aic'])}"
-        )
-        d = o["diagnostics"]
-        jb = d["jarque_bera"]
-        lines.append(f"  jarque-bera: stat {_fmt(jb['stat'])}, p {_fmt(jb['p'])}")
-        if d["koenker_bassett"] is None:
-            lines.append(f"  koenker-bassett: skipped ({d['koenker_bassett_skipped']})")
-        else:
-            kb = d["koenker_bassett"]
-            lines.append(f"  koenker-bassett: stat {_fmt(kb['stat'])}, p {_fmt(kb['p'])}")
-        cn = d["condition_number"]
-        cn_text = cn if isinstance(cn, str) else _fmt(cn)
-        lines.append(f"  condition number: {cn_text}")
-        if o["lm_tests"] is not None:
-            lm = o["lm_tests"]
-            lines.append("  spatial dependence tests (chi-squared, 1 df):")
-            for key in ("lm_error", "lm_lag", "robust_lm_error", "robust_lm_lag"):
-                lines.append(
-                    f"    {key}: stat {_fmt(lm[key]['stat'])}, p {_fmt(lm[key]['p'])}"
-                )
-            if lm["degenerate"]:
-                lines.append("    robust variants degenerate")
-        lines.append("")
-
-        dec = report["decision"]
-        lines.append("decision")
-        lines.append("--------")
-        if dec["skipped_reason"]:
-            lines.append(f"  skipped: {dec['skipped_reason']}")
-        else:
-            lines.append(f"  {dec['decision']} (alpha {_fmt(dec['alpha'])})")
-            if dec["warning"]:
-                lines.append(f"  warning: {dec['warning']}")
-        lines.append("")
-
-        if report["spatial"] is not None:
-            sp_ = report["spatial"]
-            title = "spatial error model" if sp_["kind"] == "error" else "spatial lag model"
-            lines.append(title)
-            lines.append("-" * len(title))
-            lines.append("  name coefficient se p")
-            for c in sp_["coefficients"]:
-                lines.append(
-                    f"  {c['name']} {_fmt(c['coefficient'])} {_fmt(c['se'])} "
-                    f"{_fmt(c['p'])}{c['stars']}"
-                )
-            lines.append(
-                f"  sigma2={_fmt(sp_['sigma2'])} log_likelihood={_fmt(sp_['log_likelihood'])} "
-                f"aic={_fmt(sp_['aic'])} pseudo_r2={_fmt(sp_['pseudo_r2'])}"
-            )
-            if not sp_["se_available"]:
-                lines.append("  standard errors unavailable (Hessian not negative definite)")
-            lines.append("")
-
-        if report["comparison"] is not None:
-            cmp_ = report["comparison"]
-            lines.append("model comparison")
-            lines.append("----------------")
-            lines.append("  model fit_statistic fit_value log_likelihood aic n_params")
-            for r in cmp_["rows"]:
-                lines.append(
-                    f"  {r['model']} {r['fit_statistic']} {_fmt(r['fit_value'])} "
-                    f"{_fmt(r['log_likelihood'])} {_fmt(r['aic'])} {r['n_params']}"
-                )
-            lines.append(f"  preferred: {cmp_['preferred']}")
-            lines.append(f"  note: {cmp_['note']}")
-            lines.append("")
-
-    if "groups" in report:
-        g = report["groups"]
-        lines.append("groups")
-        lines.append("------")
-        lines.append(
-            f"  k={g['k']} linkage={g['linkage']} features: {', '.join(g['features'])}"
-        )
-        for pr in g["profiles"]:
-            lines.append(f"  group {pr['group']} (n={pr['count']}):")
-            for name in pr["means"]:
-                lines.append(
-                    f"    {name}: mean {_fmt(pr['means'][name])} ({pr['labels'][name]})"
-                )
-        lines.append("")
-
-    if "spearman" in report:
-        s = report["spearman"]
-        lines.append("rank correlations")
-        lines.append("-----------------")
-        if "skipped_reason" in s:
-            lines.append(f"  skipped: {s['skipped_reason']}")
-        else:
-            lines.append(f"  comparison column: {s['column']}")
-            for r in s["rows"]:
-                lines.append(
-                    f"  vs {r['versus']}: rho {_fmt(r['rho'])}, p {_fmt(r['p'])}{r['stars']}"
-                )
-        lines.append("")
+    title = f"{tool['name']} {tool['version']} report ({tool['command']})"
+    lines = [title, "=" * len(title), ""]
+    for key, _, heading, render, _ in _SECTIONS:
+        section = report.get(key)
+        if section is not None:
+            heading = heading.format_map(section)
+            lines += [heading, "-" * len(heading), *render(section), ""]
     return "\n".join(lines)
 
 
@@ -1029,53 +1011,37 @@ _STAGES = (
     ("spearman", _stage_spearman, ("pipeline",)),
 )
 
-# The report sections and files that a set of subcommands adds, in report
-# and writing order.  Every report starts with tool, config, dropped_units
-# and weights, and every run writes report.json and report.txt last.
-_OUTPUTS = (
-    (("weights", "pipeline"), (), (_write_weights_files,)),
-    (
-        ("hotspot", "pipeline"),
-        (("hotspot", _section_hotspot),),
-        (_write_hotspot, _write_hotspot_maps),
-    ),
-    (("pipeline",), (("summary", _section_summary),), ()),
-    (
-        _MODEL,
-        (
-            ("selection", _section_selection),
-            ("ols", _section_ols),
-            ("decision", _section_decision),
-            ("spatial", _section_spatial),
-            ("comparison", _section_comparison),
-        ),
-        (),
-    ),
-    (("regress", "pipeline"), (), (_write_regress_files,)),
-    (_GROUPS, (("groups", _section_groups),), (_write_cluster_files,)),
-    (
-        ("pipeline",),
-        (("spearman", _section_spearman),),
-        (_write_summary, _write_spearman, _write_augmented),
-    ),
+# Every report section in report.txt order: its key, its builder, its
+# heading (a format string over the section's fields), its text renderer
+# and the subcommands whose report holds it.  report.txt leaves out a
+# section built as None.
+_SECTIONS = (
+    ("config", _section_config, "config", _text_config, SUBCOMMANDS),
+    ("dropped_units", _section_dropped_units, "dropped units", _text_dropped_units, SUBCOMMANDS),
+    ("weights", _section_weights, "weights", _text_weights, SUBCOMMANDS),
+    ("summary", _section_summary, "summary", _text_summary, ("pipeline",)),
+    ("hotspot", _section_hotspot, "hot and cold spots", _text_hotspot, ("hotspot", "pipeline")),
+    ("selection", _section_selection, "model selection", _text_selection, _MODEL),
+    ("ols", _section_ols, "final least-squares fit", _text_ols, _MODEL),
+    ("decision", _section_decision, "decision", _text_decision, _MODEL),
+    ("spatial", _section_spatial, "spatial {kind} model", _text_spatial, _MODEL),
+    ("comparison", _section_comparison, "model comparison", _text_comparison, _MODEL),
+    ("groups", _section_groups, "groups", _text_groups, _GROUPS),
+    ("spearman", _section_spearman, "rank correlations", _text_spearman, ("pipeline",)),
 )
 
-
-def _build_report(ctx: _Context, which: str, outputs) -> dict:
-    report = {
-        "tool": {"name": "arealstat", "version": __version__, "command": which},
-        "config": asdict(ctx.config),
-        "dropped_units": {
-            "geometry_only": list(ctx.dataset.dropped_geometry_ids),
-            "attributes_only": list(ctx.dataset.dropped_table_ids),
-            "missing_values": list(ctx.dropped_missing),
-        },
-        "weights": _section_weights(ctx),
-    }
-    for _, sections, _ in outputs:
-        for key, section in sections:
-            report[key] = section(ctx)
-    return report
+# Every file writer in writing order and the subcommands that run it; each
+# run then writes report.json and report.txt last.
+_FILES = (
+    (_write_weights_files, ("weights", "pipeline")),
+    (_write_hotspot, ("hotspot", "pipeline")),
+    (_write_hotspot_maps, ("hotspot", "pipeline")),
+    (_write_regress_files, ("regress", "pipeline")),
+    (_write_cluster_files, _GROUPS),
+    (_write_summary, ("pipeline",)),
+    (_write_spearman, ("pipeline",)),
+    (_write_augmented, ("pipeline",)),
+)
 
 
 def _run(config: PipelineConfig, which: str) -> dict:
@@ -1089,11 +1055,13 @@ def _run(config: PipelineConfig, which: str) -> dict:
         if which in subcommands:
             with _stage(tag):
                 run_stage(ctx)
-    outputs = [entry for entry in _OUTPUTS if which in entry[0]]
-    ctx.report = _build_report(ctx, which, outputs)
+    ctx.report = {"tool": {"name": "arealstat", "version": __version__, "command": which}}
+    for key, build, _, _, subcommands in _SECTIONS:
+        if which in subcommands:
+            ctx.report[key] = build(ctx)
     with _stage("outputs"):
-        for _, _, writers in outputs:
-            for write in writers:
+        for write, subcommands in _FILES:
+            if which in subcommands:
                 write(ctx, config.output_dir)
         _write_report(ctx.report, config.output_dir)
     return ctx.report

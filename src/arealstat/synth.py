@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .ingest import AreaUnit, serialize_geometry
+from .stats import zscore
 from .weights import SpatialWeights, queen_contiguity, to_weights
 
 __all__ = [
@@ -84,10 +85,6 @@ def autoregressive_solver(weights: SpatialWeights, param: float):
     return lu.solve
 
 
-def _zscore(v: np.ndarray) -> np.ndarray:
-    return (v - v.mean()) / v.std(ddof=1)
-
-
 def synthetic_county(seed: int = 20240817) -> tuple[bytes, bytes]:
     """Generate the bundled synthetic-county fixture.
 
@@ -108,7 +105,7 @@ def synthetic_county(seed: int = 20240817) -> tuple[bytes, bytes]:
     blur = autoregressive_solver(w, 0.7)
 
     def regional(mean: float, sd: float) -> np.ndarray:
-        return mean + sd * _zscore(blur(rng.normal(0.0, 1.0, n)))
+        return mean + sd * zscore(blur(rng.normal(0.0, 1.0, n)))
 
     income = regional(52.0, 12.0)
     poverty = regional(15.0, 5.0)
@@ -127,11 +124,11 @@ def synthetic_county(seed: int = 20240817) -> tuple[bytes, bytes]:
     u = autoregressive_solver(w, 0.5)(rng.normal(0.0, 1.0, n))
     prevalence = (
         32.0
-        + 2.2 * _zscore(poverty)
-        + 1.6 * _zscore(uninsured)
-        - 1.8 * _zscore(income)
-        + 0.9 * _zscore(renters)
-        + 0.6 * _zscore(median_age)
+        + 2.2 * zscore(poverty)
+        + 1.6 * zscore(uninsured)
+        - 1.8 * zscore(income)
+        + 0.9 * zscore(renters)
+        + 0.6 * zscore(median_age)
         + 1.5 * u
     )
 

@@ -281,6 +281,22 @@ class TestCoordinateValues:
         units = parse_geometry(three_squares(("4.0", "0")), "GEOID")
         assert units[1].geometry == ((tuple(square_ring(3.0, 0)),),)
 
+    @pytest.mark.parametrize("z_points", [range(5), [0, 4], [2]])
+    def test_third_coordinate_is_dropped(self, z_points):
+        # every point, or only some, carry an elevation after (x, y)
+        rings = [list(map(list, square_ring(0, 0))), list(map(list, square_ring(1, 0)))]
+        flat = feature_collection([polygon_feature(f"u{i}", r) for i, r in enumerate(rings)])
+        for ring in rings:
+            for k in z_points:
+                ring[k].append(7.5)
+        raised = feature_collection([polygon_feature(f"u{i}", r) for i, r in enumerate(rings)])
+        assert "7.5" in raised
+        got = parse_geometry(raised, "GEOID")
+        want = parse_geometry(flat, "GEOID")
+        assert got.xy.shape == want.xy.shape
+        assert np.array_equal(got.xy, want.xy)
+        assert [u.geometry for u in got] == [u.geometry for u in want]
+
     def test_first_bad_ring_in_document_order_is_named(self):
         outer = list(map(list, square_ring(0, 0, 4.0)))
         open_hole = list(map(list, square_ring(1, 1)[:-1] + [(1.5, 1.5)]))
@@ -381,6 +397,26 @@ class TestRoundTrip:
         fc = to_feature_collection(units, {"score": [1.5, 2.5]})
         scores = [f["properties"]["score"] for f in fc["features"]]
         assert scores == [1.5, 2.5]
+
+
+    def test_multipolygon_written_back_as_multipolygon(self):
+        # as augmented.geojson writes each unit
+        polygons = [
+            [list(map(list, square_ring(0, 0)))],
+            [list(map(list, square_ring(3, 0)))],
+        ]
+        multi = {
+            "type": "Feature",
+            "properties": {"GEOID": "M"},
+            "geometry": {"type": "MultiPolygon", "coordinates": polygons},
+        }
+        doc = feature_collection([multi, polygon_feature("A", square_ring(0, 2))])
+        fc = to_feature_collection(parse_geometry(doc, "GEOID"), {"group": [1, 2]})
+        assert fc["features"][0]["geometry"] == {"type": "MultiPolygon", "coordinates": polygons}
+        assert fc["features"][0]["properties"] == {"GEOID": "M", "group": 1}
+        assert fc["features"][1]["geometry"] == {
+            "type": "Polygon", "coordinates": [list(map(list, square_ring(0, 2)))]
+        }
 
 
 CSV = "GEOID,a,b\nX,1,2\nY,3,\nZ,oops,6\n"

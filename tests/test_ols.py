@@ -237,6 +237,8 @@ class TestVif:
         X = design_matrix([("a", x), ("b", x), ("c", rng.normal(size=30))])
         v = vif(X)
         assert np.isinf(v[0]) and np.isinf(v[1])
+        # the duplicate adds nothing to the regression of c on the others
+        assert v[2] == pytest.approx(vif(X.drop("b"))[1], rel=1e-12)
 
     def test_requires_two_slopes(self):
         X = design_matrix([("a", np.arange(5.0))])
@@ -311,6 +313,22 @@ class TestStepwise:
         final, _, trace = stepwise_aic(design_matrix(sorted(cols.items())), y)
         assert set(final.slope_names) == {"x1", "x2", "x3"}
         assert len(trace) == 1  # just the start row
+
+
+    def test_readds_a_column_dropped_earlier(self):
+        # a seeded search found this design: once x4 and x1 are gone too,
+        # x2, the first column dropped, lowers AIC again
+        rng = np.random.default_rng(213)
+        z = rng.normal(size=(30, 5)) @ (np.eye(5) + rng.normal(size=(5, 5)))
+        y = z[:, 0] + 2.0 * rng.normal(size=30)
+        X = design_matrix([(f"x{j}", z[:, j]) for j in range(5)])
+        final, final_fit, trace = stepwise_aic(X, y)
+        assert [(t["action"], t["column"]) for t in trace] == [
+            ("start", None), ("drop", "x2"), ("drop", "x4"), ("drop", "x1"), ("add", "x2"),
+        ]
+        assert final.slope_names == ["x0", "x2", "x3"]
+        assert final_fit.aic == trace[-1]["aic"] == fit(final, y).aic
+        assert trace[-1]["aic"] < fit(X.with_columns(["x0", "x3"]), y).aic == trace[-2]["aic"]
 
 
 class TestSignificancePrune:
@@ -485,8 +503,12 @@ class TestLmTests:
         assert suite.robust_lm_error == 0.0
         assert suite.robust_lm_lag == 0.0
         assert suite.robust_lm_error_p == 1.0
-        with pytest.raises(ValueError):
-            model_decision(suite)
+        # W1 = 1 makes the two plain tests coincide, so they fire together
+        # or not at all; here neither does, and the decision needs no robust
+        # variant
+        assert suite.lm_lag == pytest.approx(suite.lm_error, rel=1e-12)
+        assert suite.lm_error_p > 0.05
+        assert model_decision(suite) == "stay-OLS"
 
 
 def make_suite(err_p, lag_p, rerr_p, rlag_p, rerr=1.0, rlag=1.0, degenerate=False):
@@ -545,6 +567,16 @@ class TestModelDecision:
     def test_degenerate_raises(self):
         with pytest.raises(ValueError):
             model_decision(make_suite(0.01, 0.01, 1.0, 1.0, degenerate=True))
+
+    def test_degenerate_suite_without_plain_signal_stays(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decision = model_decision(make_suite(0.4, 0.6, 1.0, 1.0, degenerate=True))
+        assert decision == "stay-OLS"
+
+    def test_degenerate_suite_with_one_plain_test_fits_it(self):
+        assert model_decision(make_suite(0.01, 0.4, 1.0, 1.0, degenerate=True)) == "fit-error"
+        assert model_decision(make_suite(0.4, 0.01, 1.0, 1.0, degenerate=True)) == "fit-lag"
 
     def test_alpha_threshold_respected(self):
         suite = make_suite(0.04, 0.5, 0.9, 0.9)

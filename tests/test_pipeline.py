@@ -347,6 +347,129 @@ def test_unavailable_standard_errors_are_left_blank(county, tmp_path, monkeypatc
         assert coefficient and (se, p, stars) == ("", "", "")
 
 
+def _text_section(text: str, heading: str) -> list[str]:
+    """The lines of report.txt's ``heading`` section, between its dashes and
+    the blank line that ends it."""
+    lines = text.split("\n")
+    start = lines.index(heading)
+    assert lines[start + 1] == "-" * len(heading)
+    end = lines.index("", start)
+    return lines[start + 2:end]
+
+
+def _read_outputs(outdir):
+    with open(os.path.join(outdir, "report.json")) as fh:
+        report = json.load(fh)
+    with open(os.path.join(outdir, "report.txt")) as fh:
+        return report, fh.read()
+
+
+def iid_lattice(directory):
+    """A 10 x 10 lattice whose outcome and two predictors are i.i.d. normal:
+    significance pruning leaves an intercept-only final model."""
+    os.makedirs(directory, exist_ok=True)
+    values = np.random.default_rng(5).normal(size=(100, 3))
+    features = [
+        polygon_feature(f"t{i}", square_ring(float(i % 10), float(i // 10)))
+        for i in range(100)
+    ]
+    geo_path = os.path.join(directory, "geo.json")
+    with open(geo_path, "w") as fh:
+        fh.write(feature_collection(features))
+    attr_path = os.path.join(directory, "attr.csv")
+    with open(attr_path, "w") as fh:
+        fh.write("GEOID,out,p1,p2\n")
+        for i, row in enumerate(values):
+            fh.write(f"t{i}," + ",".join(repr(float(v)) for v in row) + "\n")
+    return geo_path, attr_path
+
+
+class TestReportBranches:
+    """report.txt lines that only unusual runs reach, each checked against
+    its report.json field."""
+
+    def test_intercept_only_model_stays_with_least_squares(self, tmp_path):
+        d = str(tmp_path)
+        geo, attr = iid_lattice(d)
+        config = tiny_config(d, geo, attr)
+        run_subcommand(config, "regress")
+        report, text = _read_outputs(config.output_dir)
+        assert report["selection"]["final_columns"] == []
+        lm = report["ols"]["lm_tests"]
+        assert lm["degenerate"] is True
+        assert lm["lm_error"]["p"] > 0.05 and lm["lm_lag"]["p"] > 0.05
+        assert report["decision"] == {
+            "alpha": 0.05, "decision": "stay-OLS", "warning": None, "skipped_reason": None,
+        }
+        assert report["spatial"] is None and report["comparison"] is None
+        ols_lines = _text_section(text, "final least-squares fit")
+        assert ols_lines[-6:] == [
+            "  spatial dependence tests (chi-squared, 1 df):",
+            *(
+                f"    {k}: stat {pipeline_module._fmt(lm[k]['stat'])}, "
+                f"p {pipeline_module._fmt(lm[k]['p'])}"
+                for k in ("lm_error", "lm_lag", "robust_lm_error", "robust_lm_lag")
+            ),
+            "    robust variants degenerate",
+        ]
+        assert _text_section(text, "decision") == ["  stay-OLS (alpha 0.05)"]
+        assert "spatial error model" not in text and "spatial lag model" not in text
+        for name in ("spatial_coefficients.csv", "comparison.csv"):
+            assert not os.path.exists(os.path.join(config.output_dir, name))
+
+    @pytest.mark.parametrize("sub", ["cluster", "pipeline"])
+    def test_intercept_only_model_leaves_nothing_to_group(self, tmp_path, sub):
+        d = str(tmp_path)
+        geo, attr = iid_lattice(d)
+        with pytest.raises(PipelineError) as err:
+            run_subcommand(tiny_config(d, geo, attr), sub)
+        assert str(err.value) == "[ward_cluster] final model retained no predictors to group on"
+
+    def test_decision_warning(self, county, tmp_path, monkeypatch):
+        real = pipeline_module._ols.lm_tests
+
+        def both_plain_fire_no_robust(*args):
+            return dataclasses.replace(
+                real(*args),
+                lm_error_p=0.01, lm_lag_p=0.01, robust_lm_error_p=0.5, robust_lm_lag_p=0.5,
+            )
+
+        monkeypatch.setattr(pipeline_module._ols, "lm_tests", both_plain_fire_no_robust)
+        config = dataclasses.replace(load_config(county["config"]), output_dir=str(tmp_path))
+        run_subcommand(config, "regress")
+        report, text = _read_outputs(tmp_path)
+        warning = (
+            "both plain dependence tests fired but neither robust variant did; "
+            "staying with least squares"
+        )
+        assert report["decision"]["decision"] == "stay-OLS"
+        assert report["decision"]["warning"] == warning
+        assert _text_section(text, "decision") == [
+            "  stay-OLS (alpha 0.05)",
+            f"  warning: {warning}",
+        ]
+        assert report["spatial"] is None
+        assert not os.path.exists(tmp_path / "spatial_coefficients.csv")
+
+    def test_skipped_rank_correlations(self, county, tmp_path):
+        config = dataclasses.replace(
+            load_config(county["config"]),
+            output_dir=str(tmp_path),
+            spearman_column=None,
+            vif_threshold=1e6,
+        )
+        run_pipeline(config)
+        report, text = _read_outputs(tmp_path)
+        reason = "no comparison column configured and collinearity pruning removed nothing"
+        assert report["selection"]["vif_removed"] == []
+        assert report["spearman"] == {"skipped_reason": reason}
+        assert _text_section(text, "rank correlations") == [f"  skipped: {reason}"]
+        assert text.endswith(f"  skipped: {reason}\n")
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            set(PIPELINE_FILES) - {"spearman.csv", "map_comparison.svg"}
+        )
+
+
 class TestStageErrors:
     def test_constant_outcome_fails_in_scoring_stage(self, tmp_path):
         d = str(tmp_path)

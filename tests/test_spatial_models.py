@@ -623,6 +623,38 @@ class TestScoreRoot:
             assert moved.log_likelihood == pytest.approx(res.log_likelihood, rel=1e-12)
 
 
+    @pytest.mark.parametrize("kind", ["error", "lag"])
+    def test_refused_step_leaves_brents_estimate(self, w10, kind, monkeypatch):
+        # a score too large by 20 sends the step about 0.1 past the peak,
+        # where the profile has fallen far beyond rounding
+        brent = []
+        optimize, derivatives = spatial_models._optimize_profile, spatial_models._log_det_derivatives
+
+        def recording(fun, interval):
+            brent.append(optimize(fun, interval))
+            return brent[-1]
+
+        def steep(cache, p):
+            slope, curvature, third = derivatives(cache, p)
+            return slope + 20.0, curvature, third
+
+        monkeypatch.setattr(spatial_models, "_optimize_profile", recording)
+        monkeypatch.setattr(spatial_models, "_log_det_derivatives", steep)
+        make, fit_fn = FITS[kind]
+        X, y = make(w10, 0.5, seed=122)
+        cache = spectral_cache(w10)
+        res = fit_fn(X, y, w10, cache=cache)
+        assert res.param == brent[0]
+        assert res.se_available
+        profile = error_concentrated_loglik if kind == "error" else lag_concentrated_loglik
+        assert res.log_likelihood == pytest.approx(profile(X, y, w10, res.param, cache=cache), rel=1e-12)
+        # the lag fit's fitted values solve the filter at Brent's point, not
+        # with the LU factorised at the refused step
+        a = identity(w10.n, format="csc") - res.param * w10.matrix.tocsc()
+        yhat = scipy.sparse.linalg.spsolve(a, X.values @ res.beta) if kind == "lag" else X.values @ res.beta
+        assert res.pseudo_r2 == pytest.approx(np.corrcoef(y, yhat)[0, 1] ** 2, rel=1e-10)
+
+
 class TestNoEigensolve:
     def test_fits_run_without_arpack_or_a_separate_solve(self, w10, monkeypatch):
         def refuse(*args, **kwargs):
