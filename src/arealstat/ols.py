@@ -194,7 +194,8 @@ def fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     """Fit y on the design by least squares.
 
     Raises on rank deficiency (naming dependent columns) and on n <= q.
-    When the response is constant, r2 is reported as 0.0.
+    When the response is constant or the design holds only the intercept,
+    r2 and adj_r2 are reported as 0.0.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (X.n,):
@@ -209,7 +210,7 @@ def fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     e = y - fitted
     sse = float(e @ e)
     tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 0.0 if tss == 0.0 else 1.0 - sse / tss
+    r2 = 0.0 if tss == 0.0 or q == 1 else 1.0 - sse / tss
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - q)
     sigma2 = sse / (n - q)
     sigma2_ml = sse / n

@@ -7,7 +7,7 @@ coordinates formatted at fixed precision.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import html
 
 import numpy as np
 
@@ -54,6 +54,11 @@ _MAP_TOP = 40.0
 _MAP_BOTTOM = 560.0
 _HEIGHT = 640.0
 _PAD = 10.0
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content."""
+    return html.escape(text, quote=False)
 
 
 def quantile_bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +131,7 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
         )
         out.append(
             f'<text x="{x + 20:.3f}" y="598" font-family="sans-serif" '
-            f'font-size="12" fill="#222222">{escape(label)}</text>'
+            f'font-size="12" fill="#222222">{_escape(label)}</text>'
         )
     return out
 
@@ -186,13 +191,13 @@ def render_choropleth(
     if title:
         lines.append(
             '<text x="400" y="24" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="16" fill="#111111">{escape(title)}</text>'
+            f'font-size="16" fill="#111111">{_escape(title)}</text>'
         )
     for uid, d, color in zip(units.ids, paths, fill):
         lines.append(
             f'<path d="{d}" fill="{color}" '
             'fill-rule="evenodd" stroke="#333333" stroke-width="0.5">'
-            f"<title>{escape(uid)}</title></path>"
+            f"<title>{_escape(uid)}</title></path>"
         )
     lines.extend(_legend(legend))
     lines.append("</svg>")

@@ -130,6 +130,17 @@ class TestFit:
         res = fit(X, np.full(X.n, 7.0))
         assert res.r2 == 0.0
 
+    @pytest.mark.parametrize("n", [20, 30, 60, 200, 500])
+    def test_intercept_only_r2_exactly_zero(self, n):
+        # the SVD residual's sse differs from tss in the last bit at these n,
+        # so 1 - sse/tss would read +-1.1e-16 or +-2.2e-16
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        res = fit(design_matrix([("a", x)]).drop("a"), y)
+        assert res.q == 1
+        assert res.r2 == 0.0
+        assert res.adj_r2 == 0.0
+
     def test_duplicate_column_named_in_error(self):
         x = np.arange(10.0)
         X = design_matrix([("a", x), ("b", 2 * x)])

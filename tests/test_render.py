@@ -1,10 +1,12 @@
 """Deterministic vector maps: binning, palettes, and document structure."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arealstat.hotspot import CLASS_ORDER
 from arealstat.ingest import AreaUnit, AreaUnits, parse_geometry
@@ -15,6 +17,7 @@ from arealstat.render import (
     _WIDTH,
     HOTSPOT_PALETTE,
     SEQUENTIAL_REDS,
+    _escape,
     _unit_paths,
     quantile_bins,
     render_choropleth,
@@ -168,6 +171,11 @@ class TestChoropleth:
         ]
         svg = render_choropleth(renamed, np.arange(4.0), kind="quantile", title="a<b&c")
         parse(svg)  # must stay well-formed
+
+    @given(st.text())
+    @example("<a&b>\"'&amp;")
+    def test_escape_matches_xml_sax(self, text):
+        assert _escape(text) == sax_escape(text)
 
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError):
