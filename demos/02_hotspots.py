@@ -8,13 +8,13 @@ import numpy as np
 
 from arealstat.hotspot import gi_star
 from arealstat.synth import lattice
-from arealstat.weights import queen_contiguity, to_weights
+from arealstat.weights import queen_contiguity
 
 rng = np.random.default_rng(7)
 
 nx = ny = 12
 units = lattice(nx, ny)
-w = to_weights(queen_contiguity(units), "binary", include_self=True)
+links = queen_contiguity(units)
 
 # background noise plus a raised 3x3 block in the north-east corner
 x = rng.normal(30.0, 2.0, nx * ny)
@@ -22,7 +22,7 @@ for r in (1, 2, 3):
     for c in (8, 9, 10):
         x[r * nx + c] += 8.0
 
-result = gi_star(w, x, fdr_alpha=0.05)
+result = gi_star(links, x, fdr_alpha=0.05)
 
 counts = collections.Counter(result.classes)
 print("class counts:", dict(counts))

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .stats import _norm_sf, bh_fdr
 from .weights import SpatialWeights
@@ -36,21 +37,18 @@ class HotspotResult:
 
 
 def gi_star(
-    weights: SpatialWeights, x: np.ndarray, fdr_alpha: float = 0.05
+    links: SpatialWeights, x: np.ndarray, fdr_alpha: float = 0.05
 ) -> HotspotResult:
     """Self-inclusive local concentration z-scores with FDR-adjusted classes.
 
-    Requires binary weights built with a self-link: the statistic's null
-    moments assume w_ij in {0, 1} and the unit's own value inside its
-    neighborhood sum.  A unit whose neighborhood holds every unit has no
-    null variance and is refused.
+    The statistic weights the contiguity links in binary and adds each
+    unit's self-link (Ord & Getis 1995): its null moments assume w_ij in
+    {0, 1} and the unit's own value inside its neighborhood sum.  A unit
+    whose neighborhood holds every unit has no null variance and is
+    refused.
     """
-    if weights.mode != "binary":
-        raise ValueError("hot-spot statistic requires binary weights")
-    if not weights.include_self:
-        raise ValueError("hot-spot statistic requires self-inclusive weights")
     x = np.asarray(x, dtype=float)
-    n = weights.n
+    n = links.n
     if x.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {x.shape}")
     if n < 3:
@@ -71,9 +69,10 @@ def gi_star(
     xc -= float(np.mean(xc))
     s = math.sqrt(float(np.mean(xc * xc)))
 
-    w = weights.matrix
-    # binary weights are 1, so sum_j w_ij = sum_j w_ij^2 = the row length
-    wsum = weights.degree().astype(float)
+    w = links.matrix + sp.identity(n, format="csr")
+    # binary weights with the self-link, so sum_j w_ij = sum_j w_ij^2 =
+    # degree + 1
+    wsum = links.degree() + 1.0
     spread = n * wsum - wsum * wsum
     flat = np.flatnonzero(spread <= 0.0)
     if flat.size:

@@ -19,6 +19,7 @@ import io
 import json
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -389,7 +390,7 @@ def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
 
     Non-id columns are parsed as numerics; empty cells and non-numeric
     tokens become NaN (flagged missing), never zero.  Row order is
-    preserved.
+    preserved.  A header that names a column twice is refused.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -398,6 +399,9 @@ def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
         header = next(reader)
     except StopIteration:
         raise ValueError("attribute table is empty") from None
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise ValueError(f"attribute table header names column {repeated[0]!r} twice")
     if id_column not in header:
         raise ValueError(f"attribute table has no id column {id_column!r}")
     id_idx = header.index(id_column)

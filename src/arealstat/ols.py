@@ -457,26 +457,25 @@ class LmSuite:
 
 
 def lm_tests(
-    X: DesignMatrix, y: np.ndarray, ols_fit: OlsFit, weights: SpatialWeights
+    X: DesignMatrix, y: np.ndarray, ols_fit: OlsFit, links: SpatialWeights
 ) -> LmSuite:
     """Spatial-dependence score tests from a least-squares fit.
 
-    Requires row-standardized weights with no isolated units.  When the
-    lagged fitted values lie in the column space of the design the robust
-    variants are undefined; they are reported as 0 with p-value 1 and the
-    suite is flagged degenerate.
+    The tests weight the contiguity links by row standardization (Anselin
+    1988), which needs every unit to have a neighbor.  When the lagged
+    fitted values lie in the column space of the design the robust variants
+    are undefined; they are reported as 0 with p-value 1 and the suite is
+    flagged degenerate.
     """
-    if weights.mode != "row-standardized":
-        raise ValueError("spatial dependence tests require row-standardized weights")
-    if weights.n != X.n:
-        raise ValueError(f"weights are for {weights.n} units, design has {X.n}")
-    w = weights.matrix
-    isolated = np.flatnonzero(np.diff(w.indptr) == 0).tolist()
+    if links.n != X.n:
+        raise ValueError(f"weights are for {links.n} units, design has {X.n}")
+    isolated = np.flatnonzero(links.degree() == 0).tolist()
     if isolated:
         raise ValueError(
             f"weights contain isolated units {isolated}; spatial dependence "
             "tests are undefined with all-zero rows"
         )
+    w = links.row_standardized()
     y = np.asarray(y, dtype=float)
     e = ols_fit.residuals
     n = X.n

@@ -216,8 +216,6 @@ class _Context:
     dropped_missing: list = field(default_factory=list)
     links: _weights.SpatialWeights | None = None
     island_ids: list = field(default_factory=list)
-    w_gi: _weights.SpatialWeights | None = None
-    w_rs: _weights.SpatialWeights | None = None
     gi: _hotspot.HotspotResult | None = None
     summary_rows: list = field(default_factory=list)
     z_outcome: np.ndarray | None = None
@@ -295,15 +293,9 @@ def _stage_weights(ctx: _Context) -> None:
     build = (
         _weights.queen_contiguity if cfg.contiguity == "queen" else _weights.rook_contiguity
     )
-    links = build(ctx.dataset.units, cfg.snap_tolerance)
-    islands = _weights.detect_islands(links)
-    ctx.links = links
+    ctx.links = build(ctx.dataset.units, cfg.snap_tolerance)
+    islands = _weights.detect_islands(ctx.links)
     ctx.island_ids = [ctx.dataset.units.ids[i] for i in islands]
-    ctx.w_gi = _weights.to_weights(links, "binary", include_self=True)
-    # report.json names the islands; every other warning stays visible
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="row standardization left all-zero rows")
-        ctx.w_rs = _weights.to_weights(links, "row-standardized")
 
 
 def _stage_summarize(ctx: _Context) -> None:
@@ -336,7 +328,7 @@ def _stage_zscore(ctx: _Context) -> None:
 
 def _stage_gi_star(ctx: _Context) -> None:
     x = ctx.dataset.table.column(ctx.config.outcome_column)
-    ctx.gi = _hotspot.gi_star(ctx.w_gi, x, fdr_alpha=ctx.config.fdr_alpha)
+    ctx.gi = _hotspot.gi_star(ctx.links, x, fdr_alpha=ctx.config.fdr_alpha)
 
 
 def _stage_vif_prune(ctx: _Context) -> None:
@@ -389,7 +381,7 @@ def _stage_lm(ctx: _Context) -> None:
             return
         raise ValueError(_island_guidance(ctx))
     ctx.lm_suite = _ols.lm_tests(
-        ctx.design_final, ctx.z_outcome, ctx.fit_final, ctx.w_rs
+        ctx.design_final, ctx.z_outcome, ctx.fit_final, ctx.links
     )
 
 
@@ -406,11 +398,11 @@ def _stage_decision(ctx: _Context) -> None:
 def _stage_spatial(ctx: _Context) -> None:
     if ctx.spatial_skip_reason or ctx.decision == "stay-OLS":
         return
-    cache = _spatial.spectral_cache(ctx.w_rs)
+    cache = _spatial.spectral_cache(ctx.links)
     fit_fn = (
         _spatial.fit_error_ml if ctx.decision == "fit-error" else _spatial.fit_lag_ml
     )
-    ctx.spatial_fit = fit_fn(ctx.design_final, ctx.z_outcome, ctx.w_rs, cache=cache)
+    ctx.spatial_fit = fit_fn(ctx.design_final, ctx.z_outcome, ctx.links, cache=cache)
 
 
 def _stage_compare(ctx: _Context) -> None:
@@ -841,7 +833,7 @@ def _write_table(path: str, columns: list[str], rows: list[dict]) -> None:
 
 
 def _write_weights_files(ctx: _Context, outdir: str) -> None:
-    _write(os.path.join(outdir, "weights.txt"), _weights.write_weights(ctx.w_rs).encode("utf-8"))
+    _write(os.path.join(outdir, "weights.txt"), _weights.write_weights(ctx.links).encode("utf-8"))
     island_text = "".join(f"{uid}\n" for uid in ctx.island_ids)
     _write(os.path.join(outdir, "islands.txt"), island_text.encode("utf-8"))
 

@@ -60,35 +60,29 @@ class SpectralCache:
         return self.sym.shape[0]
 
 
-def spectral_cache(weights: SpatialWeights) -> SpectralCache:
-    """Prepare the exact log-determinant of I - pW for these weights.
+def spectral_cache(links: SpatialWeights) -> SpectralCache:
+    """Prepare the exact log-determinant of I - pW, where W = D^-1 A is the
+    row standardization of the contiguity links A.
 
-    Row-standardized W = D^-1 A is similar to the symmetric S, so both have
-    the same real spectrum and det(I - pW) = det(I - pS).  W is
-    row-stochastic, so every eigenvalue lies in [-1, 1] and I - pS is
-    positive definite for p in (-1, 1), the interval searched (the
-    restricted range of LeSage & Pace 2009, ch. 4).  No eigenvalue is
+    W is similar to the symmetric S = D^-1/2 A D^-1/2, built here from the
+    links, so both have the same real spectrum and det(I - pW) =
+    det(I - pS).  W is row-stochastic, so every eigenvalue lies in [-1, 1]
+    and I - pS is positive definite for p in (-1, 1), the interval searched
+    (the restricted range of LeSage & Pace 2009, ch. 4).  No eigenvalue is
     computed.  For bipartite links, such as the rook lattice, -1 is an
     eigenvalue and the interval is the whole feasible range
     (1/omega_min, 1/omega_max); otherwise an estimate in
     (1/omega_min, -1] is refused as pinned at the boundary.
     """
-    if weights.mode != "row-standardized":
-        raise ValueError("spectral cache requires row-standardized weights")
-    if weights.include_self:
-        raise ValueError("spectral cache requires weights without self-links")
-    deg = weights.degree()
+    deg = links.degree()
     if (deg == 0).any():
         isolated = [int(i) for i in np.nonzero(deg == 0)[0]]
         raise ValueError(
             f"isolated units {isolated} have zero degree; the normalized "
             "adjacency is undefined"
         )
-    # A is W's own link pattern with unit values, so that W = D^-1 A
-    w = weights.matrix
-    adj = sp.csr_matrix((np.ones(w.nnz), w.indices, w.indptr), shape=w.shape)
     d_isqrt = sp.diags(1.0 / np.sqrt(deg.astype(float)))
-    sym = (d_isqrt @ adj @ d_isqrt).tocsc()
+    sym = (d_isqrt @ links.matrix @ d_isqrt).tocsc()
     return SpectralCache(sym=sym, interval=(-1.0, 1.0))
 
 
@@ -130,30 +124,26 @@ def _factorize(cache: SpectralCache, p: float):
     return lu
 
 
-def _prepare(X, y, weights, cache):
+def _prepare(X, y, links, cache):
     """Check the inputs and return y, Wy, the least-squares coefficients of
     y and Wy on X (one solve, which also refuses a rank-deficient design),
-    the cache and W."""
-    if weights.mode != "row-standardized":
-        raise ValueError("spatial models require row-standardized weights")
-    if weights.include_self:
-        raise ValueError("spatial models require weights without self-links")
+    the cache and the row-standardized W."""
     y = np.asarray(y, dtype=float)
     if y.shape != (X.n,):
         raise ValueError(f"y must have shape ({X.n},), got {y.shape}")
-    if weights.n != X.n:
-        raise ValueError(f"weights are for {weights.n} units, design has {X.n}")
+    if links.n != X.n:
+        raise ValueError(f"weights are for {links.n} units, design has {X.n}")
     if np.isnan(y).any():
         raise ValueError("y contains missing values")
     if X.n <= X.q + 1:
         raise ValueError(
             f"need more observations than parameters (n={X.n}, q={X.q} + spatial)"
         )
-    w = weights.matrix
+    w = links.row_standardized()
     wy = w @ y
     coef, _ = _lstsq(X.values, np.column_stack([y, wy]), X.names)
     if cache is None:
-        cache = spectral_cache(weights)
+        cache = spectral_cache(links)
     return y, wy, coef, cache, w
 
 
@@ -167,13 +157,13 @@ def _profile_ll(n: int, sig2: float, cache: SpectralCache, p: float) -> float:
 def error_concentrated_loglik(
     X: DesignMatrix,
     y: np.ndarray,
-    weights: SpatialWeights,
+    links: SpatialWeights,
     lam: float,
     cache: SpectralCache | None = None,
 ) -> float:
     """Profile log-likelihood of the error model at lam, with b and sigma^2
     concentrated out by filtered least squares."""
-    y, wy, _, cache, w = _prepare(X, y, weights, cache)
+    y, wy, _, cache, w = _prepare(X, y, links, cache)
     return _error_profile(X.values, y, w @ X.values, wy, cache, lam)
 
 
@@ -187,13 +177,13 @@ def _error_profile(xv, y, wx, wy, cache, lam) -> float:
 def lag_concentrated_loglik(
     X: DesignMatrix,
     y: np.ndarray,
-    weights: SpatialWeights,
+    links: SpatialWeights,
     rho: float,
     cache: SpectralCache | None = None,
 ) -> float:
     """Profile log-likelihood of the lag model at rho, concentrated through
     the two auxiliary regressions of y and Wy on X."""
-    y, wy, coef, cache, _ = _prepare(X, y, weights, cache)
+    y, wy, coef, cache, _ = _prepare(X, y, links, cache)
     e0, e1 = (np.column_stack([y, wy]) - X.values @ coef).T
     return _lag_profile(e0, e1, cache, rho)
 
@@ -518,11 +508,11 @@ def _spatial_fit(
 def fit_error_ml(
     X: DesignMatrix,
     y: np.ndarray,
-    weights: SpatialWeights,
+    links: SpatialWeights,
     cache: SpectralCache | None = None,
 ) -> SpatialFit:
     """Fit the spatial error model by concentrated maximum likelihood."""
-    y, wy, _, cache, w = _prepare(X, y, weights, cache)
+    y, wy, _, cache, w = _prepare(X, y, links, cache)
     xv = X.values
     wx = w @ xv
 
@@ -549,11 +539,11 @@ def fit_error_ml(
 def fit_lag_ml(
     X: DesignMatrix,
     y: np.ndarray,
-    weights: SpatialWeights,
+    links: SpatialWeights,
     cache: SpectralCache | None = None,
 ) -> SpatialFit:
     """Fit the spatial lag model by concentrated maximum likelihood."""
-    y, wy, coef, cache, _ = _prepare(X, y, weights, cache)
+    y, wy, coef, cache, _ = _prepare(X, y, links, cache)
     xv = X.values
     b0, b1 = coef.T
     e0, e1 = (np.column_stack([y, wy]) - xv @ coef).T
@@ -572,7 +562,7 @@ def fit_lag_ml(
     if lu is None:
         lu = _factorize(cache, rho)
     # (I - rho W)^-1 = D^-1/2 (I - rho S)^-1 D^1/2, since W = D^-1/2 S D^1/2
-    d_sqrt = np.sqrt(weights.degree().astype(float))
+    d_sqrt = np.sqrt(links.degree().astype(float))
     fitted = lu.solve(d_sqrt * (xv @ beta)) / d_sqrt
     return _spatial_fit(
         "lag", X, y, cache, rho, beta, sigma2, beta_se, rho_se, ok, fitted, u

@@ -108,15 +108,13 @@ def zscore(x: np.ndarray) -> np.ndarray:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing the average of their positions."""
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # each tie group holds sorted positions start..end (0-based) and shares
+    # the rank mean of start+1..end+1
+    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    end = np.r_[start[1:], len(x)] - 1
     ranks = np.empty(len(x), dtype=float)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        # positions i..j (0-based) share rank mean of i+1..j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 

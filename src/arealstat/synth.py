@@ -15,7 +15,7 @@ import scipy.sparse.linalg
 
 from .ingest import AreaUnit, serialize_geometry
 from .stats import zscore
-from .weights import SpatialWeights, queen_contiguity, to_weights
+from .weights import SpatialWeights, queen_contiguity
 
 __all__ = [
     "lattice",
@@ -75,12 +75,13 @@ def detached_square(uid: str, x0: float, y0: float = 0.0) -> AreaUnit:
     return AreaUnit(id=uid, geometry=_square(x0, y0), properties={"GEOID": uid})
 
 
-def autoregressive_solver(weights: SpatialWeights, param: float):
-    """Callable v -> (I - param*W)^-1 v with the factorization done once.
+def autoregressive_solver(links: SpatialWeights, param: float):
+    """Callable v -> (I - param*W)^-1 v, W the row-standardized links, with
+    the factorization done once.
 
     Useful for simulating many disturbance draws on the same weights.
     """
-    a = sp.identity(weights.n, format="csc") - param * weights.matrix.tocsc()
+    a = sp.identity(links.n, format="csc") - param * links.row_standardized().tocsc()
     lu = scipy.sparse.linalg.splu(a)
     return lu.solve
 
@@ -99,10 +100,10 @@ def synthetic_county(seed: int = 20240817) -> tuple[bytes, bytes]:
     grid = lattice()
     n = len(grid)
 
-    w = to_weights(queen_contiguity(grid), "row-standardized")
+    links = queen_contiguity(grid)
     # regional smoothing so socioeconomic columns cluster the way real
     # tract data does; rescaling keeps the stated marginal mean and SD
-    blur = autoregressive_solver(w, 0.7)
+    blur = autoregressive_solver(links, 0.7)
 
     def regional(mean: float, sd: float) -> np.ndarray:
         return mean + sd * zscore(blur(rng.normal(0.0, 1.0, n)))
@@ -121,7 +122,7 @@ def synthetic_county(seed: int = 20240817) -> tuple[bytes, bytes]:
         + rng.normal(0.0, 0.25, n)
     )
 
-    u = autoregressive_solver(w, 0.5)(rng.normal(0.0, 1.0, n))
+    u = autoregressive_solver(links, 0.5)(rng.normal(0.0, 1.0, n))
     prevalence = (
         32.0
         + 2.2 * zscore(poverty)

@@ -3,19 +3,20 @@
 Queen contiguity links units sharing at least one snapped vertex; rook
 contiguity requires a shared snapped edge.  Coordinates are quantized to a
 snap pitch before comparison so nearly-touching boundaries from noisy
-sources still register as neighbors.  Weights come in binary and
-row-standardized modes and round-trip through a plain text format.
+sources still register as neighbors.
 
-Contiguity returns binary weights without self-links, whose n x n
-``scipy.sparse.csr_matrix`` is the link pattern; every weights object is one
-such matrix with sorted column indices, and every other view (degrees,
-neighbor lists, dense arrays) is derived from it.
+A run holds one weights object: the contiguity links, an n x n binary
+``scipy.sparse.csr_matrix`` without self-links and with sorted column
+indices.  Every other view (degrees, neighbor lists, the row-standardized
+W, dense arrays) is derived from it, and each statistic applies its own
+weighting: Gi* adds the self-links, the spatial-dependence tests and fits
+row-standardize.  The row-standardized W round-trips through a plain text
+format.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,6 @@ __all__ = [
     "queen_contiguity",
     "rook_contiguity",
     "detect_islands",
-    "to_weights",
-    "lag",
     "write_weights",
     "read_weights",
 ]
@@ -37,16 +36,12 @@ __all__ = [
 
 @dataclass(eq=False)
 class SpatialWeights:
-    """Sparse spatial weights over units indexed 0..n-1.
+    """Contiguity links over units indexed 0..n-1.
 
-    ``matrix`` is the n x n CSR weights matrix with sorted column indices;
-    row i holds unit i's neighbors (and itself, with ``include_self``) and
-    their weights.  Contiguity links are the binary weights without
-    self-links: every stored value 1.0, no diagonal.
+    ``matrix`` is the n x n CSR link pattern: symmetric, every stored value
+    1.0, no diagonal, sorted column indices; row i holds unit i's neighbors.
     """
 
-    mode: str
-    include_self: bool
     matrix: sp.csr_matrix
 
     @property
@@ -55,6 +50,16 @@ class SpatialWeights:
 
     def degree(self) -> np.ndarray:
         return np.diff(self.matrix.indptr)
+
+    def row_standardized(self) -> sp.csr_matrix:
+        """W = D^-1 A: each link weighted 1/degree of its row, on the same
+        pattern, so every non-empty row sums to 1; an island's row stays
+        empty."""
+        a = self.matrix
+        deg = self.degree()
+        return sp.csr_matrix(
+            (1.0 / np.repeat(deg, deg), a.indices, a.indptr), shape=a.shape
+        )
 
     @property
     def neighbors(self) -> list[np.ndarray]:
@@ -120,7 +125,7 @@ def _link_shared_keys(owner: np.ndarray, keys: np.ndarray, n: int) -> SpatialWei
     a = sp.csr_matrix(
         (np.ones(int(off.sum())), (shared.row[off], shared.col[off])), shape=(n, n)
     )
-    return SpatialWeights(mode="binary", include_self=False, matrix=a)
+    return SpatialWeights(matrix=a)
 
 
 def queen_contiguity(
@@ -162,70 +167,30 @@ def detect_islands(links: SpatialWeights) -> list[int]:
     return np.flatnonzero(links.degree() == 0).tolist()
 
 
-def to_weights(
-    links: SpatialWeights, mode: str, include_self: bool = False
-) -> SpatialWeights:
-    """Turn contiguity links into weights.
+def write_weights(links: SpatialWeights) -> str:
+    """Serialize the row-standardized W to the plain text format.
 
-    ``mode`` is ``"binary"`` (every link weight 1) or ``"row-standardized"``
-    (each row rescaled to sum to 1).  With ``include_self`` a self-link is
-    added before any standardization.  Isolated units keep an all-zero row
-    under row standardization; a warning names them.  ``links`` must be
-    binary weights without self-links, as contiguity returns them.
+    First line is ``n row-standardized``; each following line is ``i j w``
+    with 0-based indices sorted by (i, j) and weights written with full repr
+    precision, so the file holds W's values bit-exactly.
     """
-    if mode not in ("binary", "row-standardized"):
-        raise ValueError(f"unknown weights mode {mode!r}")
-    if links.mode != "binary" or links.include_self:
-        raise ValueError(
-            "weights must be built from contiguity links (binary, without self-links)"
-        )
-    w = links.matrix
-    if include_self:
-        w = w + sp.identity(links.n, format="csr")
-    if mode == "row-standardized":
-        deg = np.diff(w.indptr)
-        islands = np.flatnonzero(deg == 0).tolist()
-        if islands:
-            warnings.warn(
-                f"row standardization left all-zero rows for isolated units {islands}",
-                stacklevel=2,
-            )
-        w = sp.csr_matrix((1.0 / np.repeat(deg, deg), w.indices, w.indptr), shape=w.shape)
-    return SpatialWeights(mode=mode, include_self=include_self, matrix=w)
-
-
-def lag(weights: SpatialWeights, x: np.ndarray) -> np.ndarray:
-    """Spatially lagged values Wx."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (weights.n,):
-        raise ValueError(f"x must have shape ({weights.n},), got {x.shape}")
-    return weights.matrix @ x
-
-
-def write_weights(weights: SpatialWeights) -> str:
-    """Serialize to the plain text format.
-
-    First line is ``n mode``; each following line is ``i j w`` with 0-based
-    indices sorted by (i, j) and weights written with full repr precision so
-    reading back is bit-exact.
-    """
-    m = weights.matrix
-    rows = np.repeat(np.arange(weights.n), np.diff(m.indptr))
-    links = zip(rows.tolist(), m.indices.tolist(), m.data.tolist())
-    lines = [f"{weights.n} {weights.mode}"]
-    lines.extend(f"{i} {j} {w!r}" for i, j, w in links)
+    m = links.row_standardized()
+    rows = np.repeat(np.arange(links.n), np.diff(m.indptr))
+    triples = zip(rows.tolist(), m.indices.tolist(), m.data.tolist())
+    lines = [f"{links.n} row-standardized"]
+    lines.extend(f"{i} {j} {w!r}" for i, j, w in triples)
     return "\n".join(lines) + "\n"
 
 
 def read_weights(text: str) -> SpatialWeights:
-    """Parse the plain text format written by :func:`write_weights`.
+    """Parse the plain text format written by :func:`write_weights` and
+    return the link pattern.
 
-    ``include_self`` is inferred from the presence of self-links.  Input
-    the spatial code would misuse is refused with a message naming the
-    unit: self-links on some units but not all, a link without its reverse,
-    a binary weight other than 1, or a row-standardized weight other than
-    1/degree (within 1e-12).  When several links are at fault, the first by
-    (i, j) is named.
+    The header mode is ``binary`` or ``row-standardized``.  Input the
+    spatial code would misuse is refused with a message naming the unit: a
+    self-link, a link without its reverse, a binary weight other than 1, or
+    a row-standardized weight other than 1/degree (within 1e-12).  When
+    several links are at fault, the first by (i, j) is named.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -261,15 +226,12 @@ def read_weights(text: str) -> SpatialWeights:
         k = dup[0]
         raise ValueError(f"duplicate weights entry for pair ({ii[k]}, {jj[k]})")
 
-    diag = ii == jj
-    has_self = bool(diag.any())
-    if has_self:
-        lacking = np.flatnonzero(np.bincount(ii[diag], minlength=n) == 0)
-        if lacking.size:
-            raise ValueError(
-                f"unit {lacking[0]} has no self-link while other units have one; "
-                "self-links must be on every unit or on none"
-            )
+    self_link = np.flatnonzero(ii == jj)
+    if self_link.size:
+        raise ValueError(
+            f"unit {ii[self_link[0]]} links to itself; contiguity links have "
+            "no self-links"
+        )
     one_way = np.flatnonzero(~np.isin(jj * n + ii, code))
     if one_way.size:
         i, j = ii[one_way[0]], jj[one_way[0]]
@@ -292,7 +254,5 @@ def read_weights(text: str) -> SpatialWeights:
         )
 
     return SpatialWeights(
-        mode=mode,
-        include_self=has_self,
-        matrix=sp.csr_matrix((data, jj, indptr), shape=(n, n)),
+        matrix=sp.csr_matrix((np.ones(len(jj)), jj, indptr), shape=(n, n))
     )

@@ -38,9 +38,7 @@ def adjacency_from_neighbors(neighbors):
     rows = np.repeat(np.arange(n), [len(nb) for nb in neighbors])
     cols = np.concatenate([np.asarray(nb, dtype=np.int64) for nb in neighbors])
     return SpatialWeights(
-        mode="binary",
-        include_self=False,
-        matrix=sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n)),
+        matrix=sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n))
     )
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from arealstat.hotspot import CLASS_ORDER, classify, gi_star
-from arealstat.weights import queen_contiguity, to_weights
+from arealstat.weights import queen_contiguity
 from conftest import grid_units, torus_adjacency
 
 
@@ -32,10 +32,15 @@ def double_loop_oracle(dense_w, x):
     return z
 
 
-def per_row_z(weights, x):
+def self_inclusive(links):
+    """The statistic's weights built densely: binary links plus the unit
+    itself, A + I."""
+    return links.to_dense() + np.eye(links.n)
+
+
+def per_row_z(dense, x):
     """z as computed one row at a time, before the row sums and the
     numerator became sparse products; same centred moments."""
-    dense = weights.to_dense()
     n = len(x)
     xc = x - float(np.mean(x))
     xc -= float(np.mean(xc))
@@ -53,71 +58,63 @@ def per_row_z(weights, x):
 
 
 @pytest.fixture(scope="module")
-def lattice_weights():
-    return to_weights(queen_contiguity(grid_units(6, 6)), "binary", include_self=True)
+def lattice_links():
+    return queen_contiguity(grid_units(6, 6))
 
 
 class TestGiStar:
-    def test_matches_double_loop_oracle(self, lattice_weights):
+    def test_matches_double_loop_oracle(self, lattice_links):
         rng = np.random.default_rng(21)
         x = rng.normal(size=36)
-        result = gi_star(lattice_weights, x)
-        expected = double_loop_oracle(lattice_weights.to_dense(), x)
+        result = gi_star(lattice_links, x)
+        expected = double_loop_oracle(self_inclusive(lattice_links), x)
         assert np.allclose(result.z, expected, atol=1e-10, rtol=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_equal_to_per_row_loop(self, seed):
-        w = to_weights(queen_contiguity(grid_units(20, 20)), "binary", include_self=True)
+        links = queen_contiguity(grid_units(20, 20))
         rng = np.random.default_rng(seed)
         x = rng.lognormal(size=400) * 10.0 ** (seed - 1) + 1e3 * seed
-        assert np.array_equal(gi_star(w, x).z, per_row_z(w, x))
+        assert np.array_equal(gi_star(links, x).z, per_row_z(self_inclusive(links), x))
 
     def test_unit_permutation_permutes_z(self):
         units = grid_units(9, 7)
         rng = np.random.default_rng(8)
         x = rng.normal(size=len(units))
         perm = rng.permutation(len(units))
-        z = gi_star(
-            to_weights(queen_contiguity(units), "binary", include_self=True), x
-        ).z
-        moved = to_weights(
-            queen_contiguity([units[k] for k in perm]), "binary", include_self=True
-        )
+        z = gi_star(queen_contiguity(units), x).z
+        moved = queen_contiguity([units[k] for k in perm])
         assert np.allclose(gi_star(moved, x[perm]).z, z[perm], rtol=0, atol=1e-12)
 
-    def test_p_is_two_sided_normal_tail(self, lattice_weights):
+    def test_p_is_two_sided_normal_tail(self, lattice_links):
         rng = np.random.default_rng(22)
         x = rng.normal(size=36)
-        result = gi_star(lattice_weights, x)
+        result = gi_star(lattice_links, x)
         assert np.allclose(result.p, 2 * sps.norm.sf(np.abs(result.z)), atol=1e-14)
 
-    def test_planted_peak_is_hottest(self, lattice_weights):
+    def test_planted_peak_is_hottest(self, lattice_links):
         x = np.zeros(36)
         # a concentrated block of large values around cell (2, 2)
         for r in (1, 2, 3):
             for c in (1, 2, 3):
                 x[r * 6 + c] = 5.0
         x += np.linspace(0, 0.01, 36)  # break exact constancy elsewhere
-        result = gi_star(lattice_weights, x)
+        result = gi_star(lattice_links, x)
         assert int(np.argmax(result.z)) == 2 * 6 + 2
 
     def test_mean_z_vanishes_on_regular_graph(self):
         # on a wraparound lattice every unit has identical weight totals,
         # so the scores sum to zero exactly
-        from arealstat.weights import to_weights as tw
-
-        adj = torus_adjacency(5, 5)
-        w = tw(adj, "binary", include_self=True)
         rng = np.random.default_rng(23)
         x = rng.normal(size=25)
-        result = gi_star(w, x)
+        result = gi_star(torus_adjacency(5, 5), x)
         assert abs(result.z.sum()) < 1e-10
 
-    def test_scale_and_shift_invariant(self, lattice_weights):
+    def test_scale_and_shift_invariant(self, lattice_links):
         rng = np.random.default_rng(24)
         x = rng.normal(size=36)
-        a = gi_star(lattice_weights, x)
-        b = gi_star(lattice_weights, 100.0 * x + 7.0)
+        a = gi_star(lattice_links, x)
+        b = gi_star(lattice_links, 100.0 * x + 7.0)
         assert np.allclose(a.z, b.z, atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
@@ -126,7 +123,7 @@ class TestGiStar:
         st.sampled_from([1e6, 1e8]),
     )
     def test_large_shift_moves_neither_z_nor_classes(
-        self, lattice_weights, seed, shift
+        self, lattice_links, seed, shift
     ):
         # a planted hot block keeps some classes away from "none"
         rng = np.random.default_rng(seed)
@@ -134,34 +131,25 @@ class TestGiStar:
         for r in (1, 2, 3):
             for c in (1, 2, 3):
                 x[r * 6 + c] += 3.0
-        a = gi_star(lattice_weights, x)
-        b = gi_star(lattice_weights, x + shift)
+        a = gi_star(lattice_links, x)
+        b = gi_star(lattice_links, x + shift)
         assert np.allclose(a.z, b.z, atol=1e-6, rtol=0)
         assert a.classes == b.classes
 
-    def test_requires_binary_self_inclusive_weights(self):
-        adj = queen_contiguity(grid_units(3, 3))
-        rng = np.random.default_rng(25)
-        x = rng.normal(size=9)
+    def test_constant_values_rejected(self, lattice_links):
         with pytest.raises(ValueError):
-            gi_star(to_weights(adj, "row-standardized"), x)
-        with pytest.raises(ValueError):
-            gi_star(to_weights(adj, "binary", include_self=False), x)
+            gi_star(lattice_links, np.full(36, 4.0))
 
-    def test_constant_values_rejected(self, lattice_weights):
-        with pytest.raises(ValueError):
-            gi_star(lattice_weights, np.full(36, 4.0))
-
-    def test_nan_rejected(self, lattice_weights):
+    def test_nan_rejected(self, lattice_links):
         x = np.zeros(36)
         x[0] = np.nan
         x[1] = 1.0
         with pytest.raises(ValueError):
-            gi_star(lattice_weights, x)
+            gi_star(lattice_links, x)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_value_named_by_unit(self, bad):
-        w = to_weights(queen_contiguity(grid_units(5, 5)), "binary", include_self=True)
+        w = queen_contiguity(grid_units(5, 5))
         x = np.arange(25.0)
         x[4] = bad
         with pytest.raises(ValueError, match=rf"non-finite value {bad} at unit 4$"):
@@ -170,17 +158,17 @@ class TestGiStar:
     def test_neighborhood_of_every_unit_rejected(self):
         # the centre of a 3 x 3 queen lattice neighbours all 9 units, so its
         # n * sum(w^2) - sum(w)^2 = 9 * 9 - 9^2 is 0 and z would be 0/0
-        w = to_weights(queen_contiguity(grid_units(3, 3)), "binary", include_self=True)
+        w = queen_contiguity(grid_units(3, 3))
         with pytest.raises(ValueError, match="unit 4's neighborhood holds every unit"):
             gi_star(w, np.arange(9.0))
 
-    def test_length_mismatch_rejected(self, lattice_weights):
+    def test_length_mismatch_rejected(self, lattice_links):
         with pytest.raises(ValueError):
-            gi_star(lattice_weights, np.zeros(35))
+            gi_star(lattice_links, np.zeros(35))
 
-    def test_result_arrays_aligned(self, lattice_weights):
+    def test_result_arrays_aligned(self, lattice_links):
         rng = np.random.default_rng(26)
-        result = gi_star(lattice_weights, rng.normal(size=36))
+        result = gi_star(lattice_links, rng.normal(size=36))
         assert result.n == 36
         assert len(result.z) == len(result.p) == len(result.adjusted_p) == 36
         assert len(result.classes) == 36
@@ -217,10 +205,10 @@ class TestClassify:
 
 
 class TestFdrIntegration:
-    def test_adjustment_never_tightens_classes(self, lattice_weights):
+    def test_adjustment_never_tightens_classes(self, lattice_links):
         rng = np.random.default_rng(30)
         x = rng.normal(size=36)
-        result = gi_star(lattice_weights, x)
+        result = gi_star(lattice_links, x)
         raw_classes = classify(result.z, result.p)
         tiers = {c: i for i, c in enumerate(
             ["none", "hot90", "hot95", "hot99"])}
@@ -229,12 +217,12 @@ class TestFdrIntegration:
         for adj_c, raw_c in zip(result.classes, raw_classes):
             assert tiers[adj_c] <= tiers[raw_c]
 
-    def test_adjustment_is_level_free(self, lattice_weights):
+    def test_adjustment_is_level_free(self, lattice_links):
         # step-up adjusted p-values and the fixed class tiers do not move
         # with the nominal FDR level
         rng = np.random.default_rng(31)
         x = rng.normal(size=36)
-        a = gi_star(lattice_weights, x, fdr_alpha=0.01)
-        b = gi_star(lattice_weights, x, fdr_alpha=0.2)
+        a = gi_star(lattice_links, x, fdr_alpha=0.01)
+        b = gi_star(lattice_links, x, fdr_alpha=0.2)
         assert np.allclose(a.adjusted_p, b.adjusted_p)
         assert a.classes == b.classes

@@ -465,6 +465,16 @@ class TestParseAttributes:
         table = parse_attributes(CSV.encode("utf-8"), "GEOID")
         assert table.n == 3
 
+    @pytest.mark.parametrize(
+        "header, name",
+        [("GEOID,a,b,GEOID", "GEOID"), ("GEOID,a,a", "a"), ("a,GEOID,b,a", "a")],
+    )
+    def test_repeated_column_named(self, header, name):
+        # refused from the header alone: the ragged row below is never read
+        text = f"{header}\n1,10\n".encode("utf-8")
+        with pytest.raises(ValueError, match=f"names column {name!r} twice"):
+            parse_attributes(text, "GEOID")
+
 
 def _units(ids):
     return parse_geometry(

@@ -25,8 +25,8 @@ from arealstat.ols import (
     vif,
     vif_prune,
 )
-from arealstat.weights import queen_contiguity, to_weights
-from conftest import grid_units
+from arealstat.weights import queen_contiguity
+from conftest import adjacency_from_neighbors, grid_units
 
 
 def random_problem(seed, n=40, k=3):
@@ -435,7 +435,7 @@ class TestResidualDiagnostics:
 @pytest.fixture(scope="module")
 def lm_setup():
     units = grid_units(7, 7)
-    w = to_weights(queen_contiguity(units), "row-standardized")
+    w = queen_contiguity(units)
     rng = np.random.default_rng(60)
     n = 49
     X = design_matrix([("x1", rng.normal(size=n)), ("x2", rng.normal(size=n))])
@@ -468,7 +468,10 @@ class TestLmTests:
         X, y, w = lm_setup
         res = fit(X, y)
         suite = lm_tests(X, y, res, w)
-        o_err, o_lag, o_rerr, o_rlag = dense_lm_oracle(X, y, w.to_dense())
+        a = w.to_dense()
+        o_err, o_lag, o_rerr, o_rlag = dense_lm_oracle(
+            X, y, a / a.sum(axis=1, keepdims=True)
+        )
         assert suite.lm_error == pytest.approx(o_err, rel=1e-10)
         assert suite.lm_lag == pytest.approx(o_lag, rel=1e-10)
         assert suite.robust_lm_error == pytest.approx(o_rerr, rel=1e-10)
@@ -490,11 +493,13 @@ class TestLmTests:
         for name, stat, p in suite.as_rows():
             assert p == pytest.approx(sps.chi2.sf(stat, 1), rel=1e-10)
 
-    def test_binary_weights_rejected(self, lm_setup):
-        X, y, _ = lm_setup
-        w_bin = to_weights(queen_contiguity(grid_units(7, 7)), "binary")
-        with pytest.raises(ValueError):
-            lm_tests(X, y, fit(X, y), w_bin)
+    def test_isolated_unit_named(self, lm_setup):
+        X, y, w = lm_setup
+        # drop unit 48's links both ways, leaving it an island
+        kept = [nb[nb != 48] for nb in w.neighbors[:48]]
+        links = adjacency_from_neighbors(kept + [np.empty(0, dtype=int)])
+        with pytest.raises(ValueError, match=r"isolated units \[48\]"):
+            lm_tests(X, y, fit(X, y), links)
 
     def test_size_mismatch_rejected(self, lm_setup):
         X, y, w = lm_setup

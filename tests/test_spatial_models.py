@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from scipy.sparse import identity
 
 from arealstat import spatial_models
 from arealstat.ols import design_matrix, fit
@@ -31,7 +30,6 @@ from arealstat.weights import (
     queen_contiguity,
     read_weights,
     rook_contiguity,
-    to_weights,
     write_weights,
 )
 from conftest import adjacency_from_neighbors, grid_units, torus_adjacency
@@ -39,7 +37,13 @@ from conftest import adjacency_from_neighbors, grid_units, torus_adjacency
 
 @pytest.fixture(scope="module")
 def w10():
-    return to_weights(queen_contiguity(grid_units(10, 10)), "row-standardized")
+    return queen_contiguity(grid_units(10, 10))
+
+
+def row_standardized_dense(links):
+    """The models' W built densely from the links: A / rowsum."""
+    a = links.to_dense()
+    return a / a.sum(axis=1, keepdims=True)
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +70,9 @@ def make_lag_data(w, rho, seed, beta=(1.0, 2.0, -1.0)):
 
 
 def adjacency_sym(adj):
-    """S = D^-1/2 A D^-1/2 from the contiguity links themselves: the
-    construction spectral_cache used before it read A off W's own pattern,
-    kept verbatim as the oracle."""
+    """S = D^-1/2 A D^-1/2 from the contiguity links, written out here as
+    the oracle; the links read back from weights text must give the same
+    bits."""
     deg = adj.degree()
     d_isqrt = sp.diags(1.0 / np.sqrt(deg.astype(float)))
     return (d_isqrt @ adj.matrix @ d_isqrt).tocsc()
@@ -86,9 +90,7 @@ class TestSpectralCache:
     )
     @pytest.mark.parametrize("via_text", [False, True])
     def test_sym_and_log_det_bit_equal_to_adjacency_oracle(self, links, via_text):
-        w = to_weights(links, "row-standardized")
-        if via_text:
-            w = read_weights(write_weights(w))
+        w = read_weights(write_weights(links)) if via_text else links
         cache = spectral_cache(w)
         sym = adjacency_sym(links)
         for got, want in ((cache.sym.indptr, sym.indptr),
@@ -109,10 +111,9 @@ class TestSpectralCache:
             ("rook", rook_contiguity(grid_units(7, 9))),
             ("torus", torus_adjacency(6, 5)),
         ):
-            w = to_weights(links, "row-standardized")
-            dense_eigs = np.linalg.eigvals(w.to_dense()).real
+            dense_eigs = np.linalg.eigvals(row_standardized_dense(links)).real
             dense_lo, dense_hi = 1.0 / dense_eigs.min(), 1.0 / dense_eigs.max()
-            lo, hi = spectral_cache(w).interval
+            lo, hi = spectral_cache(links).interval
             assert (lo, hi) == (-1.0, 1.0)
             assert hi == pytest.approx(dense_hi, rel=1e-12)
             if name == "rook":
@@ -123,25 +124,18 @@ class TestSpectralCache:
     def test_row_standardized_upper_bound_is_one(self, cache10):
         assert cache10.interval[1] == pytest.approx(1.0, abs=1e-8)
 
-    def test_binary_weights_rejected(self):
-        w = to_weights(queen_contiguity(grid_units(3, 3)), "binary")
-        with pytest.raises(ValueError):
-            spectral_cache(w)
-
     def test_isolated_units_named(self):
         adj = queen_contiguity(grid_units(3, 3))
         adj = adjacency_from_neighbors(list(adj.neighbors) + [np.empty(0, dtype=int)])
-        with pytest.warns(UserWarning):
-            w = to_weights(adj, "row-standardized")
         with pytest.raises(ValueError, match=r"\[9\]"):
-            spectral_cache(w)
+            spectral_cache(adj)
 
     def test_repeated_builds_give_bit_equal_intervals(self, w10):
         assert spectral_cache(w10).interval == spectral_cache(w10).interval
 
     def test_lattice_above_former_dense_limit_is_accepted(self):
         # 101 x 101 = 10 201 units, beyond the old dense n <= 10 000 budget
-        w = to_weights(queen_contiguity(grid_units(101, 101)), "row-standardized")
+        w = queen_contiguity(grid_units(101, 101))
         cache = spectral_cache(w)
         assert cache.n == 10201
         assert np.isfinite(log_det(cache, 0.5))
@@ -164,7 +158,7 @@ class TestSpectralCache:
 
 class TestLogDet:
     def test_matches_dense_determinant(self, w10, cache10):
-        dense = w10.to_dense()
+        dense = row_standardized_dense(w10)
         eye = np.eye(w10.n)
         for p in (-0.9, -0.3, 0.0, 0.25, 0.5, 0.8, 0.95):
             sign, dense_ld = np.linalg.slogdet(eye - p * dense)
@@ -386,16 +380,14 @@ class TestLagFit:
         X, y = make_lag_data(w10, 0.3, seed=82)
         res = fit_lag_ml(X, y, w10, cache=cache10)
         # yhat = (I - rho W)^-1 X beta, so corr(y, yhat)^2 is the fit score
-        a = identity(w10.n, format="csc") - res.param * w10.matrix.tocsc()
-        from scipy.sparse.linalg import spsolve
-
-        yhat = spsolve(a, X.values @ res.beta)
+        a = np.eye(w10.n) - res.param * row_standardized_dense(w10)
+        yhat = np.linalg.solve(a, X.values @ res.beta)
         assert res.pseudo_r2 == pytest.approx(np.corrcoef(y, yhat)[0, 1] ** 2, rel=1e-8)
 
     def test_residuals_subtract_both_parts(self, w10, cache10):
         X, y = make_lag_data(w10, 0.3, seed=83)
         res = fit_lag_ml(X, y, w10, cache=cache10)
-        wy = w10.matrix @ y
+        wy = row_standardized_dense(w10) @ y
         assert np.allclose(res.u, y - res.param * wy - X.values @ res.beta)
 
 
@@ -431,7 +423,7 @@ def observed_hessian(kind, xv, y, wd, beta, p, s2, curvature):
 
 def oracle_se(kind, X, y, w, cache, res):
     h = observed_hessian(
-        kind, X.values, y, w.to_dense(), res.beta, res.param, res.sigma2,
+        kind, X.values, y, row_standardized_dense(w), res.beta, res.param, res.sigma2,
         exact_curvature(cache, res.param),
     )
     se = np.sqrt(np.diag(np.linalg.inv(-h)))
@@ -447,7 +439,7 @@ class TestStandardErrors:
     @pytest.mark.parametrize("kind", ["error", "lag"])
     @pytest.mark.parametrize("side, seed", [(10, 90), (30, 91)])
     def test_match_dense_oracle(self, kind, side, seed):
-        w = to_weights(queen_contiguity(grid_units(side, side)), "row-standardized")
+        w = queen_contiguity(grid_units(side, side))
         cache = spectral_cache(w)
         make, fit_fn = FITS[kind]
         X, y = make(w, 0.5, seed=seed)
@@ -472,7 +464,7 @@ class TestStandardErrors:
             (queen_contiguity, (lo + 1e-2, hi - 1e-3, hi - gap)),
             (rook_contiguity, (lo + gap, lo + 1e-3, hi - 1e-3, hi - gap)),
         ):
-            w = to_weights(build(grid_units(side, side)), "row-standardized")
+            w = build(grid_units(side, side))
             cache = spectral_cache(w)
             assert cache.interval == (lo, hi)
             omega = np.linalg.eigvalsh(cache.sym.toarray())
@@ -497,13 +489,13 @@ class TestStandardErrors:
     def test_closed_form_matches_high_precision_differences(self, kind):
         # n = 25: central differences of the full log-likelihood at 40 digits
         # check the block formula itself, independently of its derivation
-        w = to_weights(queen_contiguity(grid_units(5, 5)), "row-standardized")
+        w = queen_contiguity(grid_units(5, 5))
         cache = spectral_cache(w)
         make, fit_fn = FITS[kind]
         X, y = make(w, 0.5, seed=92)
         res = fit_fn(X, y, w, cache=cache)
         n, q = X.n, X.q
-        wd = w.to_dense()
+        wd = row_standardized_dense(w)
         closed = observed_hessian(
             kind, X.values, y, wd, res.beta, res.param, res.sigma2,
             exact_curvature(cache, res.param),
@@ -560,7 +552,7 @@ def exact_score(kind, X, y, w, cache):
     r'Wy/sigma^2 + L'(p) (lag), with b and sigma^2 at p from dense least
     squares and L' = -sum w/(1 - pw) over the dense spectrum."""
     omega = np.linalg.eigvalsh(cache.sym.toarray())
-    wd = w.to_dense()
+    wd = row_standardized_dense(w)
     xv, wy, wx = X.values, wd @ y, wd @ X.values
 
     def score(p):
@@ -582,7 +574,7 @@ def permuted(w, perm):
     """The same weights with unit perm[i] renumbered i."""
     m = w.matrix[perm][:, perm].tocsr()
     m.sort_indices()
-    return SpatialWeights(mode=w.mode, include_self=w.include_self, matrix=m)
+    return SpatialWeights(matrix=m)
 
 
 class TestScoreRoot:
@@ -594,7 +586,7 @@ class TestScoreRoot:
         "side, planted, seed", [(10, 0.5, 110), (20, 0.2, 111), (30, 0.5, 112)]
     )
     def test_matches_dense_score_root(self, kind, side, planted, seed):
-        w = to_weights(queen_contiguity(grid_units(side, side)), "row-standardized")
+        w = queen_contiguity(grid_units(side, side))
         cache = spectral_cache(w)
         make, fit_fn = FITS[kind]
         X, y = make(w, planted, seed=seed)
@@ -607,7 +599,7 @@ class TestScoreRoot:
 
     @pytest.mark.parametrize("kind", ["error", "lag"])
     def test_unit_order_does_not_move_the_estimate(self, kind):
-        w = to_weights(queen_contiguity(grid_units(30, 30)), "row-standardized")
+        w = queen_contiguity(grid_units(30, 30))
         make, fit_fn = FITS[kind]
         X, y = make(w, 0.5, seed=113)
         res = fit_fn(X, y, w, cache=spectral_cache(w))
@@ -650,8 +642,8 @@ class TestScoreRoot:
         assert res.log_likelihood == pytest.approx(profile(X, y, w10, res.param, cache=cache), rel=1e-12)
         # the lag fit's fitted values solve the filter at Brent's point, not
         # with the LU factorised at the refused step
-        a = identity(w10.n, format="csc") - res.param * w10.matrix.tocsc()
-        yhat = scipy.sparse.linalg.spsolve(a, X.values @ res.beta) if kind == "lag" else X.values @ res.beta
+        a = np.eye(w10.n) - res.param * row_standardized_dense(w10)
+        yhat = np.linalg.solve(a, X.values @ res.beta) if kind == "lag" else X.values @ res.beta
         assert res.pseudo_r2 == pytest.approx(np.corrcoef(y, yhat)[0, 1] ** 2, rel=1e-10)
 
 

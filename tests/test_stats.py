@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from arealstat.ingest import AttributeTable
-from arealstat.stats import _chi2_sf, _norm_sf, _t_sf, bh_fdr, spearman, summarize, zscore
+from arealstat.stats import (
+    _average_ranks,
+    _chi2_sf,
+    _norm_sf,
+    _t_sf,
+    bh_fdr,
+    spearman,
+    summarize,
+    zscore,
+)
 
 
 def table(columns, values):
@@ -83,6 +92,43 @@ def rank_then_pearson(x, y):
     rx = sps.rankdata(x, method="average")
     ry = sps.rankdata(y, method="average")
     return np.corrcoef(rx, ry)[0, 1]
+
+
+def loop_average_ranks(x):
+    """Average ranks by walking each tie group of the stably sorted values,
+    the per-element loop the vectorised ranks replaced."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=float)
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 3), max_size=60),
+        st.sampled_from([1.0, 0.1, 1e300]),
+    )
+    @example([], 1.0)
+    @example([2, 2, 2, 2], 1.0)
+    def test_bit_equal_to_loop_on_ties(self, values, scale):
+        x = np.array(values, dtype=float) * scale
+        assert np.array_equal(_average_ranks(x), loop_average_ranks(x))
+
+    @pytest.mark.parametrize("n", [900, 40_000])
+    def test_bit_equal_to_loop_on_normal_data(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        assert np.array_equal(_average_ranks(x), loop_average_ranks(x))
+
+    def test_ties_share_the_mean_position(self):
+        x = np.array([3.0, 1.0, 3.0, 2.0, 3.0])
+        assert _average_ranks(x).tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
 
 
 class TestSpearman:

@@ -1,4 +1,4 @@
-"""Contiguity detection, weight modes, and the text round trip."""
+"""Contiguity detection, the row-standardized view, and the text round trip."""
 
 import math
 from collections import defaultdict
@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from arealstat.ingest import AreaUnit
 from arealstat.weights import (
     detect_islands,
-    lag,
     queen_contiguity,
     read_weights,
     rook_contiguity,
-    to_weights,
     write_weights,
 )
 from conftest import adjacency_from_neighbors, grid_adjacency, grid_units, square_unit
@@ -360,83 +358,64 @@ class TestInvariance:
             )
 
 
-class TestWeightModes:
+class TestWeightings:
     def test_binary_values_are_one(self):
-        w = to_weights(queen_contiguity(grid_units(2, 2)), "binary")
-        assert np.all(w.matrix.data == 1.0)
+        links = queen_contiguity(grid_units(2, 2))
+        assert np.all(links.matrix.data == 1.0)
 
     def test_row_standardized_rows_sum_to_one(self):
-        w = to_weights(queen_contiguity(grid_units(3, 3)), "row-standardized")
-        dense = w.to_dense()
-        assert np.allclose(dense.sum(axis=1), 1.0)
+        w = queen_contiguity(grid_units(3, 3)).row_standardized()
+        assert np.allclose(w.toarray().sum(axis=1), 1.0)
 
-    def test_include_self_adds_diagonal_before_standardizing(self):
-        adj = queen_contiguity(grid_units(2, 2))
-        w = to_weights(adj, "row-standardized", include_self=True)
-        dense = w.to_dense()
-        # every 2x2 cell touches the other three; with self that is 4 slots
-        assert np.allclose(np.diag(dense), 0.25)
-        assert np.allclose(dense.sum(axis=1), 1.0)
-
-    def test_binary_include_self_has_unit_diagonal(self):
-        adj = queen_contiguity(grid_units(2, 2))
-        dense = to_weights(adj, "binary", include_self=True).to_dense()
-        assert np.all(np.diag(dense) == 1.0)
-
-    def test_island_row_standardization_warns_and_zeroes(self, corner_fixture):
-        adj = queen_contiguity(corner_fixture)
-        with pytest.warns(UserWarning, match=r"\[3\]"):
-            w = to_weights(adj, "row-standardized")
-        assert w.to_dense()[3].sum() == 0.0
-
-    def test_only_contiguity_links_are_accepted(self):
-        links = queen_contiguity(grid_units(3, 3))
-        for built in (
-            to_weights(links, "row-standardized"),
-            to_weights(links, "binary", include_self=True),
-        ):
-            with pytest.raises(ValueError, match="contiguity links"):
-                to_weights(built, "binary")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            to_weights(queen_contiguity(grid_units(2, 2)), "whatever")
+    def test_island_row_stays_empty(self, corner_fixture):
+        links = queen_contiguity(corner_fixture)
+        w = links.row_standardized()
+        # D is detached: no stored entry in its row, the other rows 1/degree
+        assert w.indptr[4] == w.indptr[3]
+        a = links.matrix.toarray()
+        rowsum = a.sum(axis=1, keepdims=True)
+        assert np.array_equal(w.toarray(), a / np.where(rowsum == 0, 1.0, rowsum))
 
     def test_csr_and_dense_agree(self):
-        w = to_weights(queen_contiguity(grid_units(3, 3)), "row-standardized")
+        w = queen_contiguity(grid_units(3, 3)).row_standardized()
         a = grid_adjacency(3, 3).matrix.toarray()
-        assert w.matrix.has_canonical_format
-        assert np.array_equal(w.to_dense(), a / a.sum(axis=1, keepdims=True))
-
-    def test_lag_matches_dense_product(self):
-        w = to_weights(queen_contiguity(grid_units(3, 3)), "row-standardized")
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=9)
-        assert np.allclose(lag(w, x), w.to_dense() @ x, atol=1e-12)
-
-    def test_lag_of_constant_is_constant(self):
-        w = to_weights(queen_contiguity(grid_units(3, 3)), "row-standardized")
-        assert np.allclose(lag(w, np.full(9, 3.5)), 3.5)
+        assert w.has_canonical_format
+        assert np.array_equal(w.toarray(), a / a.sum(axis=1, keepdims=True))
 
 
 class TestTextFormat:
     def test_two_by_two_queen_has_twelve_links(self):
-        w = to_weights(queen_contiguity(grid_units(2, 2)), "row-standardized")
-        text = write_weights(w)
+        text = write_weights(queen_contiguity(grid_units(2, 2)))
         lines = text.strip().split("\n")
         assert lines[0].split() == ["4", "row-standardized"]
         assert len(lines) - 1 == 12
 
     def test_round_trip_is_exact(self):
-        w = to_weights(queen_contiguity(grid_units(3, 3)), "row-standardized")
-        back = read_weights(write_weights(w))
-        assert back.mode == w.mode
-        assert same_csr(back.matrix, w.matrix)
+        links = queen_contiguity(grid_units(3, 3))
+        text = write_weights(links)
+        back = read_weights(text)
+        assert same_csr(back.matrix, links.matrix)
+        assert write_weights(back) == text
 
-    def test_round_trip_infers_include_self(self):
-        w = to_weights(queen_contiguity(grid_units(2, 2)), "binary", include_self=True)
-        back = read_weights(write_weights(w))
-        assert back.include_self
+    def test_round_trip_keeps_island_row(self, corner_fixture):
+        links = queen_contiguity(corner_fixture)
+        back = read_weights(write_weights(links))
+        assert same_csr(back.matrix, links.matrix)
+        assert detect_islands(back) == [3]
+
+    def test_written_weights_are_one_over_degree(self):
+        links = queen_contiguity(grid_units(3, 3))
+        rows = [ln.split() for ln in write_weights(links).splitlines()[1:]]
+        a = grid_adjacency(3, 3).matrix.toarray()
+        expected = a / a.sum(axis=1, keepdims=True)
+        assert [float(w) for _, _, w in rows] == [
+            expected[int(i), int(j)] for i, j, _ in rows
+        ]
+
+    def test_binary_file_reads_as_links(self):
+        back = read_weights("3 binary\n0 1 1.0\n1 0 1.0\n1 2 1.0\n2 1 1.0\n")
+        assert back.matrix.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        assert is_canonical_pattern(back)
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -475,16 +454,10 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="unit 1"):
             read_weights(text)
 
-    def test_partial_self_links_rejected(self):
-        # a self-link on unit 0 alone would mark every unit self-inclusive
-        text = "2 binary\n0 0 1.0\n0 1 1.0\n1 0 1.0\n"
-        with pytest.raises(ValueError, match="unit 1 has no self-link"):
-            read_weights(text)
-
-    def test_row_standardized_self_inclusive_round_trip(self):
-        w = to_weights(
-            queen_contiguity(grid_units(3, 3)), "row-standardized", include_self=True
-        )
-        back = read_weights(write_weights(w))
-        assert back.include_self
-        assert same_csr(back.matrix, w.matrix)
+    def test_self_link_rejected(self):
+        for text in (
+            "2 binary\n0 1 1.0\n1 0 1.0\n1 1 1.0\n",
+            "2 row-standardized\n0 1 1.0\n1 0 0.5\n1 1 0.5\n",
+        ):
+            with pytest.raises(ValueError, match="unit 1 links to itself"):
+                read_weights(text)
