@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -545,6 +546,16 @@ class TestIslands:
         run_subcommand(config, "weights")
         with open(os.path.join(config.output_dir, "islands.txt")) as fh:
             assert fh.read().splitlines() == ["far"]
+
+    def test_weights_stage_warns_nothing_on_islands(self, tmp_path):
+        # the island's row of W stays empty without a warning; report.json
+        # names it instead
+        d, geo, attr = island_dataset(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_subcommand(tiny_config(d, geo, attr), "weights")
+        assert report["weights"]["islands"] == ["far"]
+        assert [str(w.message) for w in caught] == []
 
     def test_spatial_stages_refuse_by_default(self, tmp_path):
         d, geo, attr = island_dataset(tmp_path)

@@ -382,6 +382,16 @@ class TestWeightings:
         assert w.has_canonical_format
         assert np.array_equal(w.toarray(), a / a.sum(axis=1, keepdims=True))
 
+    def test_lag_matches_dense_product(self):
+        w = queen_contiguity(grid_units(3, 3)).row_standardized()
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=9)
+        assert np.allclose(w @ x, w.toarray() @ x, atol=1e-12)
+
+    def test_lag_of_constant_is_constant(self):
+        w = queen_contiguity(grid_units(3, 3)).row_standardized()
+        assert np.allclose(w @ np.full(9, 3.5), 3.5)
+
 
 class TestTextFormat:
     def test_two_by_two_queen_has_twelve_links(self):
