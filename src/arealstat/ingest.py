@@ -237,25 +237,31 @@ def _oriented(xy: np.ndarray, ring_offsets: np.ndarray, polygon_offsets: np.ndar
     """``xy`` with outer rings counterclockwise and holes clockwise;
     zero-area rings keep their order.
 
-    Each ring's shoelace terms are added one at a time in ring order, as a
-    loop would (pairwise summation could flip the sign of a near-zero
-    area): with rings sorted by length, step j adds segment j of every ring
-    that has one.
+    A ring's orientation is the sign of the exact sum of its shoelace terms,
+    so reversing a ring, which negates each term, negates the sum exactly,
+    and a normalized ring is never reversed again.  The float sum settles
+    the sign wherever it exceeds its rounding bound, (len + 1) eps times
+    the sum of the terms' magnitudes in any order; ``math.fsum`` settles
+    the rest.
     """
     starts, lengths = ring_offsets[:-1], np.diff(ring_offsets)
     if not len(starts):
         return xy
-    terms = xy[:-1, 0] * xy[1:, 1] - xy[1:, 0] * xy[:-1, 1]
-    order = np.argsort(-lengths, kind="stable")
-    first, segments = starts[order], lengths[order] - 1
-    total = np.zeros(len(order))
-    for j, m in enumerate(np.searchsorted(-segments, -np.arange(segments[0])).tolist()):
-        total[:m] += terms[first[:m] + j]
-    area = np.empty(len(order))
-    area[order] = 0.5 * total
+    # coordinates past 1e154 overflow the terms; such rings go to fsum below
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = xy[:-1, 0] * xy[1:, 1] - xy[1:, 0] * xy[:-1, 1]
+        # each ring's sum ends with a zero in place of the step to the next ring
+        terms[ring_offsets[1:-1] - 1] = 0.0
+        total = np.add.reduceat(terms, starts)
+        bound = (lengths + 1) * np.finfo(float).eps * np.add.reduceat(np.abs(terms), starts)
+    for r in np.flatnonzero(~(np.abs(total) > bound)).tolist():
+        try:
+            total[r] = math.fsum(terms[starts[r] : starts[r] + lengths[r] - 1].tolist())
+        except (OverflowError, ValueError):
+            pass  # a sum past the float range: the float sum's sign stands
     outer = np.zeros(len(starts), dtype=bool)
     outer[polygon_offsets[:-1]] = True
-    flip = np.repeat((area != 0.0) & (outer != (area > 0.0)), lengths)
+    flip = np.repeat(np.where(outer, total < 0.0, total > 0.0), lengths)
     index = np.arange(len(xy))
     mirror = np.repeat(starts + ring_offsets[1:] - 1, lengths) - index
     return xy[np.where(flip, mirror, index)] if flip.any() else xy

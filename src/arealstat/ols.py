@@ -309,8 +309,7 @@ def stepwise_aic(
         {"action": "start", "column": None, "aic": current_fit.aic}
     ]
     while True:
-        best_aic = current_fit.aic
-        best_move: tuple[str, str] | None = None
+        best_aic, best = current_fit.aic, None
         for name in pool:
             if name in active:
                 candidate = [c for c in active if c != name]
@@ -320,16 +319,10 @@ def stepwise_aic(
                 action = "add"
             cand_fit = fit(X.with_columns(candidate), y)
             if cand_fit.aic < best_aic:
-                best_aic = cand_fit.aic
-                best_move = (action, name)
-        if best_move is None:
+                best_aic, best = cand_fit.aic, (action, name, candidate, cand_fit)
+        if best is None:
             break
-        action, name = best_move
-        if action == "drop":
-            active = [c for c in active if c != name]
-        else:
-            active = active + [name]
-        current_fit = fit(X.with_columns(active), y)
+        action, name, active, current_fit = best
         trace.append({"action": action, "column": name, "aic": current_fit.aic})
     return X.with_columns(active), current_fit, trace
 

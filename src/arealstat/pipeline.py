@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -398,11 +399,10 @@ def _stage_decision(ctx: _Context) -> None:
 def _stage_spatial(ctx: _Context) -> None:
     if ctx.spatial_skip_reason or ctx.decision == "stay-OLS":
         return
-    cache = _spatial.spectral_cache(ctx.links)
     fit_fn = (
         _spatial.fit_error_ml if ctx.decision == "fit-error" else _spatial.fit_lag_ml
     )
-    ctx.spatial_fit = fit_fn(ctx.design_final, ctx.z_outcome, ctx.links, cache=cache)
+    ctx.spatial_fit = fit_fn(ctx.design_final, ctx.z_outcome, ctx.links)
 
 
 def _stage_compare(ctx: _Context) -> None:
@@ -816,9 +816,20 @@ def _write(path: str, data: bytes) -> None:
         fh.write(data)
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(text: str) -> str:
+    """``text`` as one CSV field: in double quotes, each quote doubled, when
+    it holds a comma, a quote, CR or LF (RFC 4180); as it is otherwise."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _cell(value) -> str:
     if isinstance(value, str):
-        return value
+        return _quoted(value)
     if isinstance(value, int):
         return str(value)
     return _fmt(value)
@@ -826,8 +837,8 @@ def _cell(value) -> str:
 
 def _write_table(path: str, columns: list[str], rows: list[dict]) -> None:
     """Write ``rows`` as CSV, each line's cells picked by column name:
-    strings as they are, integers in full, other numbers through _fmt."""
-    lines = [",".join(columns)]
+    strings through _quoted, integers in full, other numbers through _fmt."""
+    lines = [",".join(map(_quoted, columns))]
     lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
     _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -854,7 +865,7 @@ def _write_hotspot(ctx: _Context, outdir: str) -> None:
     lines += [
         "%s,%.6g,%.6g,%.6g,%.6g,%s" % row
         for row in zip(
-            ctx.dataset.units.ids,
+            map(_quoted, ctx.dataset.units.ids),
             x.tolist(),
             gi.z.tolist(),
             gi.p.tolist(),

@@ -44,15 +44,18 @@ __all__ = [
 ]
 
 
+# the open interval searched for the spatial parameter, inside which
+# I - pS is positive definite (see ``spectral_cache``)
+_INTERVAL = (-1.0, 1.0)
+
+
 @dataclass(eq=False)
 class SpectralCache:
     """The sparse symmetric normalization S = D^-1/2 A D^-1/2 of the
-    adjacency behind W, the open interval (-1, 1) searched for the spatial
-    parameter, and the log-determinants found so far, keyed by parameter
-    value."""
+    adjacency behind W and the log-determinants found so far, keyed by
+    parameter value.  Each fit builds its own."""
 
     sym: sp.csc_matrix
-    interval: tuple[float, float]
     log_dets: dict[float, float] = field(default_factory=dict)
 
     @property
@@ -83,17 +86,17 @@ def spectral_cache(links: SpatialWeights) -> SpectralCache:
         )
     d_isqrt = sp.diags(1.0 / np.sqrt(deg.astype(float)))
     sym = (d_isqrt @ links.matrix @ d_isqrt).tocsc()
-    return SpectralCache(sym=sym, interval=(-1.0, 1.0))
+    return SpectralCache(sym=sym)
 
 
 def log_det(cache: SpectralCache, p: float) -> float:
     """ln det(I - p W), exactly, as the sum of ln(diag U) over a sparse LU
     of I - pS (Pace & Barry 1997), memoised by p in the cache.
 
-    Defined only strictly inside the cache interval, where I - pS is
-    symmetric positive definite and every pivot is positive.
+    Defined only strictly inside (-1, 1), where I - pS is symmetric
+    positive definite and every pivot is positive.
     """
-    lo, hi = cache.interval
+    lo, hi = _INTERVAL
     if not (lo < p < hi):
         raise ValueError(
             f"spatial parameter {p} outside the open interval ({lo}, {hi})"
@@ -115,19 +118,32 @@ def _factorize(cache: SpectralCache, p: float):
     )
     pivots = lu.U.diagonal()
     if not (pivots > 0).all():
-        lo, hi = cache.interval
         raise ValueError(
             f"sparse LU of I - pS at p={p!r} has a non-positive pivot; "
-            f"I - pS is not positive definite inside ({lo}, {hi})"
+            "I - pS is not positive definite there"
         )
     cache.log_dets[p] = float(np.sum(np.log(pivots)))
     return lu
 
 
-def _prepare(X, y, links, cache):
-    """Check the inputs and return y, Wy, the least-squares coefficients of
-    y and Wy on X (one solve, which also refuses a rank-deficient design),
-    the cache and the row-standardized W."""
+_LL_CONST = math.log(2.0 * math.pi) + 1.0
+
+
+def _profile_ll(n: int, sig2: float, cache: SpectralCache, p: float) -> float:
+    return -0.5 * n * _LL_CONST - 0.5 * n * math.log(sig2) + log_det(cache, p)
+
+
+def _model(kind: str, X: DesignMatrix, y, links: SpatialWeights):
+    """Check the inputs and return y and the model's ``state(p)``.
+
+    ``state(p)`` returns (b, sigma^2, r, jac, cross) at p: the
+    coefficients and residual variance concentrated out at p, the
+    innovation r, its Jacobian in (b, p) and the vector r' d^2r/(db dp).
+    The error model filters y and X by I - pW and solves least squares at
+    each p; the lag model's b and r are linear in p, from the least-squares
+    coefficients of y and Wy on X.  That one solve is made for both models,
+    since it also refuses a rank-deficient design by name.
+    """
     y = np.asarray(y, dtype=float)
     if y.shape != (X.n,):
         raise ValueError(f"y must have shape ({X.n},), got {y.shape}")
@@ -139,58 +155,57 @@ def _prepare(X, y, links, cache):
         raise ValueError(
             f"need more observations than parameters (n={X.n}, q={X.q} + spatial)"
         )
+    xv = X.values
     w = links.row_standardized()
     wy = w @ y
-    coef, _ = _lstsq(X.values, np.column_stack([y, wy]), X.names)
-    if cache is None:
-        cache = spectral_cache(links)
-    return y, wy, coef, cache, w
+    coef, _ = _lstsq(xv, np.column_stack([y, wy]), X.names)
+    if kind == "error":
+        wx = w @ xv
+
+        def state(lam):
+            xf = xv - lam * wx
+            yf = y - lam * wy
+            beta = _lstsq(xf, yf)[0]
+            resid_f = yf - xf @ beta
+            # eps = (I - lam W)(y - Xb): d eps/db = -(X - lam WX),
+            # d eps/dlam = -W(y - Xb)
+            jac = -np.column_stack([xf, wy - wx @ beta])
+            return beta, float(resid_f @ resid_f) / X.n, resid_f, jac, wx.T @ resid_f
+
+        return y, state
+    b0, b1 = coef.T
+    e0, e1 = (np.column_stack([y, wy]) - xv @ coef).T
+    # eps = y - rho Wy - Xb is linear in (b, rho): no cross terms
+    jac = -np.column_stack([xv, wy])
+
+    def state(rho):
+        beta = b0 - rho * b1
+        er = e0 - rho * e1
+        u = y - rho * wy - xv @ beta
+        return beta, float(er @ er) / X.n, u, jac, 0.0
+
+    return y, state
 
 
-_LL_CONST = math.log(2.0 * math.pi) + 1.0
-
-
-def _profile_ll(n: int, sig2: float, cache: SpectralCache, p: float) -> float:
-    return -0.5 * n * _LL_CONST - 0.5 * n * math.log(sig2) + log_det(cache, p)
+def _concentrated_loglik(kind, X, y, links, p) -> float:
+    state = _model(kind, X, y, links)[1]
+    return _profile_ll(X.n, state(p)[1], spectral_cache(links), p)
 
 
 def error_concentrated_loglik(
-    X: DesignMatrix,
-    y: np.ndarray,
-    links: SpatialWeights,
-    lam: float,
-    cache: SpectralCache | None = None,
+    X: DesignMatrix, y: np.ndarray, links: SpatialWeights, lam: float
 ) -> float:
     """Profile log-likelihood of the error model at lam, with b and sigma^2
     concentrated out by filtered least squares."""
-    y, wy, _, cache, w = _prepare(X, y, links, cache)
-    return _error_profile(X.values, y, w @ X.values, wy, cache, lam)
-
-
-def _error_profile(xv, y, wx, wy, cache, lam) -> float:
-    xf = xv - lam * wx
-    yf = y - lam * wy
-    resid = yf - xf @ _lstsq(xf, yf)[0]
-    return _profile_ll(y.size, float(resid @ resid) / y.size, cache, lam)
+    return _concentrated_loglik("error", X, y, links, lam)
 
 
 def lag_concentrated_loglik(
-    X: DesignMatrix,
-    y: np.ndarray,
-    links: SpatialWeights,
-    rho: float,
-    cache: SpectralCache | None = None,
+    X: DesignMatrix, y: np.ndarray, links: SpatialWeights, rho: float
 ) -> float:
     """Profile log-likelihood of the lag model at rho, concentrated through
     the two auxiliary regressions of y and Wy on X."""
-    y, wy, coef, cache, _ = _prepare(X, y, links, cache)
-    e0, e1 = (np.column_stack([y, wy]) - X.values @ coef).T
-    return _lag_profile(e0, e1, cache, rho)
-
-
-def _lag_profile(e0, e1, cache, rho) -> float:
-    er = e0 - rho * e1
-    return _profile_ll(e0.size, float(er @ er) / e0.size, cache, rho)
+    return _concentrated_loglik("lag", X, y, links, rho)
 
 
 @dataclass(eq=False)
@@ -332,14 +347,14 @@ def _bounded_minimize(func, x1, x2, xatol, maxfun):
     return xf, num, flag, x
 
 
-def _optimize_profile(fun, interval: tuple[float, float]) -> float:
-    """Maximise the profile ``fun`` over the interval by Brent's search.
+def _optimize_profile(fun) -> float:
+    """Maximise the profile ``fun`` over (-1, 1) by Brent's search.
 
     A search that meets a NaN profile value is refused at that first p:
     Brent's method notices a NaN only at its best or its last point, and
     would otherwise converge to the edge of a NaN region.
     """
-    lo, hi = interval
+    lo, hi = _INTERVAL
     span = hi - lo
     margin = 1e-10 * span
 
@@ -375,7 +390,7 @@ def _log_det_derivatives(cache: SpectralCache, p: float) -> tuple[float, float, 
     is the distance from p to the nearer end of the interval: Richardson
     extrapolation of central first and second differences with steps h
     and h/2, and the central third difference."""
-    lo, hi = cache.interval
+    lo, hi = _INTERVAL
     h = min(1e-3, min(p - lo, hi - p) / 32.0)
     mid = 2.0 * log_det(cache, p)
     (up1, down1), (up2, down2) = (
@@ -421,17 +436,16 @@ def _hessian_se(r, jac, cross, curvature, sigma2) -> tuple[np.ndarray, float, bo
     return se[:q], float(se[q]), True
 
 
-def _estimate(cache, n, profile, state):
+def _estimate(cache, n, state):
     """The spatial parameter at the root of its concentrated score, the
     model's state there, the standard errors and, when the Newton step was
     taken, the LU of I - pS at the estimate.
 
-    ``profile(p)`` is the concentrated log-likelihood that Brent's search
-    maximises.  ``state(p)`` returns (b, sigma^2, r, jac, cross) at p: the
-    coefficients, the residual variance, the innovation r, its Jacobian in
-    (b, p) and the vector r' d^2r/(db dp).  With the curvature of the
-    log-determinant they give the closed-form Hessian (Anselin 1988, ch. 6;
-    LeSage & Pace 2009, ch. 3) and its standard errors.
+    ``state(p)`` is the model's (b, sigma^2, r, jac, cross) at p, as
+    ``_model`` returns it.  Its sigma^2 gives the concentrated
+    log-likelihood that Brent's search maximises; with the curvature of the
+    log-determinant the rest gives the closed-form Hessian (Anselin 1988,
+    ch. 6; LeSage & Pace 2009, ch. 3) and its standard errors.
 
     Brent's search compares profile values, which are flat to rounding
     within about sqrt(eps) of the peak, so it places p only that closely.
@@ -445,16 +459,15 @@ def _estimate(cache, n, profile, state):
     curvature carried there by the third derivative from the same four
     points, so that the step costs one LU, at the new p.
     """
-    param = _optimize_profile(profile, cache.interval)
+    param = _optimize_profile(lambda p: _profile_ll(n, state(p)[1], cache, p))
     current = state(param)
     _, sigma2, r, jac, cross = current
     slope, curvature, third = _log_det_derivatives(cache, param)
     beta_se, param_se, ok = _hessian_se(r, jac, cross, curvature, sigma2)
     lu = None
-    lo, hi = cache.interval
     if ok:
         step = param + (-float(r @ jac[:, -1]) / sigma2 + slope) * param_se**2
-        if lo < step < hi:
+        if _INTERVAL[0] < step < _INTERVAL[1]:
             lu = _factorize(cache, step)
             moved = state(step)
             # this close to the peak the profile moves by a few ulps of its
@@ -479,10 +492,31 @@ def _wald_p(est: np.ndarray | float, se: np.ndarray | float):
     return 2.0 * _norm_sf(z)
 
 
-def _spatial_fit(
-    kind, X, y, cache, param, beta, sigma2, beta_se, param_se, ok, fitted, u
-) -> SpatialFit:
-    """Likelihood, Wald p-values and fit scores shared by both models."""
+def fit_error_ml(X: DesignMatrix, y: np.ndarray, links: SpatialWeights) -> SpatialFit:
+    """Fit the spatial error model by concentrated maximum likelihood."""
+    return _fit("error", X, y, links)
+
+
+def fit_lag_ml(X: DesignMatrix, y: np.ndarray, links: SpatialWeights) -> SpatialFit:
+    """Fit the spatial lag model by concentrated maximum likelihood."""
+    return _fit("lag", X, y, links)
+
+
+def _fit(kind, X, y, links) -> SpatialFit:
+    """The estimate, its Wald p-values and the fit scores of either model."""
+    y, state = _model(kind, X, y, links)
+    cache = spectral_cache(links)
+    param, (beta, sigma2, r, *_), beta_se, param_se, ok, lu = _estimate(cache, X.n, state)
+    fitted = X.values @ beta
+    if kind == "error":
+        u = y - fitted
+    else:
+        u = r
+        if lu is None:
+            lu = _factorize(cache, param)
+        # (I - rho W)^-1 = D^-1/2 (I - rho S)^-1 D^1/2, since W = D^-1/2 S D^1/2
+        d_sqrt = np.sqrt(links.degree().astype(float))
+        fitted = lu.solve(d_sqrt * fitted) / d_sqrt
     n, q = X.n, X.q
     ll = _profile_ll(n, sigma2, cache, param)
     return SpatialFit(
@@ -502,70 +536,6 @@ def _spatial_fit(
         n=n,
         q=q,
         se_available=ok,
-    )
-
-
-def fit_error_ml(
-    X: DesignMatrix,
-    y: np.ndarray,
-    links: SpatialWeights,
-    cache: SpectralCache | None = None,
-) -> SpatialFit:
-    """Fit the spatial error model by concentrated maximum likelihood."""
-    y, wy, _, cache, w = _prepare(X, y, links, cache)
-    xv = X.values
-    wx = w @ xv
-
-    def state(lam):
-        xf = xv - lam * wx
-        yf = y - lam * wy
-        beta = _lstsq(xf, yf)[0]
-        resid_f = yf - xf @ beta
-        # eps = (I - lam W)(y - Xb): d eps/db = -(X - lam WX),
-        # d eps/dlam = -W(y - Xb)
-        jac = -np.column_stack([xf, wy - wx @ beta])
-        return beta, float(resid_f @ resid_f) / X.n, resid_f, jac, wx.T @ resid_f
-
-    lam, (beta, sigma2, *_), beta_se, lam_se, ok, _ = _estimate(
-        cache, X.n, lambda p: _error_profile(xv, y, wx, wy, cache, p), state
-    )
-    fitted = xv @ beta
-    return _spatial_fit(
-        "error", X, y, cache, lam, beta, sigma2, beta_se, lam_se, ok,
-        fitted, y - fitted,
-    )
-
-
-def fit_lag_ml(
-    X: DesignMatrix,
-    y: np.ndarray,
-    links: SpatialWeights,
-    cache: SpectralCache | None = None,
-) -> SpatialFit:
-    """Fit the spatial lag model by concentrated maximum likelihood."""
-    y, wy, coef, cache, _ = _prepare(X, y, links, cache)
-    xv = X.values
-    b0, b1 = coef.T
-    e0, e1 = (np.column_stack([y, wy]) - xv @ coef).T
-    # eps = y - rho Wy - Xb is linear in (b, rho): no cross terms
-    jac = -np.column_stack([xv, wy])
-
-    def state(rho):
-        beta = b0 - rho * b1
-        er = e0 - rho * e1
-        u = y - rho * wy - xv @ beta
-        return beta, float(er @ er) / X.n, u, jac, 0.0
-
-    rho, (beta, sigma2, u, *_), beta_se, rho_se, ok, lu = _estimate(
-        cache, X.n, lambda p: _lag_profile(e0, e1, cache, p), state
-    )
-    if lu is None:
-        lu = _factorize(cache, rho)
-    # (I - rho W)^-1 = D^-1/2 (I - rho S)^-1 D^1/2, since W = D^-1/2 S D^1/2
-    d_sqrt = np.sqrt(links.degree().astype(float))
-    fitted = lu.solve(d_sqrt * (xv @ beta)) / d_sqrt
-    return _spatial_fit(
-        "lag", X, y, cache, rho, beta, sigma2, beta_se, rho_se, ok, fitted, u
     )
 
 

@@ -40,9 +40,32 @@ class SpatialWeights:
 
     ``matrix`` is the n x n CSR link pattern: symmetric, every stored value
     1.0, no diagonal, sorted column indices; row i holds unit i's neighbors.
+    A matrix that is not square, stores another value, has a diagonal entry
+    or holds a link without its reverse is refused, naming the first unit
+    at fault.
     """
 
     matrix: sp.csr_matrix
+
+    def __post_init__(self) -> None:
+        m = self.matrix
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"links matrix must be square, got shape {m.shape}")
+        if not (m.data == 1.0).all():
+            i, j, v = _first_entry(m, lambda data: ~(data == 1.0))
+            raise ValueError(
+                f"unit {i} has link value {v!r} to unit {j}; contiguity links "
+                "are binary (1.0)"
+            )
+        if m.diagonal().any():
+            i = int(np.flatnonzero(m.diagonal())[0])
+            raise ValueError(f"unit {i} links to itself; contiguity links have no self-links")
+        if (m != m.T).nnz:
+            i, j, _ = _first_entry(m - m.T, lambda data: data > 0)
+            raise ValueError(
+                f"unit {i} links to unit {j} but unit {j} does not link back to "
+                f"unit {i}; the link pattern must be symmetric"
+            )
 
     @property
     def n(self) -> int:
@@ -70,6 +93,14 @@ class SpatialWeights:
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
+
+
+def _first_entry(m, bad) -> tuple[int, int, float]:
+    """(i, j, value) of the first stored entry of the CSR ``m`` whose value
+    ``bad`` marks: the first by (i, j) when the column indices are sorted."""
+    coo = m.tocoo()
+    k = np.flatnonzero(bad(coo.data))[0]
+    return int(coo.row[k]), int(coo.col[k]), float(coo.data[k])
 
 
 def _owned_vertices(
@@ -188,9 +219,10 @@ def read_weights(text: str) -> SpatialWeights:
 
     The header mode is ``binary`` or ``row-standardized``.  Input the
     spatial code would misuse is refused with a message naming the unit: a
-    self-link, a link without its reverse, a binary weight other than 1, or
-    a row-standardized weight other than 1/degree (within 1e-12).  When
-    several links are at fault, the first by (i, j) is named.
+    row-standardized weight other than 1/degree (within 1e-12), and then,
+    as :class:`SpatialWeights` refuses them, a binary weight other than 1,
+    a self-link or a link without its reverse.  When several links are at
+    fault, the first by (i, j) is named.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -226,33 +258,17 @@ def read_weights(text: str) -> SpatialWeights:
         k = dup[0]
         raise ValueError(f"duplicate weights entry for pair ({ii[k]}, {jj[k]})")
 
-    self_link = np.flatnonzero(ii == jj)
-    if self_link.size:
-        raise ValueError(
-            f"unit {ii[self_link[0]]} links to itself; contiguity links have "
-            "no self-links"
-        )
-    one_way = np.flatnonzero(~np.isin(jj * n + ii, code))
-    if one_way.size:
-        i, j = ii[one_way[0]], jj[one_way[0]]
-        raise ValueError(
-            f"unit {i} links to unit {j} but unit {j} does not link back to "
-            f"unit {i}; the link pattern must be symmetric"
-        )
     indptr = np.concatenate([[0], np.cumsum(np.bincount(ii, minlength=n))])
-    deg = np.diff(indptr)
-    if mode == "binary":
-        expected, tol = np.ones(len(data)), 0.0
-    else:
-        expected, tol = 1.0 / np.repeat(deg, deg), 1e-12
-    wrong = np.flatnonzero(~(np.abs(data - expected) <= tol))
-    if wrong.size:
-        k = wrong[0]
-        raise ValueError(
-            f"unit {ii[k]} has {mode} weight {float(data[k])!r} on its link to "
-            f"unit {jj[k]}; expected {float(expected[k])!r}"
-        )
-
-    return SpatialWeights(
-        matrix=sp.csr_matrix((np.ones(len(jj)), jj, indptr), shape=(n, n))
-    )
+    if mode == "row-standardized":
+        deg = np.diff(indptr)
+        expected = 1.0 / np.repeat(deg, deg)
+        wrong = np.flatnonzero(~(np.abs(data - expected) <= 1e-12))
+        if wrong.size:
+            k = wrong[0]
+            raise ValueError(
+                f"unit {ii[k]} has row-standardized weight {float(data[k])!r} on "
+                f"its link to unit {jj[k]}; expected {float(expected[k])!r}"
+            )
+        data = np.ones(len(data))
+    # a binary file's weights are the links' values, which the type checks
+    return SpatialWeights(matrix=sp.csr_matrix((data, jj, indptr), shape=(n, n)))

@@ -50,8 +50,7 @@ def report_line(name, ok, detail):
 @pytest.fixture(scope="module")
 def lattice20():
     units = lattice(20, 20)
-    links = queen_contiguity(units)
-    return links, spectral_cache(links)
+    return queen_contiguity(units)
 
 
 def draw_error_data(w, lam, rng, solver=None):
@@ -77,7 +76,7 @@ def draw_lag_data(w, rho, rng, solver=None):
 
 
 def test_error_model_recovery_on_lattice(lattice20):
-    w, cache = lattice20
+    w = lattice20
     solver = autoregressive_solver(w, 0.5)
     start = time.perf_counter()
     lams = []
@@ -85,7 +84,7 @@ def test_error_model_recovery_on_lattice(lattice20):
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         X, y = draw_error_data(w, 0.5, rng, solver)
-        res = fit_error_ml(X, y, w, cache=cache)
+        res = fit_error_ml(X, y, w)
         lams.append(res.param)
         betas.append(res.beta)
     elapsed = time.perf_counter() - start
@@ -102,13 +101,13 @@ def test_error_model_recovery_on_lattice(lattice20):
 
 
 def test_lag_model_recovery_on_lattice(lattice20):
-    w, cache = lattice20
+    w = lattice20
     solver = autoregressive_solver(w, 0.488)
     rhos = []
     for seed in range(50):
         rng = np.random.default_rng(2000 + seed)
         X, y = draw_lag_data(w, 0.488, rng, solver)
-        res = fit_lag_ml(X, y, w, cache=cache)
+        res = fit_lag_ml(X, y, w)
         rhos.append(res.param)
     mean_rho = float(np.mean(rhos))
     ok = 0.388 <= mean_rho <= 0.588
@@ -118,7 +117,7 @@ def test_lag_model_recovery_on_lattice(lattice20):
 
 
 def test_spatial_likelihood_nests_plain_regression(lattice20):
-    w, cache = lattice20
+    w = lattice20
     max_gap = 0.0
     close_aic_error = 0
     close_aic_lag = 0
@@ -128,16 +127,16 @@ def test_spatial_likelihood_nests_plain_regression(lattice20):
         X, y = draw_error_data(w, 0.0, rng)
         ols_res = fit(X, y)
         gap_e = abs(
-            error_concentrated_loglik(X, y, w, 0.0, cache=cache)
+            error_concentrated_loglik(X, y, w, 0.0)
             - ols_res.log_likelihood
         )
         gap_l = abs(
-            lag_concentrated_loglik(X, y, w, 0.0, cache=cache)
+            lag_concentrated_loglik(X, y, w, 0.0)
             - ols_res.log_likelihood
         )
         max_gap = max(max_gap, gap_e, gap_l)
-        err_fit = fit_error_ml(X, y, w, cache=cache)
-        lag_fit = fit_lag_ml(X, y, w, cache=cache)
+        err_fit = fit_error_ml(X, y, w)
+        lag_fit = fit_lag_ml(X, y, w)
         if abs(err_fit.aic - ols_res.aic) <= 2.5:
             close_aic_error += 1
         if abs(lag_fit.aic - ols_res.aic) <= 2.5:
@@ -156,7 +155,7 @@ def test_spatial_likelihood_nests_plain_regression(lattice20):
 
 
 def test_dependence_test_size_and_power(lattice20):
-    w, cache = lattice20
+    w = lattice20
     n = w.n
     rejections = np.zeros(4)
     reps = 500
@@ -268,7 +267,8 @@ def test_local_score_matches_double_loop_oracle():
 
 def test_log_determinant_matches_dense_oracle(lattice20):
     start = time.perf_counter()
-    w, cache = lattice20
+    w = lattice20
+    cache = spectral_cache(w)
     a = w.to_dense()
     dense = a / a.sum(axis=1, keepdims=True)
     eye = np.eye(w.n)

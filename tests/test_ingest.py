@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,16 +25,15 @@ from conftest import feature_collection, multipolygon_features, polygon_feature,
 
 # Reference: the per-vertex ring checks and normalization that the flat
 # arrays replaced, kept verbatim so the vectorised path can be checked
-# against them.
+# against them, except that a ring's shoelace terms are now summed exactly.
 Ring = list[tuple[float, float]]
 
 
-def _signed_area(ring: Ring) -> float:
-    # shoelace; positive for counterclockwise rings in planar coordinates
-    a = 0.0
-    for (x0, y0), (x1, y1) in zip(ring[:-1], ring[1:]):
-        a += x0 * y1 - x1 * y0
-    return 0.5 * a
+def _signed_area(ring: Ring) -> Fraction:
+    # shoelace over the float terms, summed exactly; positive for
+    # counterclockwise rings in planar coordinates
+    terms = (Fraction(x0 * y1 - x1 * y0) for (x0, y0), (x1, y1) in zip(ring[:-1], ring[1:]))
+    return sum(terms, Fraction(0)) / 2
 
 
 def _normalize_ring(ring: Ring, outer: bool) -> Ring:
@@ -135,6 +135,12 @@ class TestParseGeometry:
         outer = units[0].geometry[0][0]
         assert shoelace(outer) > 0
 
+    def test_ring_whose_area_passes_the_float_range_is_normalized(self):
+        # each shoelace term is 1e308, and their sum overflows
+        cw = [(x * 1e154, y * 1e154) for x, y in reversed(square_ring(0, 0))]
+        units = parse_geometry(feature_collection([polygon_feature("A", cw)]), "GEOID")
+        assert units[0].geometry[0][0] == tuple(reversed(cw))
+
     def test_hole_normalized_clockwise(self):
         outer = square_ring(0, 0, size=4.0)
         hole_ccw = square_ring(1, 1, size=1.0)  # wrong winding on purpose
@@ -219,8 +225,6 @@ class TestMatchesLoopOracle:
     @settings(max_examples=50, deadline=None)
     @given(multipolygon_features())
     def test_hand_built_units_get_the_same_normalization(self, features):
-        # normalizing twice may reverse a near-zero ring again: the reversed
-        # ring's terms are summed in the other order
         hand_built = list(parse_geometry(feature_collection(features), "GEOID"))
         units = AreaUnits.of(hand_built)
         expected = [oracle_polygons(u.geometry, i) for i, u in enumerate(hand_built)]
@@ -380,6 +384,42 @@ class TestRoundTrip:
         units = parse_geometry(doc, "GEOID")
         units2 = parse_geometry(serialize_geometry(units), "GEOID")
         assert units == units2
+
+    def test_out_and_back_rings_keep_their_order(self):
+        # zero area, but the float terms cancel only up to rounding: summed
+        # in ring order, a ring and its reverse could get the same sign and
+        # the second parse would reverse the ring again
+        rng = np.random.default_rng(31)
+        features = []
+        for i in range(2000):
+            k = rng.integers(-(10**6), 10**6, int(rng.integers(3, 12)))
+            path = [[1e5 + int(a) / 7.0, 1e5 + int(a) / 3.0] for a in k]
+            cycle = path + path[-2:0:-1]
+            # started inside the path, so that reversing changes the sequence
+            start = int(rng.integers(1, len(path) - 1))
+            ring = cycle[start:] + cycle[: start + 1]
+            features.append(polygon_feature(f"u{i}", ring))
+        units = parse_geometry(feature_collection(features), "GEOID")
+        assert parse_geometry(serialize_geometry(units), "GEOID") == units
+
+    @settings(max_examples=100, deadline=None)
+    @given(multipolygon_features())
+    def test_reversing_every_ring_changes_only_zero_area_rings(self, features):
+        units = parse_geometry(feature_collection(features), "GEOID")
+        assert parse_geometry(serialize_geometry(units), "GEOID") == units
+        for f in features:
+            geom = f["geometry"]
+            polys = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
+            for rings in polys:
+                rings[:] = [ring[::-1] for ring in rings]
+        flipped = parse_geometry(feature_collection(features), "GEOID")
+        for a, b in zip(units, flipped):
+            for poly_a, poly_b in zip(a.geometry, b.geometry):
+                for ring_a, ring_b in zip(poly_a, poly_b):
+                    if _signed_area(list(ring_a)) != 0:
+                        assert ring_a == ring_b
+                    else:
+                        assert ring_a == ring_b[::-1]
 
     def test_serialization_is_deterministic(self):
         doc = feature_collection([polygon_feature("A", square_ring(0, 0))])

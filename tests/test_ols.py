@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from arealstat import ols
 from arealstat.ols import (
     INTERCEPT,
     LmSuite,
@@ -340,6 +341,27 @@ class TestStepwise:
         assert final.slope_names == ["x0", "x2", "x3"]
         assert final_fit.aic == trace[-1]["aic"] == fit(final, y).aic
         assert trace[-1]["aic"] < fit(X.with_columns(["x0", "x3"]), y).aic == trace[-2]["aic"]
+
+    def test_takes_the_fit_of_the_move_it_makes(self, monkeypatch):
+        # one fit to start and one per candidate in each pass; the last pass
+        # finds no move, and a move reuses its candidate's fit
+        rng = np.random.default_rng(213)
+        z = rng.normal(size=(30, 5)) @ (np.eye(5) + rng.normal(size=(5, 5)))
+        y = z[:, 0] + 2.0 * rng.normal(size=30)
+        X = design_matrix([(f"x{j}", z[:, j]) for j in range(5)])
+        calls = []
+
+        def counting(design, outcome):
+            calls.append(design.names)
+            return fit(design, outcome)
+
+        monkeypatch.setattr(ols, "fit", counting)
+        final, final_fit, trace = stepwise_aic(X, y)
+        assert len(trace) == 5
+        assert len(calls) == 1 + 5 * len(trace)
+        refit = fit(final, y)
+        assert np.array_equal(final_fit.beta, refit.beta)
+        assert np.array_equal(final_fit.se, refit.se)
 
 
 class TestSignificancePrune:

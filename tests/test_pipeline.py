@@ -1,7 +1,9 @@
 """End-to-end orchestration: config handling, stage wiring, file outputs,
 and the command line front end."""
 
+import csv
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -749,6 +751,82 @@ class TestHotspotCsv:
         pipeline_module._write_hotspot(ctx, outdir)
         with open(os.path.join(outdir, "hotspot.csv"), "rb") as fh:
             assert fh.read() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def county_with_prefixed_ids(county, directory, prefix):
+    """The synthetic county with ``prefix`` before every unit id, in the
+    geometry and in the attribute file (written by csv.writer).  Returns
+    the new config path."""
+    with open(county["config"]) as fh:
+        config = json.load(fh)
+    with open(config["geometry_path"]) as fh:
+        doc = json.load(fh)
+    for feature in doc["features"]:
+        feature["properties"]["GEOID"] = prefix + str(feature["properties"]["GEOID"])
+    rows = read_csv(config["attributes_path"])
+    for row in rows[1:]:
+        row[0] = prefix + row[0]
+    config["geometry_path"] = os.path.join(directory, "tracts.geojson")
+    config["attributes_path"] = os.path.join(directory, "attributes.csv")
+    config["output_dir"] = os.path.join(directory, "out")
+    with open(config["geometry_path"], "w") as fh:
+        json.dump(doc, fh)
+    with open(config["attributes_path"], "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    config_path = os.path.join(directory, "config.json")
+    with open(config_path, "w") as fh:
+        json.dump(config, fh)
+    return config_path
+
+
+class TestCsvQuoting:
+    """A header or cell that holds a comma, a quote, CR or LF is quoted as
+    RFC 4180 says; every other byte is as before."""
+
+    def test_ids_with_commas_read_back_by_csv_reader(self, county, county_run, tmp_path):
+        config = load_config(county_with_prefixed_ids(county, str(tmp_path), 'T,"'))
+        run_pipeline(config)
+        written = sorted(glob.glob(os.path.join(config.output_dir, "*.csv")))
+        assert [os.path.basename(p) for p in written] == sorted(
+            f for f in PIPELINE_FILES if f.endswith(".csv")
+        )
+        for path in written:
+            rows = read_csv(path)
+            plain = read_csv(os.path.join(county_run[0].output_dir, os.path.basename(path)))
+            assert all(len(row) == len(rows[0]) for row in rows), path
+            if os.path.basename(path) == "hotspot.csv":
+                assert all(row[0] == 'T,"' + want[0] for row, want in zip(rows[1:], plain[1:]))
+                rows = [row[1:] for row in rows]
+                plain = [row[1:] for row in plain]
+            assert rows == plain, path
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+            min_size=2, max_size=4, unique=True,
+        ),
+        st.data(),
+    )
+    def test_table_cells_round_trip(self, tmp_path_factory, columns, data):
+        cell = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+        rows = data.draw(st.lists(st.fixed_dictionaries({c: cell for c in columns}), max_size=4))
+        path = os.path.join(str(tmp_path_factory.mktemp("table")), "t.csv")
+        pipeline_module._write_table(path, columns, rows)
+        table = [columns] + [[row[c] for c in columns] for row in rows]
+        assert read_csv(path) == table
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        # a cell that needs no quotes is written as before
+        if not any(ch in "".join(map("".join, table)) for ch in ',"\r\n'):
+            assert text == "".join(",".join(cells) + "\n" for cells in table)
+        else:
+            assert text.count('"') > sum(cell.count('"') for cells in table for cell in cells)
 
 
 _IMPORT_GRAPH_PROBE = """

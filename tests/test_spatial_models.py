@@ -51,6 +51,20 @@ def cache10(w10):
     return spectral_cache(w10)
 
 
+@pytest.fixture
+def built_caches(monkeypatch):
+    """Every SpectralCache the fits build, in order."""
+    built = []
+    inner = spatial_models.spectral_cache
+
+    def recording(links):
+        built.append(inner(links))
+        return built[-1]
+
+    monkeypatch.setattr(spatial_models, "spectral_cache", recording)
+    return built
+
+
 def make_error_data(w, lam, seed, beta=(1.0, 2.0, -1.0)):
     rng = np.random.default_rng(seed)
     n = w.n
@@ -97,8 +111,8 @@ class TestSpectralCache:
                           (cache.sym.indices, sym.indices),
                           (cache.sym.data, sym.data)):
             assert np.array_equal(got, want)
-        oracle = SpectralCache(sym=sym, interval=cache.interval)
-        lo, hi = cache.interval
+        oracle = SpectralCache(sym=sym)
+        lo, hi = spatial_models._INTERVAL
         for p in (lo + 1e-6, 0.5 * lo, -0.1, 0.0, 0.3, 0.9, hi - 1e-6):
             assert log_det(cache, p) == log_det(oracle, p)
 
@@ -113,7 +127,7 @@ class TestSpectralCache:
         ):
             dense_eigs = np.linalg.eigvals(row_standardized_dense(links)).real
             dense_lo, dense_hi = 1.0 / dense_eigs.min(), 1.0 / dense_eigs.max()
-            lo, hi = spectral_cache(links).interval
+            lo, hi = spatial_models._INTERVAL
             assert (lo, hi) == (-1.0, 1.0)
             assert hi == pytest.approx(dense_hi, rel=1e-12)
             if name == "rook":
@@ -122,7 +136,10 @@ class TestSpectralCache:
                 assert dense_lo < lo - 0.1, name
 
     def test_row_standardized_upper_bound_is_one(self, cache10):
-        assert cache10.interval[1] == pytest.approx(1.0, abs=1e-8)
+        # the interval's upper end is 1/omega_max, with omega_max = 1 for
+        # every row-stochastic W
+        omega_max = np.linalg.eigvalsh(cache10.sym.toarray()).max()
+        assert spatial_models._INTERVAL[1] == pytest.approx(1.0 / omega_max, abs=1e-8)
 
     def test_isolated_units_named(self):
         adj = queen_contiguity(grid_units(3, 3))
@@ -130,8 +147,10 @@ class TestSpectralCache:
         with pytest.raises(ValueError, match=r"\[9\]"):
             spectral_cache(adj)
 
-    def test_repeated_builds_give_bit_equal_intervals(self, w10):
-        assert spectral_cache(w10).interval == spectral_cache(w10).interval
+    def test_repeated_builds_give_bit_equal_log_dets(self, w10):
+        first, second = spectral_cache(w10), spectral_cache(w10)
+        for p in (-0.999, 0.3, 0.999):
+            assert log_det(first, p) == log_det(second, p)
 
     def test_lattice_above_former_dense_limit_is_accepted(self):
         # 101 x 101 = 10 201 units, beyond the old dense n <= 10 000 budget
@@ -140,9 +159,8 @@ class TestSpectralCache:
         assert cache.n == 10201
         assert np.isfinite(log_det(cache, 0.5))
 
-    def test_memo_holds_one_entry_per_distinct_p(self, w10, monkeypatch):
+    def test_memo_holds_one_entry_per_distinct_p(self, w10, built_caches, monkeypatch):
         X, y = make_lag_data(w10, 0.4, seed=79)
-        cache = spectral_cache(w10)
         seen = []
         inner = spatial_models.log_det
 
@@ -151,7 +169,8 @@ class TestSpectralCache:
             return inner(c, p)
 
         monkeypatch.setattr(spatial_models, "log_det", recording)
-        fit_lag_ml(X, y, w10, cache=cache)
+        fit_lag_ml(X, y, w10)
+        (cache,) = built_caches
         assert len(seen) > len(set(seen))
         assert sorted(cache.log_dets) == sorted(set(seen))
 
@@ -169,86 +188,83 @@ class TestLogDet:
         assert log_det(cache10, 0.0) == 0.0
 
     def test_nonpositive_pivot_rejected(self, w10):
-        # with the interval widened past 1/omega_max, I - pS is indefinite
-        # at p = 2 and its LU has negative pivots
+        # past 1/omega_max = 1, I - pS is indefinite at p = 2 and its LU has
+        # negative pivots
         cache = spectral_cache(w10)
-        cache.interval = (cache.interval[0], 10.0)
         with pytest.raises(ValueError, match="p=2.0"):
-            log_det(cache, 2.0)
+            spatial_models._factorize(cache, 2.0)
         assert 2.0 not in cache.log_dets
 
     def test_outside_interval_rejected(self, cache10):
-        lo, hi = cache10.interval
+        lo, hi = spatial_models._INTERVAL
         for p in (lo, hi, lo - 0.1, hi + 0.1):
             with pytest.raises(ValueError):
                 log_det(cache10, p)
 
 
 class TestConcentratedLikelihoods:
-    def test_error_likelihood_at_zero_equals_plain_fit(self, w10, cache10):
+    def test_error_likelihood_at_zero_equals_plain_fit(self, w10):
         X, y = make_error_data(w10, 0.0, seed=70)
         res = fit(X, y)
-        ll0 = error_concentrated_loglik(X, y, w10, 0.0, cache=cache10)
+        ll0 = error_concentrated_loglik(X, y, w10, 0.0)
         assert ll0 == pytest.approx(res.log_likelihood, abs=1e-9)
 
-    def test_lag_likelihood_at_zero_equals_plain_fit(self, w10, cache10):
+    def test_lag_likelihood_at_zero_equals_plain_fit(self, w10):
         X, y = make_lag_data(w10, 0.0, seed=71)
         res = fit(X, y)
-        ll0 = lag_concentrated_loglik(X, y, w10, 0.0, cache=cache10)
+        ll0 = lag_concentrated_loglik(X, y, w10, 0.0)
         assert ll0 == pytest.approx(res.log_likelihood, abs=1e-9)
 
-    def test_error_profile_peaks_near_truth(self, w10, cache10):
+    def test_error_profile_peaks_near_truth(self, w10):
         X, y = make_error_data(w10, 0.5, seed=72)
         grid = np.linspace(-0.5, 0.9, 57)
-        lls = [error_concentrated_loglik(X, y, w10, g, cache=cache10) for g in grid]
+        lls = [error_concentrated_loglik(X, y, w10, g) for g in grid]
         assert abs(grid[int(np.argmax(lls))] - 0.5) < 0.2
 
 
 class TestErrorFit:
-    def test_recovers_planted_parameters(self, w10, cache10):
+    def test_recovers_planted_parameters(self, w10):
         X, y = make_error_data(w10, 0.5, seed=73)
-        res = fit_error_ml(X, y, w10, cache=cache10)
+        res = fit_error_ml(X, y, w10)
         assert res.kind == "error"
         assert abs(res.param - 0.5) < 0.25
         # the intercept is noisy under planted error dependence; slopes are not
         assert abs(res.beta[0] - 1.0) < 1.0
         assert np.allclose(res.beta[1:], [2.0, -1.0], atol=0.35)
 
-    def test_likelihood_beats_every_grid_point(self, w10, cache10):
+    def test_likelihood_beats_every_grid_point(self, w10):
         X, y = make_error_data(w10, 0.4, seed=74)
-        res = fit_error_ml(X, y, w10, cache=cache10)
+        res = fit_error_ml(X, y, w10)
         for g in np.linspace(-0.8, 0.95, 36):
-            assert res.log_likelihood >= error_concentrated_loglik(
-                X, y, w10, g, cache=cache10
-            ) - 1e-9
+            assert res.log_likelihood >= error_concentrated_loglik(X, y, w10, g) - 1e-9
 
-    def test_aic_definition(self, w10, cache10):
+    def test_aic_definition(self, w10):
         X, y = make_error_data(w10, 0.3, seed=75)
-        res = fit_error_ml(X, y, w10, cache=cache10)
+        res = fit_error_ml(X, y, w10)
         assert res.aic == pytest.approx(
             -2 * res.log_likelihood + 2 * (X.q + 1), rel=1e-12
         )
 
-    def test_pseudo_r2_is_squared_correlation(self, w10, cache10):
+    def test_pseudo_r2_is_squared_correlation(self, w10):
         X, y = make_error_data(w10, 0.3, seed=76)
-        res = fit_error_ml(X, y, w10, cache=cache10)
+        res = fit_error_ml(X, y, w10)
         yhat = X.values @ res.beta
         assert res.pseudo_r2 == pytest.approx(np.corrcoef(y, yhat)[0, 1] ** 2, rel=1e-10)
 
-    def test_standard_errors_present_and_positive(self, w10, cache10):
+    def test_standard_errors_present_and_positive(self, w10):
         X, y = make_error_data(w10, 0.5, seed=77)
-        res = fit_error_ml(X, y, w10, cache=cache10)
+        res = fit_error_ml(X, y, w10)
         assert res.se_available
         assert res.param_se > 0
         assert np.all(res.beta_se > 0)
         assert 0 <= res.param_p <= 1
 
-    def test_residual_vector_is_unfiltered(self, w10, cache10):
+    def test_residual_vector_is_unfiltered(self, w10):
         X, y = make_error_data(w10, 0.4, seed=78)
-        res = fit_error_ml(X, y, w10, cache=cache10)
+        res = fit_error_ml(X, y, w10)
         assert np.allclose(res.u, y - X.values @ res.beta)
 
-    def test_unconverged_optimizer_is_an_error(self, w10, cache10, monkeypatch):
+    def test_unconverged_optimizer_is_an_error(self, w10, monkeypatch):
         X, y = make_error_data(w10, 0.5, seed=73)
         seen = []
 
@@ -258,7 +274,7 @@ class TestErrorFit:
 
         monkeypatch.setattr(spatial_models, "log_det", nan_log_det)
         with pytest.raises(ValueError, match="log-likelihood is NaN") as exc:
-            fit_error_ml(X, y, w10, cache=cache10)
+            fit_error_ml(X, y, w10)
         # refused at the first NaN, which the message names
         first = float(re.search(r"NaN at p=(\S+)$", str(exc.value)).group(1))
         assert len(seen) == 1
@@ -273,21 +289,21 @@ class TestErrorFit:
             return math.nan if p > 0.2 else -((p - 0.5) ** 2)
 
         with pytest.raises(ValueError, match="NaN") as exc:
-            spatial_models._optimize_profile(profile, (-1.0, 1.0))
+            spatial_models._optimize_profile(profile)
         first = float(re.search(r"NaN at p=(\S+)$", str(exc.value)).group(1))
         assert first == next(p for p in seen if p > 0.2)
 
-    def test_estimate_beyond_minus_one_is_refused_as_pinned(self, w10, cache10):
+    def test_estimate_beyond_minus_one_is_refused_as_pinned(self, w10):
         # planted -1.5 is feasible for queen links (1/omega_min is about
         # -1.97), so the profile rises toward -1, the end of the interval
         X, y = make_error_data(w10, -1.5, seed=73)
-        grid = [error_concentrated_loglik(X, y, w10, g, cache=cache10)
+        grid = [error_concentrated_loglik(X, y, w10, g)
                 for g in (-0.999, -0.99, -0.9)]
         assert grid[0] > grid[1] > grid[2]
         with pytest.raises(ValueError, match=r"pinned at the interval boundary \(-1\.0, 1\.0\)"):
-            fit_error_ml(X, y, w10, cache=cache10)
+            fit_error_ml(X, y, w10)
 
-    def test_evaluation_limit_is_an_error(self, w10, cache10, monkeypatch):
+    def test_evaluation_limit_is_an_error(self, w10, monkeypatch):
         assert spatial_models._MAX_EVALS == 500
         X, y = make_error_data(w10, 0.5, seed=73)
         seen = []
@@ -300,7 +316,7 @@ class TestErrorFit:
         monkeypatch.setattr(spatial_models, "log_det", recording)
         monkeypatch.setattr(spatial_models, "_MAX_EVALS", 4)
         with pytest.raises(ValueError, match="reached 4 evaluations"):
-            fit_error_ml(X, y, w10, cache=cache10)
+            fit_error_ml(X, y, w10)
         assert len(seen) == 4
 
 
@@ -345,10 +361,10 @@ class TestBoundedMinimizeMatchesScipy:
     def test_profiles(self, family, a, c, k, lo, width):
         self.check(family(a, c, k), lo, lo + width)
 
-    def test_profile_on_lattice(self, w10, cache10):
+    def test_profile_on_lattice(self, w10):
         X, y = make_error_data(w10, 0.5, seed=73)
-        profile = lambda p: -error_concentrated_loglik(X, y, w10, p, cache=cache10)
-        lo, hi = cache10.interval
+        profile = lambda p: -error_concentrated_loglik(X, y, w10, p)
+        lo, hi = spatial_models._INTERVAL
         self.check(profile, lo + 1e-10 * (hi - lo), hi - 1e-10 * (hi - lo))
 
     def test_evaluation_limit(self):
@@ -361,32 +377,30 @@ class TestBoundedMinimizeMatchesScipy:
 
 
 class TestLagFit:
-    def test_recovers_planted_parameters(self, w10, cache10):
+    def test_recovers_planted_parameters(self, w10):
         X, y = make_lag_data(w10, 0.488, seed=80)
-        res = fit_lag_ml(X, y, w10, cache=cache10)
+        res = fit_lag_ml(X, y, w10)
         assert res.kind == "lag"
         assert abs(res.param - 0.488) < 0.25
         assert np.allclose(res.beta[1:], [2.0, -1.0], atol=0.35)
 
-    def test_likelihood_beats_every_grid_point(self, w10, cache10):
+    def test_likelihood_beats_every_grid_point(self, w10):
         X, y = make_lag_data(w10, 0.4, seed=81)
-        res = fit_lag_ml(X, y, w10, cache=cache10)
+        res = fit_lag_ml(X, y, w10)
         for g in np.linspace(-0.8, 0.95, 36):
-            assert res.log_likelihood >= lag_concentrated_loglik(
-                X, y, w10, g, cache=cache10
-            ) - 1e-9
+            assert res.log_likelihood >= lag_concentrated_loglik(X, y, w10, g) - 1e-9
 
-    def test_fitted_values_solve_the_filter(self, w10, cache10):
+    def test_fitted_values_solve_the_filter(self, w10):
         X, y = make_lag_data(w10, 0.3, seed=82)
-        res = fit_lag_ml(X, y, w10, cache=cache10)
+        res = fit_lag_ml(X, y, w10)
         # yhat = (I - rho W)^-1 X beta, so corr(y, yhat)^2 is the fit score
         a = np.eye(w10.n) - res.param * row_standardized_dense(w10)
         yhat = np.linalg.solve(a, X.values @ res.beta)
         assert res.pseudo_r2 == pytest.approx(np.corrcoef(y, yhat)[0, 1] ** 2, rel=1e-8)
 
-    def test_residuals_subtract_both_parts(self, w10, cache10):
+    def test_residuals_subtract_both_parts(self, w10):
         X, y = make_lag_data(w10, 0.3, seed=83)
-        res = fit_lag_ml(X, y, w10, cache=cache10)
+        res = fit_lag_ml(X, y, w10)
         wy = row_standardized_dense(w10) @ y
         assert np.allclose(res.u, y - res.param * wy - X.values @ res.beta)
 
@@ -443,7 +457,7 @@ class TestStandardErrors:
         cache = spectral_cache(w)
         make, fit_fn = FITS[kind]
         X, y = make(w, 0.5, seed=seed)
-        res = fit_fn(X, y, w, cache=cache)
+        res = fit_fn(X, y, w)
         assert res.se_available
         beta_se, param_se = oracle_se(kind, X, y, w, cache, res)
         np.testing.assert_allclose(res.beta_se, beta_se, rtol=1e-7, atol=0)
@@ -466,7 +480,7 @@ class TestStandardErrors:
         ):
             w = build(grid_units(side, side))
             cache = spectral_cache(w)
-            assert cache.interval == (lo, hi)
+            assert spatial_models._INTERVAL == (lo, hi)
             omega = np.linalg.eigvalsh(cache.sym.toarray())
             for p in points:
                 slope, curvature, third = spatial_models._log_det_derivatives(cache, p)
@@ -476,11 +490,11 @@ class TestStandardErrors:
                 assert third == pytest.approx(-2.0 * np.sum(ratio**3), rel=1e-2)
 
     @pytest.mark.parametrize("kind", ["error", "lag"])
-    def test_unavailable_when_not_negative_definite(self, w10, cache10, kind, monkeypatch):
+    def test_unavailable_when_not_negative_definite(self, w10, kind, monkeypatch):
         monkeypatch.setattr(spatial_models, "_log_det_derivatives", lambda c, p: (0.0, 1e12, 0.0))
         make, fit_fn = FITS[kind]
         X, y = make(w10, 0.5, seed=93)
-        res = fit_fn(X, y, w10, cache=cache10)
+        res = fit_fn(X, y, w10)
         assert not res.se_available
         assert math.isnan(res.param_se) and math.isnan(res.param_p)
         assert np.isnan(res.beta_se).all() and np.isnan(res.beta_p).all()
@@ -493,7 +507,7 @@ class TestStandardErrors:
         cache = spectral_cache(w)
         make, fit_fn = FITS[kind]
         X, y = make(w, 0.5, seed=92)
-        res = fit_fn(X, y, w, cache=cache)
+        res = fit_fn(X, y, w)
         n, q = X.n, X.q
         wd = row_standardized_dense(w)
         closed = observed_hessian(
@@ -590,7 +604,7 @@ class TestScoreRoot:
         cache = spectral_cache(w)
         make, fit_fn = FITS[kind]
         X, y = make(w, planted, seed=seed)
-        res = fit_fn(X, y, w, cache=cache)
+        res = fit_fn(X, y, w)
         score = exact_score(kind, X, y, w, cache)
         root = scipy.optimize.brentq(
             score, res.param - 1e-6, res.param + 1e-6, xtol=1e-15, rtol=1e-15
@@ -602,13 +616,13 @@ class TestScoreRoot:
         w = queen_contiguity(grid_units(30, 30))
         make, fit_fn = FITS[kind]
         X, y = make(w, 0.5, seed=113)
-        res = fit_fn(X, y, w, cache=spectral_cache(w))
+        res = fit_fn(X, y, w)
         rng = np.random.default_rng(114)
         for _ in range(3):
             perm = rng.permutation(w.n)
             Xp = design_matrix([(name, X.values[perm, j]) for j, name in enumerate(X.names) if j])
             wp = permuted(w, perm)
-            moved = fit_fn(Xp, y[perm], wp, cache=spectral_cache(wp))
+            moved = fit_fn(Xp, y[perm], wp)
             assert abs(moved.param - res.param) < 1e-11
             np.testing.assert_allclose(moved.beta, res.beta, rtol=1e-9, atol=1e-12)
             assert moved.sigma2 == pytest.approx(res.sigma2, rel=1e-11)
@@ -622,8 +636,8 @@ class TestScoreRoot:
         brent = []
         optimize, derivatives = spatial_models._optimize_profile, spatial_models._log_det_derivatives
 
-        def recording(fun, interval):
-            brent.append(optimize(fun, interval))
+        def recording(fun):
+            brent.append(optimize(fun))
             return brent[-1]
 
         def steep(cache, p):
@@ -634,12 +648,11 @@ class TestScoreRoot:
         monkeypatch.setattr(spatial_models, "_log_det_derivatives", steep)
         make, fit_fn = FITS[kind]
         X, y = make(w10, 0.5, seed=122)
-        cache = spectral_cache(w10)
-        res = fit_fn(X, y, w10, cache=cache)
+        res = fit_fn(X, y, w10)
         assert res.param == brent[0]
         assert res.se_available
         profile = error_concentrated_loglik if kind == "error" else lag_concentrated_loglik
-        assert res.log_likelihood == pytest.approx(profile(X, y, w10, res.param, cache=cache), rel=1e-12)
+        assert res.log_likelihood == pytest.approx(profile(X, y, w10, res.param), rel=1e-12)
         # the lag fit's fitted values solve the filter at Brent's point, not
         # with the LU factorised at the refused step
         a = np.eye(w10.n) - res.param * row_standardized_dense(w10)
@@ -654,13 +667,12 @@ class TestNoEigensolve:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve", refuse)
-        cache = spectral_cache(w10)
         X, y = make_error_data(w10, 0.5, seed=115)
-        assert fit_error_ml(X, y, w10, cache=cache).kind == "error"
+        assert fit_error_ml(X, y, w10).kind == "error"
         X, y = make_lag_data(w10, 0.5, seed=116)
-        assert fit_lag_ml(X, y, w10, cache=spectral_cache(w10)).kind == "lag"
+        assert fit_lag_ml(X, y, w10).kind == "lag"
 
-    def test_lag_fit_factorises_the_estimate_at_most_once_more(self, w10, monkeypatch):
+    def test_lag_fit_factorises_the_estimate_at_most_once_more(self, w10, built_caches, monkeypatch):
         inner = spatial_models._factorize
         calls = []
 
@@ -671,9 +683,9 @@ class TestNoEigensolve:
         monkeypatch.setattr(spatial_models, "_factorize", recording)
         for seed in range(117, 121):
             X, y = make_lag_data(w10, 0.5, seed=seed)
-            cache = spectral_cache(w10)
             calls.clear()
-            res = fit_lag_ml(X, y, w10, cache=cache)
+            res = fit_lag_ml(X, y, w10)
+            cache = built_caches[-1]
             counts = {p: calls.count(p) for p in calls}
             # Brent's and the curvature's points once each; the estimate once
             # more at most, when the Newton step left it at Brent's point
@@ -683,19 +695,19 @@ class TestNoEigensolve:
 
 
 @pytest.mark.parametrize("fit_fn", [fit_error_ml, fit_lag_ml])
-def test_rank_deficient_design_names_the_dependency(w10, cache10, fit_fn):
+def test_rank_deficient_design_names_the_dependency(w10, fit_fn):
     X, y = make_error_data(w10, 0.3, seed=84)
     x1 = X.values[:, 1]
     X = design_matrix([("x1", x1), ("x2", X.values[:, 2]), ("x3", 0.5 * x1)])
     with pytest.raises(ValueError, match=r"rank 3 of 4.*\['x1', 'x3'\]"):
-        fit_fn(X, y, w10, cache=cache10)
+        fit_fn(X, y, w10)
 
 
 class TestCompare:
-    def test_rows_and_preference(self, w10, cache10):
+    def test_rows_and_preference(self, w10):
         X, y = make_error_data(w10, 0.6, seed=84)
         ols_res = fit(X, y)
-        sp_res = fit_error_ml(X, y, w10, cache=cache10)
+        sp_res = fit_error_ml(X, y, w10)
         cmp_ = compare(ols_res, sp_res)
         models = [r["model"] for r in cmp_.rows]
         assert models == ["ols", "spatial-error"]
@@ -708,9 +720,9 @@ class TestCompare:
         assert sp_res.aic < ols_res.aic
         assert cmp_.preferred == "spatial-error"
 
-    def test_mismatched_sizes_rejected(self, w10, cache10):
+    def test_mismatched_sizes_rejected(self, w10):
         X, y = make_error_data(w10, 0.3, seed=85)
-        sp_res = fit_error_ml(X, y, w10, cache=cache10)
+        sp_res = fit_error_ml(X, y, w10)
         Xs = design_matrix([("x", np.arange(10.0))])
         small = fit(Xs, np.arange(10.0) * 2 + np.random.default_rng(0).normal(size=10))
         with pytest.raises(ValueError):

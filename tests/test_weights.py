@@ -5,11 +5,14 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arealstat.hotspot import gi_star
 from arealstat.ingest import AreaUnit
 from arealstat.weights import (
+    SpatialWeights,
     detect_islands,
     queen_contiguity,
     read_weights,
@@ -391,6 +394,45 @@ class TestWeightings:
     def test_lag_of_constant_is_constant(self):
         w = queen_contiguity(grid_units(3, 3)).row_standardized()
         assert np.allclose(w @ np.full(9, 3.5), 3.5)
+
+
+class TestLinkChecks:
+    """SpatialWeights refuses a matrix that is not a contiguity link
+    pattern, naming the first unit at fault by (i, j)."""
+
+    def test_weighted_self_inclusive_matrix_refused_before_gi_star(self):
+        # gi_star used to weight the links 2 and add a second self-link,
+        # and returned z-scores for that pattern without a word
+        a = queen_contiguity(grid_units(5, 5)).matrix
+        x = np.arange(25.0) % 7
+        with pytest.raises(ValueError, match=r"unit 0 has link value 2\.0 to unit 1"):
+            gi_star(SpatialWeights(matrix=2 * a + sp.identity(25, format="csr")), x)
+
+    def test_non_square_refused(self):
+        with pytest.raises(ValueError, match=r"square.*\(2, 3\)"):
+            SpatialWeights(matrix=sp.csr_matrix((2, 3)))
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, 2.0, math.nan])
+    def test_stored_value_other_than_one_refused(self, value):
+        m = grid_adjacency(3, 3).matrix.copy()
+        m.data[m.indptr[4] + 1] = value
+        with pytest.raises(ValueError, match=rf"unit 4 has link value {value!r} to unit {m.indices[m.indptr[4] + 1]}"):
+            SpatialWeights(matrix=m)
+
+    def test_diagonal_refused(self):
+        m = grid_adjacency(3, 3).matrix + sp.diags([0.0] * 5 + [1.0] * 4, format="csr")
+        with pytest.raises(ValueError, match="unit 5 links to itself"):
+            SpatialWeights(matrix=m.tocsr())
+
+    def test_link_without_reverse_refused(self):
+        m = grid_adjacency(3, 3).matrix.tolil()
+        m[8, 0] = m[7, 0] = 1.0
+        with pytest.raises(ValueError, match="unit 7 links to unit 0 but unit 0 does not link back to unit 7"):
+            SpatialWeights(matrix=m.tocsr())
+
+    def test_hand_built_lattice_accepted(self):
+        links = SpatialWeights(matrix=grid_adjacency(4, 3).matrix.copy())
+        assert links.n == 12
 
 
 class TestTextFormat:
