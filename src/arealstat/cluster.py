@@ -1,21 +1,21 @@
 """Minimum-variance hierarchical grouping and group profiles.
 
-Agglomeration follows the Lance-Williams recurrence on squared Euclidean
-distances, so each merge picks the pair whose union increases within-group
-sum of squares the least.  Recorded heights are the square roots of the
-merge costs.  Groups are read off by cutting the tree, and each group is
+Each merge joins the pair of clusters whose union raises the within-group
+sum of squares the least.  A merge's cost is computed from the two clusters'
+coordinate sums and sizes, and its recorded height is the square root of
+that cost.  Groups are read off by cutting the tree, and each group is
 profiled against the overall mean of every feature.
 
-The agglomeration caches each row's minimum of the n x n cost table and,
-after a merge, rescans only the rows whose partner was merged.  The Ward
-update is reducible, so no other row's minimum can fall beyond rounding
-(Muellner 2011, arXiv:1109.2378, the "generic" algorithm).  It takes
-O(n^2) time in practice and 8*n^2 bytes, and it refuses n above 16 384
-(``MAX_TABLE_BYTES``, 2 GiB).
+The agglomeration is Muellner's "generic" algorithm (2011,
+arXiv:1109.2378): each cluster caches a lower bound on its cheapest merge
+with a later cluster, and a bound is recomputed only when it reaches the top
+with a partner that has since been merged.  No cost table is stored, so
+memory is O(n*d) for n points of d coordinates, and there is no size limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +26,15 @@ __all__ = [
     "cut",
     "GroupProfile",
     "profile",
-    "MAX_TABLE_BYTES",
     "LABEL_THRESHOLDS",
 ]
 
-# largest n x n float64 cost table ward_cluster allocates (n = 16 384)
-MAX_TABLE_BYTES = 2 * 1024**3
-
 # |mean| cut-offs between "around", "above"/"below" and "far above"/"far below"
 LABEL_THRESHOLDS = (0.25, 1.0)
+
+# bytes of one temporary while the initial row minima are built: with 4 MiB
+# temporaries a 30x30 pipeline run peaked at 83 MiB, with these at 72 MiB
+_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(eq=False)
@@ -48,27 +48,73 @@ class Dendrogram:
     merges: list[tuple[int, int, float, int]]
 
 
+def _merge_costs(s, n_s, sums, sizes) -> np.ndarray:
+    """Costs of merging the cluster with coordinate sums ``s`` (d, 1) and
+    size ``n_s`` with each cluster of ``sums`` (d, m) and ``sizes`` (m,).
+
+    The cost 2*||n_k*s - n_s*S_k||^2 / (n_s*n_k*(n_s + n_k)) is twice the
+    rise in the within-group sum of squares, or the squared distance of two
+    single points.  The squares are added over the coordinates in order, so a
+    pair's cost is the same to the last bit whichever of its clusters is
+    ``s``.  A cluster with inf sums costs inf.
+    """
+    diff = sums * n_s
+    diff -= s * sizes
+    diff *= diff
+    num = diff[0]
+    for row in diff[1:]:
+        num += row
+    return 2.0 * num / (n_s * sizes * (n_s + sizes))
+
+
+def _initial_minima(points: np.ndarray, row_min: np.ndarray, row_arg: np.ndarray) -> None:
+    """Each point's smallest cost to a later point, and the first later point
+    at that cost, into ``row_min[:n-1]`` and ``row_arg[:n-1]``.
+
+    ``points`` is (d, n).  For single points ``_merge_costs`` is the sum of
+    the squared coordinate differences in coordinate order, which this adds
+    the same way over blocks of rows whose temporaries stay within
+    ``_BLOCK_BYTES``.
+    """
+    n = points.shape[1]
+    start = 0
+    while start < n - 1:
+        width = n - start - 1
+        stop = min(n - 1, start + max(1, _BLOCK_BYTES // (8 * width)))
+        acc = np.zeros((stop - start, width))
+        for coord in points:
+            diff = np.subtract.outer(coord[start:stop], coord[start + 1 :])
+            diff *= diff
+            acc += diff
+        # row t holds the costs to points start+1.., of which the first t
+        # come before point start+t
+        for t in range(1, stop - start):
+            acc[t, :t] = np.inf
+        arg = acc.argmin(axis=1)
+        row_min[start:stop] = acc[np.arange(stop - start), arg]
+        row_arg[start:stop] = start + 1 + arg
+        start = stop
+
+
 def ward_cluster(points: np.ndarray) -> Dendrogram:
     """Agglomerate rows of ``points`` by minimum variance.
 
-    The pairwise table starts at squared Euclidean distance and is updated
-    with the Lance-Williams weights for minimum-variance merging, so the
-    table entry for clusters A and B is 2*n_A*n_B/(n_A+n_B) times the
-    squared distance of their centroids.  Exact cost ties are broken toward
-    the smallest (left id, right id) pair.
+    The cost of merging clusters A and B is 2*n_A*n_B/(n_A+n_B) times the
+    squared distance of their centroids, computed from their coordinate sums
+    by ``_merge_costs``.  Exact cost ties are broken toward the smallest
+    (left id, right id) pair.
 
-    Each live row caches its minimum and the column holding it.  A merge
-    rewrites the lower slot's row and column and retires the other slot by
-    filling its row and column with inf.  Rows whose cached column was one
-    of the merged pair are rescanned; every other row only compares its
-    cached minimum with its one new entry.  The cache is exact, since no
-    other entry changed.  Ward's update is reducible: a merged cluster is
-    never closer to a third one than the nearer of its two parts was, so
-    the comparison lowers a minimum only by rounding.  A merge costs O(n)
-    plus O(n) per rescanned row, which makes the agglomeration O(n^2) time
-    in practice and O(n^3) at worst.  The n x n float64 table takes 8*n^2
-    bytes; inputs whose table would exceed ``MAX_TABLE_BYTES``
-    (n > 16 384) are refused before it is allocated.
+    Clusters sit in slots in cluster-id order; a merge retires its two slots
+    and appends the new cluster.  Each slot caches a lower bound on its
+    smallest cost to a later slot and the first later slot at that bound.
+    The first slot holding the smallest bound is taken.  If its partner is
+    still live, the bound is that pair's cost and no pair costs less, so the
+    pair merges; otherwise the slot's costs are recomputed and the search
+    repeats.  After a merge, each bound becomes the smaller of itself and the
+    cost to the new cluster, so it stays a lower bound under rounding too.
+    The slots are compacted once the retired ones outnumber the live ones.
+    Memory is O(n*d); time is O(n^2 * d) in practice and O(n^3 * d) at worst.
+    Points whose merge costs overflow float64 are refused.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -76,68 +122,79 @@ def ward_cluster(points: np.ndarray) -> Dendrogram:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("grouping needs at least 2 points")
-    table_bytes = 8 * n * n
-    if table_bytes > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"grouping n={n} points needs a {table_bytes}-byte cost table, "
-            f"over the limit of {MAX_TABLE_BYTES} bytes"
-        )
-    if np.isnan(pts).any():
-        raise ValueError("points contain missing values")
+    if not np.isfinite(pts).all():
+        raise ValueError("points contain missing or infinite values")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            merges = _agglomerate(pts)
+    except FloatingPointError:
+        raise ValueError("merge costs overflow float64; rescale the points") from None
+    return Dendrogram(n=n, merges=merges)
 
-    # working matrix over slots 0..n-1; a merged pair collapses into the
-    # lower slot and the other slot's row and column become inf
-    sq = np.sum(pts**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, np.inf)
-    sizes = np.ones(n, dtype=float)
-    cluster_id = np.arange(n)
-    row_arg = np.argmin(d2, axis=1)
-    row_min = d2[np.arange(n), row_arg]
+
+def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
+    """The merges of ``ward_cluster`` over the (n, d) points ``pts``."""
+    n, d = pts.shape
+    # slots 0..end-1 hold clusters in id order; a retired slot and every slot
+    # from end on have inf sums and an inf bound.  Slot 2n-1 is never
+    # reached, so it stands for a retired partner after a compaction.
+    cap = 2 * n
+    sums = np.full((d, cap), np.inf)
+    sums[:, :n] = pts.T
+    sizes = np.ones(cap)
+    ids = np.arange(cap)
+    live = np.zeros(cap, dtype=bool)
+    live[:n] = True
+    row_min = np.full(cap, np.inf)
+    row_arg = np.full(cap, cap - 1)
+    _initial_minima(sums[:, :n], row_min, row_arg)
+    end = n
 
     merges: list[tuple[int, int, float, int]] = []
     for step in range(n - 1):
-        cost = float(row_min.min())
-        # every slot in a tied pair has its row minimum at the cost, so the
-        # smallest id pair holds the smallest id among those slots
-        tied = np.flatnonzero(row_min == cost)
-        first = tied[np.argmin(cluster_id[tied])]
-        partners = np.flatnonzero(d2[first] == cost)
-        second = partners[np.argmin(cluster_id[partners])]
-        si, sj = min(first, second), max(first, second)
-        ni, nj = sizes[si], sizes[sj]
-        left, right = sorted((cluster_id[si], cluster_id[sj]))
+        while True:
+            i = int(row_min[:end].argmin())
+            j = int(row_arg[i])
+            if live[j]:
+                break
+            costs = _merge_costs(sums[:, i, None], sizes[i], sums[:, i + 1 : end], sizes[i + 1 : end])
+            k = int(costs.argmin())
+            row_min[i] = costs[k]
+            row_arg[i] = i + 1 + k
+        cost = float(row_min[i])
+        size = sizes[i] + sizes[j]
+        merges.append((int(ids[i]), int(ids[j]), math.sqrt(cost), int(size)))
 
-        stale = (row_arg == si) | (row_arg == sj)
-        stale[si] = True
-        stale[sj] = False
-        # the diagonal and retired slots hold inf, and so does their update
-        new = (
-            (ni + sizes) * d2[si]
-            + (nj + sizes) * d2[sj]
-            - sizes * cost
-        ) / (ni + nj + sizes)
-        d2[si] = new
-        d2[:, si] = new
-        d2[sj] = np.inf
-        d2[:, sj] = np.inf
-        sizes[si] = ni + nj
-        cluster_id[si] = n + step
+        sums[:, end] = sums[:, i] + sums[:, j]
+        sums[:, i] = np.inf
+        sums[:, j] = np.inf
+        sizes[end] = size
+        ids[end] = n + step
+        live[i] = live[j] = False
+        live[end] = True
+        row_min[i] = row_min[j] = np.inf
+        costs = _merge_costs(sums[:, end, None], size, sums[:, :end], sizes[:end])
+        lower = costs < row_min[:end]
+        np.copyto(row_min[:end], costs, where=lower)
+        np.copyto(row_arg[:end], end, where=lower)
+        end += 1
 
-        lower = new < row_min
-        row_min[lower] = new[lower]
-        row_arg[lower] = si
-        # a retired slot is never merged again, so pointing it at itself
-        # keeps it out of every later rescan
-        row_min[sj] = np.inf
-        row_arg[sj] = sj
-        stale = np.flatnonzero(stale)
-        args = np.argmin(d2[stale], axis=1)
-        row_arg[stale] = args
-        row_min[stale] = d2[stale, args]
-        merges.append((left, right, float(np.sqrt(cost)), int(ni + nj)))
-    return Dendrogram(n=n, merges=merges)
+        if end > 2 * (n - 1 - step):
+            keep = np.flatnonzero(live[:end])
+            count = keep.size
+            moved = np.full(cap, cap - 1)
+            moved[keep] = np.arange(count)
+            sums[:, :count] = sums[:, keep]
+            sums[:, count:end] = np.inf
+            sizes[:count] = sizes[keep]
+            ids[:count] = ids[keep]
+            row_arg[:count] = moved[row_arg[keep]]
+            row_min[:count] = row_min[keep]
+            row_min[count:end] = np.inf
+            live[:count] = True
+            live[count:end] = False
+            end = count
+    return merges
 
 
 def cut(dendrogram: Dendrogram, k: int, ids=None) -> np.ndarray:

@@ -970,11 +970,17 @@ def _write_augmented(ctx: _Context, outdir: str) -> None:
         "gi_class": list(ctx.gi.classes),
         "group": [int(g) for g in ctx.assignments],
     }
-    doc = to_feature_collection(ctx.dataset.units, extra)
-    _write(
-        os.path.join(outdir, "augmented.geojson"),
-        (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"),
-    )
+    features = to_feature_collection(ctx.dataset.units, extra)["features"]
+    # the bytes of json.dumps(collection, sort_keys=True) plus a newline,
+    # written one feature at a time so the whole text is never held at once
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(os.path.join(outdir, "augmented.geojson"), "wb") as fh:
+        fh.write(b'{"features": [')
+        for k, feature in enumerate(features):
+            if k:
+                fh.write(b", ")
+            fh.write(encode(feature).encode("utf-8"))
+        fh.write(b'], "type": "FeatureCollection"}\n')
 
 
 def _write_report(report: dict, outdir: str) -> None:

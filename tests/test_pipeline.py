@@ -944,29 +944,35 @@ def _sorted_list(match) -> str:
 
 
 class TestUnitOrder:
-    """Reversing the GeoJSON features leaves every number in every output
-    in place by unit id; group numbers go by each group's smallest id."""
+    """Reversing or shuffling the GeoJSON features leaves every number in
+    every output in place by unit id; group numbers go by each group's
+    smallest id."""
 
+    @pytest.mark.parametrize("order", ["reversed", "permuted"])
     @pytest.mark.parametrize("sub", ["regress", "pipeline"])
-    def test_reversed_features_match_by_unit_id(self, county, tmp_path, sub):
+    def test_reordered_features_match_by_unit_id(self, county, tmp_path, sub, order):
         config = load_config(county["config"])
         with open(config.geometry_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        doc["features"].reverse()
-        reversed_path = str(tmp_path / "reversed.geojson")
-        with open(reversed_path, "w", encoding="utf-8") as fh:
+        if order == "reversed":
+            doc["features"].reverse()
+        else:
+            perm = np.random.default_rng(16).permutation(len(doc["features"]))
+            doc["features"] = [doc["features"][i] for i in perm]
+        moved_path = str(tmp_path / f"{order}.geojson")
+        with open(moved_path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        dirs = [str(tmp_path / "given"), str(tmp_path / "reversed")]
+        dirs = [str(tmp_path / "given"), str(tmp_path / order)]
         run_subcommand(dataclasses.replace(config, output_dir=dirs[0]), sub)
         run_subcommand(
-            dataclasses.replace(config, output_dir=dirs[1], geometry_path=reversed_path),
+            dataclasses.replace(config, output_dir=dirs[1], geometry_path=moved_path),
             sub,
         )
         names = sorted(os.listdir(dirs[0]))
         assert names == sorted(os.listdir(dirs[1]))
         # weights.txt names units by row index, which follows the input order
         names = [n for n in names if n != "weights.txt"]
-        inputs = (config.geometry_path, reversed_path, *dirs)
+        inputs = (config.geometry_path, moved_path, *dirs)
         for name in names:
             given, moved = (_unit_order_free(d, name, inputs) for d in dirs)
             if isinstance(given, list):
@@ -975,3 +981,9 @@ class TestUnitOrder:
                 _assert_same_numbers(given, moved, name)
         if sub == "pipeline":
             assert "groups.csv" in names and "augmented.geojson" in names
+            # groups.csv lists the groups by number, so it is order-free as it is
+            groups = []
+            for d in dirs:
+                with open(os.path.join(d, "groups.csv"), "rb") as fh:
+                    groups.append(fh.read())
+            assert groups[0] == groups[1]
