@@ -245,12 +245,11 @@ def profile(
     assignments: np.ndarray,
     features: np.ndarray,
     feature_names: list[str],
-    thresholds: tuple[float, float] = LABEL_THRESHOLDS,
 ) -> list[GroupProfile]:
     """Describe each group by its mean of every (standardized) feature.
 
-    A mean m maps to "around" when |m| < thresholds[0], "above"/"below" up
-    to thresholds[1], and "far above"/"far below" beyond it.
+    A mean m maps to "around" when |m| < LABEL_THRESHOLDS[0], "above"/"below"
+    up to LABEL_THRESHOLDS[1], and "far above"/"far below" beyond it.
     """
     assignments = np.asarray(assignments)
     feats = np.asarray(features, dtype=float)
@@ -258,9 +257,7 @@ def profile(
         raise ValueError("features must be 2-d with one column per name")
     if assignments.shape != (feats.shape[0],):
         raise ValueError("assignments must align with feature rows")
-    near, far = thresholds
-    if not (0 < near < far):
-        raise ValueError("thresholds must satisfy 0 < near < far")
+    near, far = LABEL_THRESHOLDS
 
     out = []
     for g in np.unique(assignments):

@@ -158,6 +158,12 @@ class AttributeTable:
             raise KeyError(f"no attribute column named {name!r}") from None
         return self.values[:, j]
 
+    def take(self, index) -> AttributeTable:
+        """The rows at the integer positions ``index``, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        ids = [self.ids[i] for i in index.tolist()]
+        return AttributeTable(ids, list(self.columns), self.values[index])
+
     def missing_cells(self) -> list[tuple[int, str]]:
         """(row index, column name) pairs for every flagged-missing cell."""
         rows, cols = np.nonzero(np.isnan(self.values))
@@ -341,10 +347,10 @@ def parse_geometry(data: bytes | str, id_property: str) -> AreaUnits:
     geometry whose rings are closed and have at least 4 points with finite
     coordinates.  Outer rings are normalized counterclockwise and holes
     clockwise so downstream area computations are sign-stable; coordinate
-    order is otherwise preserved.
+    order is otherwise preserved.  A leading UTF-8 byte order mark is ignored.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")
     # Little but the arrays outlives the parse, so the cyclic collector would
     # only walk the document tree: it is paused for the whole parse (around
     # json.loads alone, the allocation count carries over and the
@@ -394,12 +400,13 @@ def serialize_geometry(units: AreaUnits | list[AreaUnit]) -> bytes:
 def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
     """Parse a comma-delimited table with a header row.
 
-    Non-id columns are parsed as numerics; empty cells and non-numeric
+    Non-id columns are parsed as numerics; blank cells and non-numeric
     tokens become NaN (flagged missing), never zero.  Row order is
-    preserved.  A header that names a column twice is refused.
+    preserved.  A header that names a column twice is refused.  A leading
+    UTF-8 byte order mark, as spreadsheet exports write, is ignored.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")
     reader = csv.reader(io.StringIO(data))
     try:
         header = next(reader)
@@ -423,7 +430,7 @@ def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
             raise ValueError(
                 f"ragged row {i}: expected {len(header)} cells, got {len(row)}"
             )
-        uid = row[id_idx]
+        uid = row.pop(id_idx)
         if not uid:
             raise ValueError(f"row {i}: empty id")
         if uid in seen:
@@ -431,15 +438,10 @@ def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
         seen[uid] = i
         ids.append(uid)
         parsed = []
-        for j, cell in enumerate(row):
-            if j == id_idx:
-                continue
-            token = cell.strip()
-            if not token:
-                parsed.append(math.nan)
-                continue
+        for cell in row:
+            # float() ignores padding itself, except U+001C..U+001F, which strip() removes
             try:
-                parsed.append(float(token))
+                parsed.append(float(cell.strip()))
             except ValueError:
                 parsed.append(math.nan)
         rows.append(parsed)
@@ -482,15 +484,9 @@ def merge(
         )
 
     kept = units.take(retained)
-    order = [row_of[uid] for uid in kept.ids]
-    sub = AttributeTable(
-        ids=list(kept.ids),
-        columns=list(table.columns),
-        values=table.values[order, :].copy(),
-    )
     return MergedDataset(
         units=kept,
-        table=sub,
+        table=table.take([row_of[uid] for uid in kept.ids]),
         dropped_geometry_ids=dropped_geo,
         dropped_table_ids=dropped_tab,
     )
@@ -511,16 +507,11 @@ def drop_missing_rows(
     bad = np.isnan(dataset.table.values[:, idx]).any(axis=1)
     if not bad.any():
         return dataset, []
-    keep = ~bad
-    dropped = [dataset.table.ids[i] for i in np.nonzero(bad)[0]]
-    sub = AttributeTable(
-        ids=[uid for uid, k in zip(dataset.table.ids, keep) if k],
-        columns=list(dataset.table.columns),
-        values=dataset.table.values[keep, :].copy(),
-    )
+    keep = np.flatnonzero(~bad)
+    dropped = [dataset.table.ids[i] for i in np.flatnonzero(bad).tolist()]
     reduced = MergedDataset(
-        units=dataset.units.take(np.flatnonzero(keep)),
-        table=sub,
+        units=dataset.units.take(keep),
+        table=dataset.table.take(keep),
         dropped_geometry_ids=list(dataset.dropped_geometry_ids),
         dropped_table_ids=list(dataset.dropped_table_ids),
     )

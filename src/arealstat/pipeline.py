@@ -30,6 +30,7 @@ from . import spatial_models as _spatial
 from . import stats as _stats
 from . import weights as _weights
 from .ingest import (
+    AttributeTable,
     MergedDataset,
     drop_missing_rows,
     merge,
@@ -102,8 +103,8 @@ class PipelineConfig:
         if self.contiguity not in ("queen", "rook"):
             raise ValueError(f"contiguity must be queen or rook, got {self.contiguity!r}")
         tol = self.snap_tolerance
-        if tol is not None and not (_is_number(tol) and tol > 0):
-            raise ValueError("snap_tolerance must be a positive number when given")
+        if tol is not None and not (_is_number(tol) and math.isfinite(tol) and tol > 0):
+            raise ValueError("snap_tolerance must be a finite positive number when given")
         for name in ("alpha", "fdr_alpha"):
             v = getattr(self, name)
             if not (_is_number(v) and 0 < v < 1):
@@ -248,40 +249,42 @@ class _Context:
     report: dict = field(default_factory=dict)
 
 
-def _analysis_columns(config: PipelineConfig, table_columns: list[str]) -> list[str]:
+def _analysis_table(config: PipelineConfig, table: AttributeTable) -> AttributeTable:
+    """The columns the stages read: the outcome, the candidate predictors
+    and the Spearman column, in that order."""
     cols = [config.outcome_column] + list(config.candidate_predictor_columns)
     if config.spearman_column and config.spearman_column not in cols:
         cols.append(config.spearman_column)
-    missing = [c for c in cols if c not in table_columns]
+    missing = [c for c in cols if c not in table.columns]
     if missing:
         raise ValueError(f"attribute table lacks analysis columns {missing}")
-    return cols
+    idx = [table.columns.index(c) for c in cols]
+    return AttributeTable(ids=table.ids, columns=cols, values=table.values[:, idx])
+
+
+def _read(path: str, what: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _stage_ingest(ctx: _Context) -> None:
     cfg = ctx.config
-    try:
-        with open(cfg.geometry_path, "rb") as fh:
-            geo_bytes = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read geometry {cfg.geometry_path}: {exc}") from exc
-    try:
-        with open(cfg.attributes_path, "rb") as fh:
-            attr_bytes = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read attributes {cfg.attributes_path}: {exc}") from exc
+    geo_bytes = _read(cfg.geometry_path, "geometry")
+    attr_bytes = _read(cfg.attributes_path, "attributes")
     units = parse_geometry(geo_bytes, cfg.id_property)
-    table = parse_attributes(attr_bytes, cfg.id_column)
+    table = _analysis_table(cfg, parse_attributes(attr_bytes, cfg.id_column))
     merged = merge(units, table, policy=cfg.merge_policy)
-    cols = _analysis_columns(cfg, merged.table.columns)
-    reduced, dropped_missing = drop_missing_rows(merged, cols)
-    values = reduced.table.values[:, [reduced.table.columns.index(c) for c in cols]]
+    reduced, dropped_missing = drop_missing_rows(merged, table.columns)
+    values = reduced.table.values
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
         raise ValueError(
             f"unit {reduced.table.ids[i]!r} has non-finite value "
-            f"{float(values[i, j])!r} in column {cols[j]!r}"
+            f"{float(values[i, j])!r} in column {table.columns[j]!r}"
         )
     if reduced.n < 3:
         raise ValueError(f"only {reduced.n} units remain after merge and missing-value drops")
@@ -300,14 +303,7 @@ def _stage_weights(ctx: _Context) -> None:
 
 
 def _stage_summarize(ctx: _Context) -> None:
-    cols = _analysis_columns(ctx.config, ctx.dataset.table.columns)
-    idx = [ctx.dataset.table.columns.index(c) for c in cols]
-    sub = type(ctx.dataset.table)(
-        ids=ctx.dataset.table.ids,
-        columns=cols,
-        values=ctx.dataset.table.values[:, idx],
-    )
-    ctx.summary_rows = _stats.summarize(sub)
+    ctx.summary_rows = _stats.summarize(ctx.dataset.table)
 
 
 def _stage_zscore(ctx: _Context) -> None:

@@ -127,9 +127,9 @@ def _snap_keys(xy: np.ndarray, snap_tolerance: float | None) -> np.ndarray:
     to even, as Python's ``round`` does.
     """
     if snap_tolerance is not None:
-        if snap_tolerance <= 0:
-            raise ValueError("snap tolerance must be positive")
         pitch = float(snap_tolerance)
+        if not (math.isfinite(pitch) and pitch > 0):
+            raise ValueError(f"snap_tolerance must be a finite positive number, got {pitch!r}")
     else:
         dx, dy = (xy.max(axis=0) - xy.min(axis=0)).tolist()
         diag = math.hypot(dx, dy)

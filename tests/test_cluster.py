@@ -495,19 +495,16 @@ class TestCut:
 
 class TestProfile:
     def test_band_labels(self):
-        assignments = np.array([1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
-        means = [-1.5, -0.5, 0.0, 0.5, 1.5]
+        # LABEL_THRESHOLDS is (0.25, 1.0); each edge belongs to the band above it
+        means = [-1.5, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5]
+        assignments = np.repeat(np.arange(1, len(means) + 1), 2)
         feats = np.array([[m] for m in means for _ in range(2)])
         profiles = profile(assignments, feats, ["v"])
         labels = [p.labels[0] for p in profiles]
-        assert labels == ["far below", "below", "around", "above", "far above"]
-
-    def test_thresholds_configurable(self):
-        assignments = np.array([1, 2])
-        feats = np.array([[0.5], [3.0]])
-        profiles = profile(assignments, feats, ["v"], thresholds=(1.0, 2.0))
-        assert profiles[0].labels == ["around"]
-        assert profiles[1].labels == ["far above"]
+        assert labels == [
+            "far below", "far below", "below", "below", "around",
+            "above", "above", "far above", "far above",
+        ]
 
     def test_counts_and_means(self):
         assignments = np.array([1, 1, 2])
@@ -522,7 +519,3 @@ class TestProfile:
             profile(np.array([1, 2]), np.zeros((2, 2)), ["only-one"])
         with pytest.raises(ValueError):
             profile(np.array([1]), np.zeros((2, 1)), ["v"])
-
-    def test_bad_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            profile(np.array([1]), np.zeros((1, 1)), ["v"], thresholds=(1.0, 0.5))

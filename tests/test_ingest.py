@@ -1,13 +1,16 @@
 """Geometry parsing, attribute parsing, and the id join."""
 
+import csv
 import gc
+import io
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arealstat.ingest import (
     AreaUnit,
@@ -205,6 +208,12 @@ class TestParseGeometry:
     def test_not_a_collection(self):
         with pytest.raises(ValueError, match="FeatureCollection"):
             parse_geometry(json.dumps({"type": "Feature"}), "GEOID")
+
+    def test_byte_order_mark_ignored(self):
+        # RFC 8259 section 8.1 lets a parser ignore it
+        text = feature_collection([polygon_feature("A", square_ring(0, 0))])
+        units = parse_geometry(b"\xef\xbb\xbf" + text.encode("utf-8"), "GEOID")
+        assert units == parse_geometry(text, "GEOID")
 
     def test_malformed_json(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -505,6 +514,12 @@ class TestParseAttributes:
         table = parse_attributes(CSV.encode("utf-8"), "GEOID")
         assert table.n == 3
 
+    def test_byte_order_mark_ignored(self):
+        # spreadsheet "CSV UTF-8" exports start with one
+        table = parse_attributes(b"\xef\xbb\xbf" + CSV.encode("utf-8"), "GEOID")
+        assert table.ids == ["X", "Y", "Z"]
+        assert table.columns == ["a", "b"]
+
     @pytest.mark.parametrize(
         "header, name",
         [("GEOID,a,b,GEOID", "GEOID"), ("GEOID,a,a", "a"), ("a,GEOID,b,a", "a")],
@@ -514,6 +529,82 @@ class TestParseAttributes:
         text = f"{header}\n1,10\n".encode("utf-8")
         with pytest.raises(ValueError, match=f"names column {name!r} twice"):
             parse_attributes(text, "GEOID")
+
+
+# Reference: the per-cell conversion that parse_attributes replaced, kept
+# verbatim: strip the cell, take a blank one as missing, else float().
+def oracle_attributes(text: str, id_column: str):
+    header, *rows = csv.reader(io.StringIO(text))
+    id_idx = header.index(id_column)
+    ids, values = [], []
+    for row in rows:
+        if not row:
+            continue
+        ids.append(row[id_idx])
+        parsed = []
+        for j, cell in enumerate(row):
+            if j == id_idx:
+                continue
+            token = cell.strip()
+            if not token:
+                parsed.append(math.nan)
+                continue
+            try:
+                parsed.append(float(token))
+            except ValueError:
+                parsed.append(math.nan)
+        values.append(parsed)
+    return ids, [c for c in header if c != id_column], values
+
+
+# Unicode spaces (which float() and str.strip() both drop), a line feed
+# (which makes csv.writer quote the cell) and U+001C and U+001F, which
+# str.strip() drops and float() refuses
+PADDING = st.text(st.sampled_from(" \t\n\x0b\x1c\x1f\x85\xa0\u2003\u2028\u3000"), max_size=3)
+CELLS = st.one_of(
+    st.builds(
+        lambda left, x, right: left + x + right,
+        PADDING,
+        st.one_of(st.floats().map(repr), st.integers().map(str)),
+        PADDING,
+    ),
+    st.sampled_from([
+        "", " ", "\u3000", "nan", "-NaN", "inf", "-Infinity", "1e999", "1_000",
+        "1__000", "_1", "1_", "0x10", "\u0661\u0662", "1,5", "1.5.", "abc", "\x00", "1\x1e",
+    ]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+)
+
+
+class TestParseAttributesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    @example(width=0, id_at=0, data=None)
+    def test_matches_per_cell_parse(self, width, id_at, data):
+        id_at = min(id_at, width)
+        header = [f"c{j}" for j in range(width)]
+        header.insert(id_at, "GEOID")
+        rows = []
+        if data is not None:
+            cells = st.lists(CELLS, min_size=width, max_size=width)
+            for i, row in enumerate(data.draw(st.lists(cells, max_size=5))):
+                row.insert(id_at, f"u{i}")
+                rows.append(row)
+        out = io.StringIO()
+        csv.writer(out).writerows([header] + rows)
+        text = out.getvalue()
+        ids, columns, values = oracle_attributes(text, "GEOID")
+        for parsed in (
+            parse_attributes(text, "GEOID"),
+            parse_attributes(b"\xef\xbb\xbf" + text.encode("utf-8"), "GEOID"),
+        ):
+            assert parsed.ids == ids
+            assert parsed.columns == columns
+            want = np.array(values, dtype=float).reshape(len(ids), width)
+            assert parsed.values.shape == want.shape
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(parsed.values), nan)
+            assert np.array_equal(parsed.values[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 def _units(ids):

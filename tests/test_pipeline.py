@@ -4,10 +4,12 @@ and the command line front end."""
 import csv
 import dataclasses
 import glob
+import io
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -178,6 +180,9 @@ class TestConfig:
         [
             ("alpha", "0.05"),
             ("snap_tolerance", "1e-3"),
+            # json writes and reads these as Infinity and NaN
+            ("snap_tolerance", math.inf),
+            ("snap_tolerance", math.nan),
             ("vif_threshold", None),
             ("allow_islands", "false"),
             ("group_k", True),
@@ -530,6 +535,21 @@ class TestStageErrors:
         assert err.value.stage == "ingest"
         assert "orphan" in str(err.value)
 
+    def test_missing_analysis_column_named_before_the_join(self, tmp_path):
+        # "orphan" would also fail the strict join
+        d = str(tmp_path)
+        extra = [polygon_feature("orphan", square_ring(30.0, 0.0))]
+        geo, attr = write_tiny_dataset(d, list(range(9)), extra_geometry=extra)
+        config = tiny_config(
+            d, geo, attr,
+            candidate_predictor_columns=["p1", "p3"],
+            merge_policy="fail-on-any-unmatched",
+        )
+        with pytest.raises(PipelineError) as err:
+            run_subcommand(config, "weights")
+        assert err.value.stage == "ingest"
+        assert "attribute table lacks analysis columns ['p3']" in str(err.value)
+
 
 def island_dataset(tmp_path):
     d = str(tmp_path)
@@ -659,6 +679,15 @@ class TestCli:
         code = cli_main(["regress", "--config", "/definitely/not/there.json"])
         assert code == 2
         assert "[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_snap_tolerance_refused(self, county, tmp_path, capsys, value):
+        argv = ["weights", "--config", county["config"], "--output-dir", str(tmp_path),
+                "--snap-tolerance", value]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "[config]" in err and "snap_tolerance" in err
+        assert not os.listdir(tmp_path)
 
     def test_override_changes_group_count(self, county, tmp_path):
         out = str(tmp_path / "k3")
@@ -987,3 +1016,141 @@ class TestUnitOrder:
                 with open(os.path.join(d, "groups.csv"), "rb") as fh:
                     groups.append(fh.read())
             assert groups[0] == groups[1]
+
+
+@pytest.fixture(scope="module")
+def county_inputs(tmp_path_factory):
+    """The synthetic county's config, its input files' bytes and the files
+    of its `pipeline` run.  Every run below rewrites both inputs in place,
+    so each report quotes the same paths."""
+    from arealstat.synth import write_synthetic_county
+
+    config = load_config(write_synthetic_county(str(tmp_path_factory.mktemp("inputs"))))
+    inputs = {}
+    for key in ("geometry_path", "attributes_path"):
+        with open(getattr(config, key), "rb") as fh:
+            inputs[key] = fh.read()
+    return config, inputs, _pipeline_files(config, inputs)
+
+
+def _pipeline_files(config, inputs: dict) -> dict:
+    """Write ``inputs`` ({config key: bytes}) to the config's paths, run
+    `pipeline` and return its files' bytes by name."""
+    for key, data in inputs.items():
+        with open(getattr(config, key), "wb") as fh:
+            fh.write(data)
+    shutil.rmtree(config.output_dir, ignore_errors=True)
+    run_pipeline(config)
+    files = {}
+    for name in sorted(os.listdir(config.output_dir)):
+        with open(os.path.join(config.output_dir, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+def _differing(files: dict, plain: dict) -> list:
+    assert sorted(files) == sorted(plain)
+    return [name for name in plain if files[name] != plain[name]]
+
+
+def _attribute_rows(inputs: dict) -> list:
+    return list(csv.reader(io.StringIO(inputs["attributes_path"].decode("utf-8"))))
+
+
+def _attribute_bytes(rows: list) -> bytes:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+# Under a*x + b of every attribute column a full-precision number moves by
+# rounding only; the largest move measured was 5e-8 relative, in a spatial
+# p-value of 6e-11.  The least-squares intercept and its t are 0 in exact
+# arithmetic; under the 1e6 shift they reached 8.1e-12 and 4.1e-10.
+_AFFINE_REL = 1e-7
+_INTERCEPT_ABS = {"coefficient": 1e-10, "t": 1e-8}
+
+
+def _assert_close_report(a, b, where: str = "") -> None:
+    """Equal structure, strings, integers and flags; floats within _AFFINE_REL."""
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b), where
+        for k in a:
+            _assert_close_report(a[k], b[k], f"{where}.{k}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close_report(x, y, f"{where}[{i}]")
+    elif isinstance(a, float):
+        assert math.isclose(a, b, rel_tol=_AFFINE_REL), (where, a, b)
+    else:
+        assert a == b, (where, a, b)
+
+
+class TestInputInvariance:
+    """Changes to the inputs that the statistics do not see leave every
+    output file byte-identical, or every number within rounding."""
+
+    def test_byte_order_marks(self, county_inputs):
+        # spreadsheet "CSV UTF-8" exports start with one; RFC 8259 lets a
+        # JSON parser ignore it
+        config, inputs, plain = county_inputs
+        marked = {key: b"\xef\xbb\xbf" + data for key, data in inputs.items()}
+        assert _differing(_pipeline_files(config, marked), plain) == []
+
+    def test_unread_columns(self, county_inputs):
+        # numbers, text and blanks, before and after the analysis columns
+        config, inputs, plain = county_inputs
+        rows = _attribute_rows(inputs)
+        rows[0][1:1] = ["extra_number", "extra_text"]
+        rows[0].append("extra_blank")
+        for i, row in enumerate(rows[1:]):
+            row[1:1] = [repr(0.37 * i - 5.0), ["abc", "", " x y", "nan"][i % 4]]
+            row.append(" " if i % 3 else "")
+        files = _pipeline_files(config, dict(inputs, attributes_path=_attribute_bytes(rows)))
+        assert _differing(files, plain) == []
+
+    @pytest.mark.parametrize("a, b", [(1000.0, 0.0), (1.0, 1e6), (1e-3, -50.0)])
+    def test_affine_map_of_every_attribute(self, county_inputs, a, b):
+        config, inputs, plain = county_inputs
+        rows = _attribute_rows(inputs)
+        id_at = rows[0].index(config.id_column)
+        for row in rows[1:]:
+            row[:] = [x if j == id_at else repr(a * float(x) + b) for j, x in enumerate(row)]
+        files = _pipeline_files(config, dict(inputs, attributes_path=_attribute_bytes(rows)))
+        # the outcome and comparison maps print raw values in their legends,
+        # and the summary and hotspot tables print raw values too
+        unchanged = [
+            "groups.csv", "spatial_coefficients.csv", "comparison.csv", "spearman.csv",
+            "map_groups.svg", "map_hotspot.svg",
+        ]
+        assert [name for name in unchanged if files[name] != plain[name]] == []
+        given, mapped = (json.loads(f["report.json"]) for f in (plain, files))
+        for row in given["summary"]:
+            row.update({k: a * row[k] + b for k in ("mean", "min", "max")}, sd=a * row["sd"])
+        for report in (given, mapped):
+            intercept = report["ols"]["coefficients"][0]
+            assert intercept["name"] == "intercept"
+            for key, tol in _INTERCEPT_ABS.items():
+                assert abs(intercept.pop(key)) < tol, (key, a, b)
+        _assert_close_report(given, mapped)
+
+    @pytest.mark.parametrize(
+        "move",
+        [lambda x, y: [x + 123456.789, y - 98765.4321], lambda x, y: [0.3 * x, 0.3 * y]],
+        ids=["shift", "scale"],
+    )
+    def test_coordinate_shift_and_scale(self, county_inputs, move):
+        config, inputs, plain = county_inputs
+        doc = json.loads(inputs["geometry_path"])
+        for feature in doc["features"]:
+            geometry = feature["geometry"]
+            polygons = geometry["coordinates"]
+            for polygon in [polygons] if geometry["type"] == "Polygon" else polygons:
+                for ring in polygon:
+                    ring[:] = [move(*point) for point in ring]
+        files = _pipeline_files(config, dict(inputs, geometry_path=json.dumps(doc).encode()))
+        # augmented.geojson carries the coordinates, and only they move
+        assert _differing(files, plain) == ["augmented.geojson"]
+        given, moved = (json.loads(f["augmented.geojson"])["features"] for f in (plain, files))
+        assert [f["properties"] for f in given] == [f["properties"] for f in moved]

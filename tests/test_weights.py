@@ -255,6 +255,14 @@ class TestContiguity:
         with pytest.raises(ValueError):
             queen_contiguity(grid_units(2, 2), snap_tolerance=-1.0)
 
+    @pytest.mark.parametrize("build", [queen_contiguity, rook_contiguity])
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])
+    def test_non_finite_tolerance_rejected(self, build, tol):
+        # on a 4x4 lattice inf linked all 16 units to each other, and nan
+        # left every unit an island
+        with pytest.raises(ValueError, match="snap_tolerance"):
+            build(grid_units(4, 4), snap_tolerance=tol)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_snap_stability_under_tiny_perturbation(self, seed):
