@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -397,39 +397,38 @@ def serialize_geometry(units: AreaUnits | list[AreaUnit]) -> bytes:
     return json.dumps(to_feature_collection(units), sort_keys=True).encode("utf-8")
 
 
-def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
-    """Parse a comma-delimited table with a header row.
-
-    Non-id columns are parsed as numerics; blank cells and non-numeric
-    tokens become NaN (flagged missing), never zero.  Row order is
-    preserved.  A header that names a column twice is refused.  A leading
-    UTF-8 byte order mark, as spreadsheet exports write, is ignored.
-    """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8-sig")
-    reader = csv.reader(io.StringIO(data))
+def _floats(cells: tuple[str, ...]) -> np.ndarray:
+    """``cells`` as float64, each stripped and converted by float(); a blank
+    or non-numeric cell becomes NaN."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("attribute table is empty") from None
-    repeated = [name for name, count in Counter(header).items() if count > 1]
-    if repeated:
-        raise ValueError(f"attribute table header names column {repeated[0]!r} twice")
-    if id_column not in header:
-        raise ValueError(f"attribute table has no id column {id_column!r}")
-    id_idx = header.index(id_column)
-    columns = [name for name in header if name != id_column]
+        # where float(cell) succeeds, float(cell.strip()) gives the same value
+        return np.fromiter(map(float, cells), float, count=len(cells))
+    except ValueError:
+        pass
+    parsed = []
+    for cell in cells:
+        # float() ignores padding itself, except U+001C..U+001F, which strip() removes
+        try:
+            parsed.append(float(cell.strip()))
+        except ValueError:
+            parsed.append(math.nan)
+    return np.array(parsed, dtype=float)
 
-    ids: list[str] = []
-    rows: list[list[float]] = []
+
+# Rows converted at a time: a block's cells are still in cache when its
+# columns are converted, which a pass over the whole table's columns loses.
+_ROW_BLOCK = 256
+
+
+def _checked_rows(reader, width: int, id_idx: int, ids: list[str]):
+    """The non-blank rows of ``reader`` without their id cell, each id
+    appended to ``ids``; refuses a ragged row and an empty or repeated id."""
     seen: dict[str, int] = {}
     for i, row in enumerate(reader):
         if not row:
             continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"ragged row {i}: expected {len(header)} cells, got {len(row)}"
-            )
+        if len(row) != width:
+            raise ValueError(f"ragged row {i}: expected {width} cells, got {len(row)}")
         uid = row.pop(id_idx)
         if not uid:
             raise ValueError(f"row {i}: empty id")
@@ -437,17 +436,46 @@ def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
             raise ValueError(f"duplicate id {uid!r} (rows {seen[uid]} and {i})")
         seen[uid] = i
         ids.append(uid)
-        parsed = []
-        for cell in row:
-            # float() ignores padding itself, except U+001C..U+001F, which strip() removes
-            try:
-                parsed.append(float(cell.strip()))
-            except ValueError:
-                parsed.append(math.nan)
-        rows.append(parsed)
+        yield row
 
-    values = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
-    return AttributeTable(ids=ids, columns=columns, values=values)
+
+def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
+    """Parse a comma-delimited table with a header row.
+
+    Non-id columns are parsed as numerics; blank cells and non-numeric
+    tokens become NaN (flagged missing), never zero.  Row order is
+    preserved.  A header that names a column twice is refused.  A leading
+    UTF-8 byte order mark, as spreadsheet exports write, is ignored.  A row
+    the tokeniser refuses (a bare carriage return outside quotes, a cell
+    past ``csv.field_size_limit()``) is refused with its line number.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8-sig")
+    reader = csv.reader(io.StringIO(data))
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("attribute table is empty") from None
+        repeated = [name for name, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise ValueError(f"attribute table header names column {repeated[0]!r} twice")
+        if id_column not in header:
+            raise ValueError(f"attribute table has no id column {id_column!r}")
+        columns = [name for name in header if name != id_column]
+        ids: list[str] = []
+        rows = _checked_rows(reader, len(header), header.index(id_column), ids)
+        blocks = [np.empty((0, len(columns)))]
+        while block := list(islice(rows, _ROW_BLOCK)):
+            values = np.empty((len(block), len(columns)))
+            for j, cells in enumerate(zip(*block)):
+                values[:, j] = _floats(cells)
+            blocks.append(values)
+    except csv.Error as exc:
+        # csv's hint about universal-newline mode does not apply to decoded text
+        problem = str(exc).split(" - ")[0]
+        raise ValueError(f"attribute table line {reader.line_num}: {problem}") from None
+    return AttributeTable(ids=ids, columns=columns, values=np.concatenate(blocks))
 
 
 def merge(
@@ -459,7 +487,8 @@ def merge(
 
     The output preserves geometry-file order restricted to retained ids.
     ``policy`` is either ``"drop-with-report"`` (unmatched ids recorded on
-    both sides) or ``"fail-on-any-unmatched"``.
+    both sides) or ``"fail-on-any-unmatched"``.  A side the join keeps
+    whole and in order is passed through without a copy.
     """
     if policy not in ("drop-with-report", "fail-on-any-unmatched"):
         raise ValueError(f"unknown merge policy {policy!r}")
@@ -469,13 +498,19 @@ def merge(
     if table.n == 0:
         raise ValueError("no attribute rows to merge")
 
-    row_of = {uid: i for i, uid in enumerate(table.ids)}
-    unit_ids = set(units.ids)
-    retained = [i for i, uid in enumerate(units.ids) if uid in row_of]
-    dropped_geo = [uid for uid in units.ids if uid not in row_of]
-    dropped_tab = [uid for uid in table.ids if uid not in unit_ids]
+    row_of = dict(zip(table.ids, range(table.n)))
+    rows = np.fromiter(map(row_of.get, units.ids, repeat(-1)), np.int64, count=len(units))
+    matched = rows >= 0
+    dropped_geo = [units.ids[i] for i in np.flatnonzero(~matched).tolist()]
+    # when every table row is matched no id is table-only, and no set is built
+    dropped_tab = []
+    hit = np.zeros(table.n, dtype=bool)
+    hit[rows[matched]] = True
+    if not hit.all():
+        unit_ids = set(units.ids)
+        dropped_tab = [uid for uid in table.ids if uid not in unit_ids]
 
-    if not retained:
+    if not matched.any():
         raise ValueError("geometry and attribute ids have an empty intersection")
     if policy == "fail-on-any-unmatched" and (dropped_geo or dropped_tab):
         raise ValueError(
@@ -483,10 +518,14 @@ def merge(
             f"geometry-only {dropped_geo}, attributes-only {dropped_tab}"
         )
 
-    kept = units.take(retained)
+    if dropped_geo:
+        units = units.take(np.flatnonzero(matched))
+        rows = rows[matched]
+    if not np.array_equal(rows, np.arange(table.n)):
+        table = table.take(rows)
     return MergedDataset(
-        units=kept,
-        table=table.take([row_of[uid] for uid in kept.ids]),
+        units=units,
+        table=table,
         dropped_geometry_ids=dropped_geo,
         dropped_table_ids=dropped_tab,
     )

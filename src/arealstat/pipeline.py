@@ -151,7 +151,12 @@ def load_config(path: str) -> PipelineConfig:
     for f in schema:
         # annotations are strings here; 10 for a float key is read as 10.0
         if f.type.startswith("float") and type(doc.get(f.name)) is int:
-            doc[f.name] = float(doc[f.name])
+            try:
+                doc[f.name] = float(doc[f.name])
+            except OverflowError:
+                raise PipelineError(
+                    "config", f"{f.name} is an integer past the float range"
+                ) from None
     config = PipelineConfig(**doc)
     try:
         config.validate()

@@ -183,6 +183,7 @@ def render_choropleth(
         legend = [(lut[g], f"group {g}") for g in groups]
 
     paths = units.memo("svg_paths", _unit_paths)
+    titles = units.memo("svg_titles", lambda u: [_escape(uid) for uid in u.ids])
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
         f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
@@ -193,11 +194,11 @@ def render_choropleth(
             '<text x="400" y="24" text-anchor="middle" font-family="sans-serif" '
             f'font-size="16" fill="#111111">{_escape(title)}</text>'
         )
-    for uid, d, color in zip(units.ids, paths, fill):
+    for title, d, color in zip(titles, paths, fill):
         lines.append(
             f'<path d="{d}" fill="{color}" '
             'fill-rule="evenodd" stroke="#333333" stroke-width="0.5">'
-            f"<title>{_escape(uid)}</title></path>"
+            f"<title>{title}</title></path>"
         )
     lines.extend(_legend(legend))
     lines.append("</svg>")

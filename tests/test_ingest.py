@@ -510,6 +510,20 @@ class TestParseAttributes:
         with pytest.raises(ValueError):
             parse_attributes("GEOID,a,b\nX,1\n", "GEOID")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # a bare carriage return ends no line for the reader
+            ("GEOID,a\nX,1\nY,2\rZ,3\n", 3),
+            ("GEOID,a\rX,1\n", 1),
+            ('GEOID,a\nX,"1\n2"\nY,' + "9" * (csv.field_size_limit() + 1) + "\n", 4),
+        ],
+        ids=["bare CR in a row", "bare CR in the header", "cell past the field limit"],
+    )
+    def test_tokeniser_error_names_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^attribute table line {line}: "):
+            parse_attributes(text, "GEOID")
+
     def test_bytes_input(self):
         table = parse_attributes(CSV.encode("utf-8"), "GEOID")
         assert table.n == 3
@@ -606,6 +620,30 @@ class TestParseAttributesOracle:
             assert np.array_equal(np.isnan(parsed.values), nan)
             assert np.array_equal(parsed.values[~nan].view(np.int64), want[~nan].view(np.int64))
 
+    # tables longer than a conversion block, so a column is converted in
+    # pieces, and the piece with the bad cell is redone cell by cell
+    @pytest.mark.parametrize(
+        "text_cell, bad_cell",
+        [(lambda i: f"tract {i}", None), (lambda i: repr(i / 7), (300, "n/a"))],
+        ids=["all-text column", "one bad cell"],
+    )
+    def test_long_table_matches_per_cell_parse(self, text_cell, bad_cell):
+        rng = np.random.default_rng(3)
+        lines = ["GEOID,a,t,b"]
+        for i in range(700):
+            a, b = (repr(float(x)) for x in rng.normal(size=2))
+            lines.append(f"u{i}, {a},{text_cell(i)},{b}\t")
+        if bad_cell is not None:
+            row, cell = bad_cell
+            lines[1 + row] = lines[1 + row].rsplit(",", 1)[0] + "," + cell
+        text = "\n".join(lines) + "\n"
+        ids, columns, values = oracle_attributes(text, "GEOID")
+        parsed = parse_attributes(text, "GEOID")
+        assert parsed.ids == ids
+        assert parsed.columns == columns
+        want = np.array(values, dtype=float)
+        assert np.array_equal(parsed.values.view(np.int64), want.view(np.int64))
+
 
 def _units(ids):
     return parse_geometry(
@@ -627,6 +665,33 @@ class TestMerge:
         assert [u.id for u in dataset.units] == ["A", "B", "C"]
         assert dataset.table.ids == ["A", "B", "C"]
         assert dataset.table.column("v").tolist() == [1.0, 2.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "order", ["geometry", "shuffled", "one extra", "one extra, one missing"]
+    )
+    def test_join_matches_lookup_by_id(self, order):
+        ids = [f"u{k}" for k in range(6)]
+        table_ids = {
+            "geometry": ids,
+            "shuffled": [ids[k] for k in (3, 0, 5, 1, 4, 2)],
+            "one extra": ids + ["x"],
+            "one extra, one missing": ids[:2] + ids[3:] + ["x"],
+        }[order]
+        value = {u: float(10 * k) for k, u in enumerate(ids)}
+        rows = "".join(f"{u},{value.get(u, -1.0)!r}\n" for u in table_ids)
+        units = _units(ids)
+        dataset = merge(units, parse_attributes(f"GEOID,v\n{rows}", "GEOID"))
+        kept = [u for u in ids if u in table_ids]
+        assert dataset.units == units.take([ids.index(u) for u in kept])
+        assert dataset.table.ids == kept
+        assert dataset.table.column("v").tolist() == [value[u] for u in kept]
+        assert dataset.dropped_geometry_ids == [u for u in ids if u not in table_ids]
+        assert dataset.dropped_table_ids == [u for u in table_ids if u not in ids]
+
+    def test_aligned_join_gathers_nothing(self):
+        units, table = _units(["A", "B", "C"]), _table(["A", "B", "C"])
+        dataset = merge(units, table)
+        assert dataset.units is units and dataset.table is table
 
     def test_dropped_sides_reported(self):
         dataset = merge(_units(["A", "B", "X"]), _table(["A", "B", "Y"]))

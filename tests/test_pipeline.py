@@ -187,6 +187,9 @@ class TestConfig:
             ("allow_islands", "false"),
             ("group_k", True),
             ("candidate_predictor_columns", ["x", 3]),
+            # an integer past the float range, for a float key
+            pytest.param("alpha", 10**400, id="alpha-int-past-float-range"),
+            pytest.param("snap_tolerance", -(10**309), id="snap_tolerance-int-past-float-range"),
         ],
     )
     def test_mistyped_value_fails_in_config_stage(self, tmp_path, capsys, key, value):
