@@ -77,7 +77,9 @@ class AreaUnits:
     @classmethod
     def of(cls, units) -> AreaUnits:
         """``units`` itself if it is an AreaUnits; an iterable of AreaUnit
-        goes through the checks and normalization of :func:`parse_geometry`."""
+        goes through the checks and normalization of :func:`parse_geometry`,
+        the unit-id rules included: each id a non-empty string, none
+        repeated."""
         if isinstance(units, cls):
             return units
         return _flatten((u.id, u.properties, u.geometry) for u in units)
@@ -276,14 +278,21 @@ def _oriented(xy: np.ndarray, ring_offsets: np.ndarray, polygon_offsets: np.ndar
 def _flatten(features) -> AreaUnits:
     """Check (id, properties, polygons) triples and store them as AreaUnits.
 
-    Structure is checked as each feature arrives.  The points are converted
-    and checked together after the last feature, or when a structural fault
+    Each id must be a non-empty string that no earlier feature holds.  Ids
+    and structure are checked as each feature arrives.  The points are
+    converted and checked together after the last feature, or when a fault
     stops the walk, so the first faulty ring in document order is reported.
     """
     ids, properties, points = [], [], []
     rings, polygons, units = [0], [0], [0]
+    seen: dict[str, int] = {}
     try:
         for idx, (uid, props, raw_polys) in enumerate(features):
+            if not (isinstance(uid, str) and uid):
+                raise ValueError(f"feature {idx}: id must be a non-empty string, got {uid!r}")
+            if uid in seen:
+                raise ValueError(f"duplicate unit id {uid!r} (features {seen[uid]} and {idx})")
+            seen[uid] = idx
             ids.append(uid)
             properties.append(props)
             if not isinstance(raw_polys, (list, tuple)) or not raw_polys:
@@ -310,8 +319,8 @@ def _flatten(features) -> AreaUnits:
 
 
 def _features(features: list, id_property: str):
-    """(id, properties, polygons) of each GeoJSON feature, checked in turn."""
-    seen: dict[str, int] = {}
+    """(id, properties, polygons) of each GeoJSON feature, its shape checked
+    in turn; the id rules are :func:`_flatten`'s."""
     for idx, feat in enumerate(features):
         if not isinstance(feat, dict):
             raise ValueError(f"feature {idx} is not an object")
@@ -324,11 +333,6 @@ def _features(features: list, id_property: str):
                 f"feature {idx}: id property must be a string or integer, got {type(uid).__name__}"
             )
         uid = str(uid)
-        if not uid:
-            raise ValueError(f"feature {idx}: empty id")
-        if uid in seen:
-            raise ValueError(f"duplicate unit id {uid!r} (features {seen[uid]} and {idx})")
-        seen[uid] = idx
         geom = feat.get("geometry") or {}
         gtype = geom.get("type")
         if gtype not in ("Polygon", "MultiPolygon"):
@@ -422,19 +426,23 @@ _ROW_BLOCK = 256
 
 def _checked_rows(reader, width: int, id_idx: int, ids: list[str]):
     """The non-blank rows of ``reader`` without their id cell, each id
-    appended to ``ids``; refuses a ragged row and an empty or repeated id."""
+    appended to ``ids``; refuses a ragged row and an empty or repeated id,
+    naming the line the row ends on."""
     seen: dict[str, int] = {}
-    for i, row in enumerate(reader):
+    for row in reader:
         if not row:
             continue
+        line = reader.line_num
         if len(row) != width:
-            raise ValueError(f"ragged row {i}: expected {width} cells, got {len(row)}")
+            problem = f"ragged row, expected {width} cells, got {len(row)}"
+            raise ValueError(f"attribute table line {line}: {problem}")
         uid = row.pop(id_idx)
         if not uid:
-            raise ValueError(f"row {i}: empty id")
+            raise ValueError(f"attribute table line {line}: empty id")
         if uid in seen:
-            raise ValueError(f"duplicate id {uid!r} (rows {seen[uid]} and {i})")
-        seen[uid] = i
+            problem = f"duplicate id {uid!r} (lines {seen[uid]} and {line})"
+            raise ValueError(f"attribute table line {line}: {problem}")
+        seen[uid] = line
         ids.append(uid)
         yield row
 
@@ -445,9 +453,11 @@ def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
     Non-id columns are parsed as numerics; blank cells and non-numeric
     tokens become NaN (flagged missing), never zero.  Row order is
     preserved.  A header that names a column twice is refused.  A leading
-    UTF-8 byte order mark, as spreadsheet exports write, is ignored.  A row
-    the tokeniser refuses (a bare carriage return outside quotes, a cell
-    past ``csv.field_size_limit()``) is refused with its line number.
+    UTF-8 byte order mark, as spreadsheet exports write, is ignored.  Every
+    refused row is named by its line, the last one for a row holding a
+    quoted line break: a ragged row, an empty or repeated id, and a row the
+    tokeniser refuses (a bare carriage return outside quotes, a cell past
+    ``csv.field_size_limit()``).
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8-sig")

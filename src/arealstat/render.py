@@ -24,15 +24,9 @@ __all__ = [
 
 SEQUENTIAL_REDS = ["#fee5d9", "#fcae91", "#fb6a4a", "#de2d26", "#a50f15"]
 
-HOTSPOT_PALETTE = {
-    "cold99": "#08519c",
-    "cold95": "#3182bd",
-    "cold90": "#6baed6",
-    "none": "#f0f0f0",
-    "hot90": "#fc9272",
-    "hot95": "#de2d26",
-    "hot99": "#a50f15",
-}
+HOTSPOT_PALETTE = dict(
+    zip(CLASS_ORDER, ["#08519c", "#3182bd", "#6baed6", "#f0f0f0", "#fc9272", "#de2d26", "#a50f15"])
+)
 
 CATEGORICAL_PALETTE = [
     "#1b9e77",

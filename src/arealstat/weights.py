@@ -8,10 +8,9 @@ sources still register as neighbors.
 A run holds one weights object: the contiguity links, an n x n binary
 ``scipy.sparse.csr_matrix`` without self-links and with sorted column
 indices.  Every other view (degrees, neighbor lists, the row-standardized
-W, dense arrays) is derived from it, and each statistic applies its own
-weighting: Gi* adds the self-links, the spatial-dependence tests and fits
-row-standardize.  The row-standardized W round-trips through a plain text
-format.
+W) is derived from it, and each statistic applies its own weighting: Gi*
+adds the self-links, the spatial-dependence tests and fits row-standardize.
+The row-standardized W round-trips through a plain text format.
 """
 
 from __future__ import annotations
@@ -90,9 +89,6 @@ class SpatialWeights:
         indices = self.matrix.indices.view()
         indices.flags.writeable = False
         return np.split(indices, self.matrix.indptr[1:-1])
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def _first_entry(m, bad) -> tuple[int, int, float]:
@@ -217,12 +213,11 @@ def read_weights(text: str) -> SpatialWeights:
     """Parse the plain text format written by :func:`write_weights` and
     return the link pattern.
 
-    The header mode is ``binary`` or ``row-standardized``.  Input the
-    spatial code would misuse is refused with a message naming the unit: a
-    row-standardized weight other than 1/degree (within 1e-12), and then,
-    as :class:`SpatialWeights` refuses them, a binary weight other than 1,
-    a self-link or a link without its reverse.  When several links are at
-    fault, the first by (i, j) is named.
+    The header must read ``n row-standardized``.  Input the spatial code
+    would misuse is refused with a message naming the unit: a weight other
+    than 1/degree (within 1e-12), and then, as :class:`SpatialWeights`
+    refuses them, a self-link or a link without its reverse.  When several
+    links are at fault, the first by (i, j) is named.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -234,9 +229,8 @@ def read_weights(text: str) -> SpatialWeights:
         n = int(head[0])
     except ValueError:
         raise ValueError(f"malformed header {lines[0]!r}: n is not an integer") from None
-    mode = head[1]
-    if mode not in ("binary", "row-standardized"):
-        raise ValueError(f"unknown weights mode {mode!r}")
+    if head[1] != "row-standardized":
+        raise ValueError(f"unknown weights mode {head[1]!r}")
 
     ii, jj, data = [], [], []
     for ln in lines[1:]:
@@ -259,16 +253,13 @@ def read_weights(text: str) -> SpatialWeights:
         raise ValueError(f"duplicate weights entry for pair ({ii[k]}, {jj[k]})")
 
     indptr = np.concatenate([[0], np.cumsum(np.bincount(ii, minlength=n))])
-    if mode == "row-standardized":
-        deg = np.diff(indptr)
-        expected = 1.0 / np.repeat(deg, deg)
-        wrong = np.flatnonzero(~(np.abs(data - expected) <= 1e-12))
-        if wrong.size:
-            k = wrong[0]
-            raise ValueError(
-                f"unit {ii[k]} has row-standardized weight {float(data[k])!r} on "
-                f"its link to unit {jj[k]}; expected {float(expected[k])!r}"
-            )
-        data = np.ones(len(data))
-    # a binary file's weights are the links' values, which the type checks
-    return SpatialWeights(matrix=sp.csr_matrix((data, jj, indptr), shape=(n, n)))
+    deg = np.diff(indptr)
+    expected = 1.0 / np.repeat(deg, deg)
+    wrong = np.flatnonzero(~(np.abs(data - expected) <= 1e-12))
+    if wrong.size:
+        k = wrong[0]
+        raise ValueError(
+            f"unit {ii[k]} has row-standardized weight {float(data[k])!r} on "
+            f"its link to unit {jj[k]}; expected {float(expected[k])!r}"
+        )
+    return SpatialWeights(matrix=sp.csr_matrix((np.ones(len(data)), jj, indptr), shape=(n, n)))

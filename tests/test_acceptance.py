@@ -241,7 +241,7 @@ def test_local_score_matches_double_loop_oracle():
     units = lattice(8, 8)
     w = queen_contiguity(units)
     # the statistic's binary self-inclusive weights, A + I
-    dense = w.to_dense() + np.eye(w.n)
+    dense = w.matrix.toarray() + np.eye(w.n)
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(3):
@@ -269,7 +269,7 @@ def test_log_determinant_matches_dense_oracle(lattice20):
     start = time.perf_counter()
     w = lattice20
     cache = spectral_cache(w)
-    a = w.to_dense()
+    a = w.matrix.toarray()
     dense = a / a.sum(axis=1, keepdims=True)
     eye = np.eye(w.n)
     worst = 0.0

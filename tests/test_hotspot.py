@@ -35,7 +35,7 @@ def double_loop_oracle(dense_w, x):
 def self_inclusive(links):
     """The statistic's weights built densely: binary links plus the unit
     itself, A + I."""
-    return links.to_dense() + np.eye(links.n)
+    return links.matrix.toarray() + np.eye(links.n)
 
 
 def per_row_z(dense, x):

@@ -357,6 +357,25 @@ class TestCoordinateValues:
         with pytest.raises(ValueError, match=r"feature 0 \('A'\) polygon 0 ring 0: .*clos"):
             AreaUnits.of([AreaUnit(id="A", geometry=((ring,),), properties={})])
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["A", "A"], r"^duplicate unit id 'A' \(features 0 and 1\)$"),
+            (["A", ""], r"^feature 1: id must be a non-empty string, got ''$"),
+            (["A", 7], r"^feature 1: id must be a non-empty string, got 7$"),
+        ],
+        ids=["repeated id", "empty id", "integer id"],
+    )
+    def test_hand_built_units_get_the_id_checks(self, ids, message):
+        units = [
+            AreaUnit(id=uid, geometry=((tuple(square_ring(2.0 * i, 0)),),), properties={})
+            for i, uid in enumerate(ids)
+        ]
+        table = parse_attributes("GEOID,v\nA,1\n", "GEOID")
+        for entry in (AreaUnits.of, lambda units: merge(units, table)):
+            with pytest.raises(ValueError, match=message):
+                entry(units)
+
 
 class TestCollectorState:
     @pytest.mark.parametrize("enabled", [True, False])
@@ -511,17 +530,33 @@ class TestParseAttributes:
             parse_attributes("GEOID,a,b\nX,1\n", "GEOID")
 
     @pytest.mark.parametrize(
-        "text, line",
+        "text, line, problem",
         [
             # a bare carriage return ends no line for the reader
-            ("GEOID,a\nX,1\nY,2\rZ,3\n", 3),
-            ("GEOID,a\rX,1\n", 1),
-            ('GEOID,a\nX,"1\n2"\nY,' + "9" * (csv.field_size_limit() + 1) + "\n", 4),
+            ("GEOID,a\nX,1\nY,2\rZ,3\n", 3, "new-line character"),
+            ("GEOID,a\rX,1\n", 1, "new-line character"),
+            (
+                'GEOID,a\nX,"1\n2"\nY,' + "9" * (csv.field_size_limit() + 1) + "\n",
+                4,
+                "field larger than field limit",
+            ),
+            # a blank line is skipped but counted
+            ("GEOID,a\nX,1\n\nY\n", 4, "ragged row, expected 2 cells, got 1$"),
+            ("GEOID,a\nX,1\n\n,2\n", 4, "empty id$"),
+            # a row holding a quoted line break is named by its last line
+            ('GEOID,a\nX,"1\n2"\nX,3\n', 4, r"duplicate id 'X' \(lines 3 and 4\)$"),
         ],
-        ids=["bare CR in a row", "bare CR in the header", "cell past the field limit"],
+        ids=[
+            "bare CR in a row",
+            "bare CR in the header",
+            "cell past the field limit",
+            "ragged row",
+            "empty id",
+            "repeated id",
+        ],
     )
-    def test_tokeniser_error_names_line(self, text, line):
-        with pytest.raises(ValueError, match=f"^attribute table line {line}: "):
+    def test_tokeniser_error_names_line(self, text, line, problem):
+        with pytest.raises(ValueError, match=f"^attribute table line {line}: {problem}"):
             parse_attributes(text, "GEOID")
 
     def test_bytes_input(self):

@@ -490,7 +490,7 @@ class TestLmTests:
         X, y, w = lm_setup
         res = fit(X, y)
         suite = lm_tests(X, y, res, w)
-        a = w.to_dense()
+        a = w.matrix.toarray()
         o_err, o_lag, o_rerr, o_rlag = dense_lm_oracle(
             X, y, a / a.sum(axis=1, keepdims=True)
         )

@@ -42,7 +42,7 @@ def w10():
 
 def row_standardized_dense(links):
     """The models' W built densely from the links: A / rowsum."""
-    a = links.to_dense()
+    a = links.matrix.toarray()
     return a / a.sum(axis=1, keepdims=True)
 
 

@@ -472,52 +472,42 @@ class TestTextFormat:
             expected[int(i), int(j)] for i, j, _ in rows
         ]
 
-    def test_binary_file_reads_as_links(self):
-        back = read_weights("3 binary\n0 1 1.0\n1 0 1.0\n1 2 1.0\n2 1 1.0\n")
-        assert back.matrix.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-        assert is_canonical_pattern(back)
+    def test_binary_header_rejected(self):
+        with pytest.raises(ValueError, match="unknown weights mode 'binary'"):
+            read_weights("3 binary\n0 1 1.0\n1 0 1.0\n1 2 1.0\n2 1 1.0\n")
 
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            read_weights("2 binary\n0 1 1.0\n0 1 1.0\n")
+        with pytest.raises(ValueError, match=r"duplicate weights entry for pair \(0, 1\)"):
+            read_weights("2 row-standardized\n0 1 1.0\n0 1 1.0\n1 0 1.0\n")
 
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(ValueError):
-            read_weights("2 binary\n0 5 1.0\n")
+        with pytest.raises(ValueError, match=r"'0 5 1.0' indexes outside 0..1"):
+            read_weights("2 row-standardized\n0 5 1.0\n")
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            read_weights("2 binary\n0 1\n")
+        with pytest.raises(ValueError, match="malformed weights line '0 1'"):
+            read_weights("2 row-standardized\n0 1\n")
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            read_weights("binary 2\n")
+        with pytest.raises(ValueError, match="n is not an integer"):
+            read_weights("row-standardized 2\n")
 
     def test_asymmetric_link_pattern_rejected(self):
         # unit 1 links to unit 2, but unit 2 does not link back
-        text = "3 binary\n0 1 1.0\n1 0 1.0\n1 2 1.0\n"
+        text = "3 row-standardized\n0 1 1.0\n1 0 0.5\n1 2 0.5\n"
         with pytest.raises(ValueError, match="unit 2 does not link back to unit 1"):
             read_weights(text)
 
-    def test_binary_weight_other_than_one_rejected(self):
-        for bad in ("0.5", "nan"):
-            text = f"2 binary\n0 1 1.0\n1 0 {bad}\n"
-            with pytest.raises(ValueError, match="unit 1"):
-                read_weights(text)
-
     def test_row_not_one_over_degree_rejected(self):
         # unit 1's row sums to 1 but is not uniform over its two links
-        text = (
+        uneven = (
             "3 row-standardized\n"
             "0 1 0.5\n0 2 0.5\n1 0 0.7\n1 2 0.3\n2 0 0.5\n2 1 0.5\n"
         )
-        with pytest.raises(ValueError, match="unit 1"):
-            read_weights(text)
+        for text in (uneven, "2 row-standardized\n0 1 1.0\n1 0 nan\n"):
+            with pytest.raises(ValueError, match="unit 1 has row-standardized weight"):
+                read_weights(text)
 
     def test_self_link_rejected(self):
-        for text in (
-            "2 binary\n0 1 1.0\n1 0 1.0\n1 1 1.0\n",
-            "2 row-standardized\n0 1 1.0\n1 0 0.5\n1 1 0.5\n",
-        ):
-            with pytest.raises(ValueError, match="unit 1 links to itself"):
-                read_weights(text)
+        with pytest.raises(ValueError, match="unit 1 links to itself"):
+            read_weights("2 row-standardized\n0 1 1.0\n1 0 0.5\n1 1 0.5\n")
