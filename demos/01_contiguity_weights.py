@@ -36,10 +36,11 @@ links = queen_contiguity(units_with_island)
 print("islands:", [units_with_island[i].id for i in detect_islands(links)])
 print("island row sum:", links.row_standardized().toarray()[16].sum())
 
-# the text serialization holds the row-standardized weights and reads back
-# as the same links
-text = write_weights(queen)
-again = read_weights(text)
-print("round trip ok:", (queen.matrix != again.matrix).nnz == 0)
+# the weights file lists each unit's neighbors by id, in id order, and reads
+# back as the ids and the same links
+ids = [u.id for u in units]
+text = write_weights(queen, ids)
+again_ids, again = read_weights(text)
+print("round trip ok:", again_ids == ids and (queen.matrix != again.matrix).nnz == 0)
 print("first lines of the weights file:")
 print("\n".join(text.splitlines()[:4]))

@@ -112,7 +112,7 @@ def ward_cluster(points: np.ndarray) -> Dendrogram:
     pair merges; otherwise the slot's costs are recomputed and the search
     repeats.  After a merge, each bound becomes the smaller of itself and the
     cost to the new cluster, so it stays a lower bound under rounding too.
-    The slots are compacted once the retired ones outnumber the live ones.
+    The slots are compacted once retired ones exceed 1/32 of the live ones.
     Memory is O(n*d); time is O(n^2 * d) in practice and O(n^3 * d) at worst.
     Points whose merge costs overflow float64 are refused.
     """
@@ -179,7 +179,7 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
         np.copyto(row_arg[:end], end, where=lower)
         end += 1
 
-        if end > 2 * (n - 1 - step):
+        if 32 * end > 33 * (n - 1 - step):
             keep = np.flatnonzero(live[:end])
             count = keep.size
             moved = np.full(cap, cap - 1)

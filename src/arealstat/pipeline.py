@@ -304,7 +304,7 @@ def _stage_weights(ctx: _Context) -> None:
     )
     ctx.links = build(ctx.dataset.units, cfg.snap_tolerance)
     islands = _weights.detect_islands(ctx.links)
-    ctx.island_ids = [ctx.dataset.units.ids[i] for i in islands]
+    ctx.island_ids = sorted(ctx.dataset.units.ids[i] for i in islands)
 
 
 def _stage_summarize(ctx: _Context) -> None:
@@ -493,9 +493,9 @@ def _section_config(ctx: _Context) -> dict:
 
 def _section_dropped_units(ctx: _Context) -> dict:
     return {
-        "geometry_only": list(ctx.dataset.dropped_geometry_ids),
-        "attributes_only": list(ctx.dataset.dropped_table_ids),
-        "missing_values": list(ctx.dropped_missing),
+        "geometry_only": sorted(ctx.dataset.dropped_geometry_ids),
+        "attributes_only": sorted(ctx.dataset.dropped_table_ids),
+        "missing_values": sorted(ctx.dropped_missing),
     }
 
 
@@ -845,7 +845,8 @@ def _write_table(path: str, columns: list[str], rows: list[dict]) -> None:
 
 
 def _write_weights_files(ctx: _Context, outdir: str) -> None:
-    _write(os.path.join(outdir, "weights.txt"), _weights.write_weights(ctx.links).encode("utf-8"))
+    text = _weights.write_weights(ctx.links, ctx.dataset.units.ids)
+    _write(os.path.join(outdir, "weights.txt"), text.encode("utf-8"))
     island_text = "".join(f"{uid}\n" for uid in ctx.island_ids)
     _write(os.path.join(outdir, "islands.txt"), island_text.encode("utf-8"))
 

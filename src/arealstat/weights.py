@@ -10,11 +10,13 @@ A run holds one weights object: the contiguity links, an n x n binary
 indices.  Every other view (degrees, neighbor lists, the row-standardized
 W) is derived from it, and each statistic applies its own weighting: Gi*
 adds the self-links, the spatial-dependence tests and fits row-standardize.
-The row-standardized W round-trips through a plain text format.
+The links round-trip through a CSV file that lists each unit's neighbors by id.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -194,72 +196,68 @@ def detect_islands(links: SpatialWeights) -> list[int]:
     return np.flatnonzero(links.degree() == 0).tolist()
 
 
-def write_weights(links: SpatialWeights) -> str:
-    """Serialize the row-standardized W to the plain text format.
+def write_weights(links: SpatialWeights, ids: list[str]) -> str:
+    """Serialize the links as CSV keyed by unit id, ``ids[i]`` naming unit i.
 
-    First line is ``n row-standardized``; each following line is ``i j w``
-    with 0-based indices sorted by (i, j) and weights written with full repr
-    precision, so the file holds W's values bit-exactly.
+    A header row ``id,neighbors``, then one row per unit in id order
+    (Python string order): the unit's id, then its neighbors' ids in id
+    order; an island's row holds its id alone.  Rows end in CRLF and
+    fields are quoted as RFC 4180 says, so an id holding a comma, a quote,
+    CR or LF reads back whole.  The text does not depend on the unit order.
     """
-    m = links.row_standardized()
-    rows = np.repeat(np.arange(links.n), np.diff(m.indptr))
-    triples = zip(rows.tolist(), m.indices.tolist(), m.data.tolist())
-    lines = [f"{links.n} row-standardized"]
-    lines.extend(f"{i} {j} {w!r}" for i, j, w in triples)
-    return "\n".join(lines) + "\n"
+    if len(ids) != links.n:
+        raise ValueError(f"{len(ids)} ids for {links.n} units")
+    ptr, cols = links.matrix.indptr.tolist(), links.matrix.indices.tolist()
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(["id", "neighbors"])
+    writer.writerows(
+        [ids[i], *sorted(ids[j] for j in cols[ptr[i] : ptr[i + 1]])]
+        for i in sorted(range(links.n), key=ids.__getitem__)
+    )
+    return out.getvalue()
 
 
-def read_weights(text: str) -> SpatialWeights:
-    """Parse the plain text format written by :func:`write_weights` and
-    return the link pattern.
+def read_weights(text: str) -> tuple[list[str], SpatialWeights]:
+    """Parse the CSV written by :func:`write_weights`: the unit ids in row
+    order and the links over them, unit i being the i-th row.
 
-    The header must read ``n row-standardized``.  Input the spatial code
-    would misuse is refused with a message naming the unit: a weight other
-    than 1/degree (within 1e-12), and then, as :class:`SpatialWeights`
-    refuses them, a self-link or a link without its reverse.  When several
-    links are at fault, the first by (i, j) is named.
+    Refused, naming the line: a first row other than the header
+    ``id,neighbors`` (the former ``n row-standardized`` file among them),
+    malformed quoting, an empty or repeated id, and a neighbor that is
+    unknown, repeated or the unit itself.  A link without its reverse is
+    then refused by :class:`SpatialWeights`.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty weights text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"malformed header {lines[0]!r}: expected 'n mode'")
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    records, line = [], 1  # (first line, row) of each record
     try:
-        n = int(head[0])
-    except ValueError:
-        raise ValueError(f"malformed header {lines[0]!r}: n is not an integer") from None
-    if head[1] != "row-standardized":
-        raise ValueError(f"unknown weights mode {head[1]!r}")
-
-    ii, jj, data = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed weights line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"weights line {ln!r} indexes outside 0..{n - 1}")
-        ii.append(i)
-        jj.append(j)
-        data.append(float(parts[2]))
-    ii, jj = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)
-    order = np.lexsort((jj, ii))
-    ii, jj, data = ii[order], jj[order], np.array(data, dtype=float)[order]
-    code = ii * n + jj
-    dup = np.flatnonzero(code[1:] == code[:-1])
-    if dup.size:
-        k = dup[0]
-        raise ValueError(f"duplicate weights entry for pair ({ii[k]}, {jj[k]})")
-
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(ii, minlength=n))])
-    deg = np.diff(indptr)
-    expected = 1.0 / np.repeat(deg, deg)
-    wrong = np.flatnonzero(~(np.abs(data - expected) <= 1e-12))
-    if wrong.size:
-        k = wrong[0]
-        raise ValueError(
-            f"unit {ii[k]} has row-standardized weight {float(data[k])!r} on "
-            f"its link to unit {jj[k]}; expected {float(expected[k])!r}"
-        )
-    return SpatialWeights(matrix=sp.csr_matrix((np.ones(len(data)), jj, indptr), shape=(n, n)))
+        for row in reader:
+            records.append((line, row))
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"weights line {line}: {exc}") from None
+    header = records.pop(0)[1] if records else []
+    if header != ["id", "neighbors"]:
+        raise ValueError(f"weights line 1: expected the header 'id,neighbors', got {header!r}")
+    index = {row[0]: i for i, (_, row) in enumerate(records) if row}
+    cols, indptr = [], [0]
+    for i, (line, row) in enumerate(records):
+        uid, named = (row or [""])[0], row[1:]
+        where = f"weights line {line}: unit {uid!r}"
+        if not uid:
+            raise ValueError(f"weights line {line}: empty unit id")
+        if index[uid] != i:
+            raise ValueError(f"{where} is repeated on line {records[index[uid]][0]}")
+        unknown = [nb for nb in named if nb not in index]
+        if unknown:
+            raise ValueError(f"{where} lists unknown neighbor {unknown[0]!r}")
+        if uid in named:
+            raise ValueError(f"{where} lists itself as a neighbor")
+        if len(set(named)) < len(named):
+            twice = next(nb for k, nb in enumerate(named) if nb in named[:k])
+            raise ValueError(f"{where} lists neighbor {twice!r} twice")
+        cols.extend(index[nb] for nb in named)
+        indptr.append(len(cols))
+    n = len(records)
+    m = sp.csr_matrix((np.ones(len(cols)), np.array(cols, int), indptr), shape=(n, n))
+    return list(index), SpatialWeights(matrix=m.sorted_indices())

@@ -245,6 +245,24 @@ _ROUNDING_C = 1.9662958170638285
 _ROUNDING = np.vstack([np.eye(4) * _ROUNDING_C + 0.5 * _ROUNDING_C, np.eye(4) * _ROUNDING_C])
 
 
+@st.composite
+def _tie_heavy_points(draw):
+    """n = 3-39 points in d = 1-3 built from small integers, multiples of
+    0.1, thirds, or normals rounded to one decimal: exact and near cost
+    ties everywhere, and a slot compaction after nearly every merge."""
+    n, d = draw(st.integers(3, 39)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["integers", "tenths", "thirds", "rounded normals"]))
+    if kind == "rounded normals":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return np.round(rng.normal(size=(n, d)), 1)
+    ints = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d)), dtype=float)
+    if kind == "tenths":
+        ints *= 0.1
+    elif kind == "thirds":
+        ints /= 3
+    return ints.reshape(n, d)
+
+
 class TestTableOracle:
     @pytest.mark.parametrize("name", sorted(_tie_heavy_inputs()))
     def test_matches_masked_search(self, name):
@@ -287,6 +305,11 @@ class TestCachedSearchMatchesReference:
         # products are exact, so the merges equal the exact oracle's
         pts = np.array(rows, dtype=float)
         assert ward_cluster(pts).merges == exact_agglomeration(pts)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_tie_heavy_points())
+    def test_tie_heavy_points(self, pts):
+        assert ward_cluster(pts).merges == brute_force_ward(pts)
 
     def test_tie_rule_where_the_table_breaks_it(self):
         pts = np.array(

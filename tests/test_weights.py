@@ -1,4 +1,4 @@
-"""Contiguity detection, the row-standardized view, and the text round trip."""
+"""Contiguity detection, the row-standardized view, and the weights file."""
 
 import math
 from collections import defaultdict
@@ -443,71 +443,143 @@ class TestLinkChecks:
         assert links.n == 12
 
 
+def _ids(units):
+    return [u.id for u in units]
+
+
+# ids that CSV must quote, or that a line-based parse would split
+_HOSTILE = st.text(
+    # Python 3.10's csv module refuses NUL in any field
+    st.sampled_from([",", '"', "\r", "\n", " ", "\u00e9", "\u2028"])
+    | st.characters(codec="utf-8", exclude_characters="\x00"),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def _id_links(draw):
+    """Distinct hostile ids and a random symmetric link pattern over them,
+    islands included."""
+    ids = draw(st.lists(_HOSTILE, min_size=1, max_size=10, unique=True))
+    n = len(ids)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    linked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    upper = [p for p, on in zip(pairs, linked) if on]
+    rows = [i for i, j in upper] + [j for i, j in upper]
+    cols = [j for i, j in upper] + [i for i, j in upper]
+    a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return ids, SpatialWeights(matrix=a)
+
+
 class TestTextFormat:
     def test_two_by_two_queen_has_twelve_links(self):
-        text = write_weights(queen_contiguity(grid_units(2, 2)))
-        lines = text.strip().split("\n")
-        assert lines[0].split() == ["4", "row-standardized"]
-        assert len(lines) - 1 == 12
+        text = write_weights(queen_contiguity(grid_units(2, 2)), ["a", "b", "c", "d"])
+        assert text == "id,neighbors\r\na,b,c,d\r\nb,a,c,d\r\nc,a,b,d\r\nd,a,b,c\r\n"
 
     def test_round_trip_is_exact(self):
-        links = queen_contiguity(grid_units(3, 3))
-        text = write_weights(links)
-        back = read_weights(text)
+        units = grid_units(3, 3)
+        links = queen_contiguity(units)
+        text = write_weights(links, _ids(units))
+        ids, back = read_weights(text)
+        assert ids == _ids(units)
         assert same_csr(back.matrix, links.matrix)
-        assert write_weights(back) == text
+        assert write_weights(back, ids) == text
 
     def test_round_trip_keeps_island_row(self, corner_fixture):
         links = queen_contiguity(corner_fixture)
-        back = read_weights(write_weights(links))
+        text = write_weights(links, _ids(corner_fixture))
+        assert text.endswith("\r\nD\r\n")
+        ids, back = read_weights(text)
+        assert ids == ["A", "B", "C", "D"]
         assert same_csr(back.matrix, links.matrix)
         assert detect_islands(back) == [3]
 
-    def test_written_weights_are_one_over_degree(self):
-        links = queen_contiguity(grid_units(3, 3))
-        rows = [ln.split() for ln in write_weights(links).splitlines()[1:]]
-        a = grid_adjacency(3, 3).matrix.toarray()
-        expected = a / a.sum(axis=1, keepdims=True)
-        assert [float(w) for _, _, w in rows] == [
-            expected[int(i), int(j)] for i, j, _ in rows
-        ]
+    def test_rows_hold_neighbor_ids_in_id_order(self):
+        # ids '0'..'11' sort as strings, so '10' and '11' come before '2'
+        units = grid_units(4, 3)
+        links = queen_contiguity(units)
+        rows = [ln.split(",") for ln in write_weights(links, _ids(units)).split("\r\n")[1:-1]]
+        assert [r[0] for r in rows] == sorted(_ids(units))
+        for uid, *named in rows:
+            i = int(uid)
+            assert named == sorted(str(j) for j in links.neighbors[i])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuted_units_write_identical_text(self, seed):
+        units = grid_units(4, 3) + [square_unit("island", 10.0, 10.0)]
+        perm = np.random.default_rng(seed).permutation(len(units))
+        moved = [units[i] for i in perm]
+        assert write_weights(queen_contiguity(moved), _ids(moved)) == write_weights(
+            queen_contiguity(units), _ids(units)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_id_links(), st.randoms(use_true_random=False))
+    def test_hostile_ids_round_trip(self, id_links, rnd):
+        ids, links = id_links
+        text = write_weights(links, ids)
+        back_ids, back = read_weights(text)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        assert back_ids == [ids[i] for i in order]
+        assert same_csr(back.matrix, links.matrix[order][:, order].sorted_indices())
+        perm = list(range(len(ids)))
+        rnd.shuffle(perm)
+        moved = SpatialWeights(matrix=links.matrix[perm][:, perm].sorted_indices())
+        assert write_weights(moved, [ids[i] for i in perm]) == text
+
+    def test_id_count_must_match(self):
+        with pytest.raises(ValueError, match="3 ids for 4 units"):
+            write_weights(queen_contiguity(grid_units(2, 2)), ["a", "b", "c"])
+
+    def test_old_row_standardized_file_rejected(self):
+        old = "900 row-standardized\n0 1 0.3333333333333333\n0 30 0.3333333333333333\n"
+        with pytest.raises(
+            ValueError,
+            match=r"weights line 1: expected the header 'id,neighbors', got \['900 row-standardized'\]",
+        ):
+            read_weights(old)
 
     def test_binary_header_rejected(self):
-        with pytest.raises(ValueError, match="unknown weights mode 'binary'"):
+        with pytest.raises(ValueError, match=r"weights line 1: expected the header"):
             read_weights("3 binary\n0 1 1.0\n1 0 1.0\n1 2 1.0\n2 1 1.0\n")
 
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValueError, match=r"duplicate weights entry for pair \(0, 1\)"):
-            read_weights("2 row-standardized\n0 1 1.0\n0 1 1.0\n1 0 1.0\n")
-
-    def test_out_of_range_index_rejected(self):
-        with pytest.raises(ValueError, match=r"'0 5 1.0' indexes outside 0..1"):
-            read_weights("2 row-standardized\n0 5 1.0\n")
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError, match="malformed weights line '0 1'"):
-            read_weights("2 row-standardized\n0 1\n")
-
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="n is not an integer"):
-            read_weights("row-standardized 2\n")
-
-    def test_asymmetric_link_pattern_rejected(self):
-        # unit 1 links to unit 2, but unit 2 does not link back
-        text = "3 row-standardized\n0 1 1.0\n1 0 0.5\n1 2 0.5\n"
-        with pytest.raises(ValueError, match="unit 2 does not link back to unit 1"):
-            read_weights(text)
-
-    def test_row_not_one_over_degree_rejected(self):
-        # unit 1's row sums to 1 but is not uniform over its two links
-        uneven = (
-            "3 row-standardized\n"
-            "0 1 0.5\n0 2 0.5\n1 0 0.7\n1 2 0.3\n2 0 0.5\n2 1 0.5\n"
-        )
-        for text in (uneven, "2 row-standardized\n0 1 1.0\n1 0 nan\n"):
-            with pytest.raises(ValueError, match="unit 1 has row-standardized weight"):
+        for text in ("", "a,b\r\nb,a\r\n", "id\r\na\r\n"):
+            with pytest.raises(ValueError, match=r"weights line 1: expected the header"):
                 read_weights(text)
 
+    def test_malformed_line_rejected(self):
+        with pytest.raises(ValueError, match="weights line 3: ',' expected after '\"'"):
+            read_weights('id,neighbors\r\na\r\n"b"c\r\n')
+
+    def test_empty_id_rejected(self):
+        for text in ("id,neighbors\r\na\r\n\r\nb\r\n", "id,neighbors\r\na\r\n,a\r\n"):
+            with pytest.raises(ValueError, match="weights line 3: empty unit id"):
+                read_weights(text)
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match="weights line 2: unit 'a' is repeated on line 4"):
+            read_weights("id,neighbors\r\na,b\r\nb,a\r\na\r\n")
+
+    def test_unknown_neighbor_rejected(self):
+        with pytest.raises(ValueError, match="weights line 2: unit 'a' lists unknown neighbor 'c'"):
+            read_weights("id,neighbors\r\na,b,c\r\nb,a\r\n")
+
+    def test_duplicate_pair_rejected(self):
+        with pytest.raises(ValueError, match="weights line 3: unit 'b' lists neighbor 'a' twice"):
+            read_weights("id,neighbors\r\na,b\r\nb,a,a\r\n")
+
     def test_self_link_rejected(self):
-        with pytest.raises(ValueError, match="unit 1 links to itself"):
-            read_weights("2 row-standardized\n0 1 1.0\n1 0 0.5\n1 1 0.5\n")
+        with pytest.raises(ValueError, match="weights line 2: unit 'a' lists itself"):
+            read_weights("id,neighbors\r\na,a,b\r\nb,a\r\n")
+
+    def test_line_numbers_count_quoted_line_breaks(self):
+        # the first unit's id spans lines 2 and 3
+        with pytest.raises(ValueError, match="weights line 4: unit 'c' lists unknown neighbor 'd'"):
+            read_weights('id,neighbors\r\n"a\r\nb"\r\nc,d\r\n')
+
+    def test_asymmetric_link_pattern_rejected(self):
+        # unit 1 ('b') links to unit 2 ('c'), but 'c' does not link back
+        with pytest.raises(ValueError, match="unit 2 does not link back to unit 1"):
+            read_weights("id,neighbors\r\na,b\r\nb,a,c\r\nc\r\n")
