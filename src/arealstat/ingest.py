@@ -18,10 +18,12 @@ import gc
 import io
 import json
 import math
+import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from json.decoder import JSONDecodeError, scanstring
 
 import numpy as np
 
@@ -318,9 +320,11 @@ def _flatten(features) -> AreaUnits:
     return AreaUnits(ids, properties, _oriented(xy, rings, polygons), rings, polygons, units)
 
 
-def _features(features: list, id_property: str):
+def _features(features, id_property: str):
     """(id, properties, polygons) of each GeoJSON feature, its shape checked
-    in turn; the id rules are :func:`_flatten`'s."""
+    in turn; the id rules are :func:`_flatten`'s.  Each property name is
+    kept once, however many features hold it."""
+    share = {}.setdefault
     for idx, feat in enumerate(features):
         if not isinstance(feat, dict):
             raise ValueError(f"feature {idx} is not an object")
@@ -341,7 +345,101 @@ def _features(features: list, id_property: str):
                 f"MultiPolygon, got {gtype!r}"
             )
         coords = geom.get("coordinates")
-        yield uid, dict(props), [coords] if gtype == "Polygon" else coords
+        kept = {}
+        for name, value in props.items():
+            kept[share(name, name)] = value
+        yield uid, kept, [coords] if gtype == "Polygon" else coords
+
+
+# JSON's insignificant whitespace
+_skip = re.compile(r"[ \t\n\r]*").match
+
+
+def _elements(text: str, end: int, decode):
+    """Yield each element of the JSON array whose ``[`` is just before
+    ``end``, as soon as it is decoded; returns the index past the ``]``."""
+    end = _skip(text, end).end()
+    if text.startswith("]", end):
+        return end + 1
+    while True:
+        value, end = decode(text, end)
+        yield value
+        if text.startswith(", {", end):  # json.dumps's separator between objects
+            end += 2
+            continue
+        end = _skip(text, end).end()
+        if text.startswith("]", end):
+            return end + 1
+        if not text.startswith(",", end):
+            raise JSONDecodeError("Expecting ',' delimiter", text, end)
+        end = _skip(text, end + 1).end()
+
+
+def _collection_features(text: str):
+    """Yield the elements of a FeatureCollection's ``"features"`` list, each
+    as soon as it is decoded.
+
+    The top-level object is walked member by member, and json's own
+    scanner decodes each name and value, so malformed text is refused with
+    the message and position ``json.loads`` gives (Python 3.13 words a
+    trailing comma its own way), when the walk reaches it.  The elements
+    are yielded while ``"type"`` is ``"FeatureCollection"`` or not yet
+    read; after any other ``"type"`` the list is decoded whole, and yielded
+    at the end if a later ``"type"`` corrects it, as ``json.loads`` keeps a
+    repeated member's last value.  A repeated ``"features"`` is refused as
+    malformed.
+    """
+    decode = json.JSONDecoder().raw_decode
+    if text.startswith("\ufeff"):
+        raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    end = _skip(text, 0).end()
+    collection = None  # whether "type" is "FeatureCollection"; None until read
+    features, streamed, names = None, False, set()
+    if not text.startswith("{", end):
+        _, end = decode(text, end)
+        collection = False
+    else:
+        end = _skip(text, end + 1).end()
+        more = not text.startswith("}", end)
+        while more:
+            if not text.startswith('"', end):
+                raise JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, end
+                )
+            start = end
+            name, end = scanstring(text, end + 1)
+            if name == "features" and name in names:
+                raise JSONDecodeError('Repeated "features" member', text, start)
+            names.add(name)
+            end = _skip(text, end).end()
+            if not text.startswith(":", end):
+                raise JSONDecodeError("Expecting ':' delimiter", text, end)
+            end = _skip(text, end + 1).end()
+            if name == "features" and collection is not False and text.startswith("[", end):
+                end = yield from _elements(text, end + 1, decode)
+                streamed = True
+            else:
+                value, end = decode(text, end)
+                if name == "type":
+                    collection = value == "FeatureCollection"
+                elif name == "features":
+                    features = value
+            end = _skip(text, end).end()
+            more = text.startswith(",", end)
+            if more:
+                end = _skip(text, end + 1).end()
+            elif not text.startswith("}", end):
+                raise JSONDecodeError("Expecting ',' delimiter", text, end)
+        end += 1
+    end = _skip(text, end).end()
+    if end != len(text):
+        raise JSONDecodeError("Extra data", text, end)
+    if not collection:
+        raise ValueError("geometry document is not a FeatureCollection")
+    if not streamed:
+        if not isinstance(features, list):
+            raise ValueError("FeatureCollection has no feature list")
+        yield from features
 
 
 def parse_geometry(data: bytes | str, id_property: str) -> AreaUnits:
@@ -352,26 +450,24 @@ def parse_geometry(data: bytes | str, id_property: str) -> AreaUnits:
     coordinates.  Outer rings are normalized counterclockwise and holes
     clockwise so downstream area computations are sign-stable; coordinate
     order is otherwise preserved.  A leading UTF-8 byte order mark is ignored.
+
+    The document is decoded one feature at a time, and each feature's tree
+    is freed once its rings are taken, so the whole tree is never held.  A
+    feature is checked as it is decoded: a faulty feature is reported
+    before malformed text after it, and before a ``"type"`` other than
+    ``"FeatureCollection"`` that follows the list.  A repeated
+    ``"features"`` member is refused as malformed.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8-sig")
     # Little but the arrays outlives the parse, so the cyclic collector would
-    # only walk the document tree: it is paused for the whole parse (around
-    # json.loads alone, the allocation count carries over and the
-    # collections just happen later).
+    # only walk each feature's tree: it is paused for the whole parse
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed geometry document: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-            raise ValueError("geometry document is not a FeatureCollection")
-        features = doc.get("features")
-        if not isinstance(features, list):
-            raise ValueError("FeatureCollection has no feature list")
-        return _flatten(_features(features, id_property))
+        return _flatten(_features(_collection_features(data), id_property))
+    except JSONDecodeError as exc:
+        raise ValueError(f"malformed geometry document: {exc}") from exc
     finally:
         if enabled:
             gc.enable()

@@ -224,9 +224,9 @@ def read_weights(text: str) -> tuple[list[str], SpatialWeights]:
 
     Refused, naming the line: a first row other than the header
     ``id,neighbors`` (the former ``n row-standardized`` file among them),
-    malformed quoting, an empty or repeated id, and a neighbor that is
-    unknown, repeated or the unit itself.  A link without its reverse is
-    then refused by :class:`SpatialWeights`.
+    malformed quoting, an empty or repeated id, a neighbor that is unknown,
+    repeated or the unit itself, and a neighbor whose row does not list
+    the unit back (the first such link in row order).
     """
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     records, line = [], 1  # (first line, row) of each record
@@ -260,4 +260,12 @@ def read_weights(text: str) -> tuple[list[str], SpatialWeights]:
         indptr.append(len(cols))
     n = len(records)
     m = sp.csr_matrix((np.ones(len(cols)), np.array(cols, int), indptr), shape=(n, n))
-    return list(index), SpatialWeights(matrix=m.sorted_indices())
+    m.sort_indices()
+    ids = list(index)
+    if (m != m.T).nnz:
+        i, j, _ = _first_entry(m - m.T, lambda data: data > 0)
+        raise ValueError(
+            f"weights line {records[i][0]}: unit {ids[i]!r} lists neighbor {ids[j]!r}, "
+            f"but line {records[j][0]} does not list {ids[i]!r} back"
+        )
+    return ids, SpatialWeights(matrix=m)

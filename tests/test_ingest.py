@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from arealstat.ingest import (
     AreaUnit,
     AreaUnits,
     AttributeTable,
+    _features,
+    _flatten,
     drop_missing_rows,
     merge,
     parse_attributes,
@@ -399,6 +402,251 @@ class TestCollectorState:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+def whole_tree_parse(text: str, id_property: str) -> AreaUnits:
+    """The geometry parse as it was before features were decoded one at a
+    time: one json.loads of the whole document, then the same checks."""
+    doc = json.loads(text)
+    assert isinstance(doc, dict) and doc.get("type") == "FeatureCollection"
+    assert isinstance(doc.get("features"), list)
+    return _flatten(_features(doc["features"], id_property))
+
+
+SQUARE = json.dumps(polygon_feature("A", square_ring(0, 0)))
+HEAD = '{"type": "FeatureCollection", "features": ['
+
+
+def position(before: str) -> str:
+    """json's wording of the position just past the one-line text ``before``."""
+    return f"line 1 column {len(before) + 1} (char {len(before)})"
+
+
+PROPERTY_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestStreamedDecoder:
+    """parse_geometry decodes one feature at a time; on every valid document
+    it agrees with one json.loads of the whole, and it refuses malformed
+    text with json's own message and position."""
+
+    def test_repeated_features_member_refused(self):
+        # json.loads keeps the last "features"; the streamed decode has
+        # already handed the first list's features on, so it refuses
+        text = HEAD + SQUARE + '], "features": []}'
+        before = HEAD + SQUARE + "], "
+        message = f'malformed geometry document: Repeated "features" member: {position(before)}'
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_geometry(text, "GEOID")
+        text = '{"features": 1, "type": "FeatureCollection", "features": []}'
+        with pytest.raises(ValueError, match='Repeated "features" member'):
+            parse_geometry(text, "GEOID")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        features=st.one_of(st.just([]), multipolygon_features()),
+        extra=st.lists(
+            st.sampled_from(
+                [
+                    ("bbox", [0, 0, 1, 1]),
+                    ("crs", {"type": "name", "properties": {"name": "EPSG:4269"}}),
+                    ("name", 'tracts "2020"\n'),
+                ]
+            ),
+            unique_by=lambda member: member[0],
+        ),
+        properties=st.lists(
+            st.dictionaries(st.sampled_from(["ALAND", "NAME", "nested", "é"]), PROPERTY_VALUES)
+        ),
+        integer_ids=st.booleans(),
+        layout=st.sampled_from(
+            [
+                {},
+                {"separators": (",", ":")},
+                {"indent": 2},
+                {"indent": "\t"},
+                {"indent": 1, "newline": "\r\n"},
+                {"indent": 0, "separators": (",", ":")},
+            ]
+        ),
+        data=st.data(),
+    )
+    def test_valid_documents_match_one_whole_tree_parse(
+        self, features, extra, properties, integer_ids, layout, data
+    ):
+        for i, (feature, props) in enumerate(zip(features, properties)):
+            feature["properties"].update(props)
+            if integer_ids:
+                feature["properties"]["GEOID"] = 1000 + i
+        members = [("type", "FeatureCollection"), ("features", features), *extra]
+        # json.dumps writes the members in the drawn order
+        doc = dict(data.draw(st.permutations(members)))
+        newline = layout.pop("newline", "\n")
+        text = json.dumps(doc, **layout).replace("\n", newline)
+        if data.draw(st.booleans()):
+            text = data.draw(st.sampled_from([" ", "\n", "\r\n\t "])) + text + "\n"
+        got = parse_geometry(text, "GEOID")
+        want = whole_tree_parse(text, "GEOID")
+        assert got == want
+        assert got.properties == want.properties
+        assert [list(map(type, p.values())) for p in got.properties] == [
+            list(map(type, p.values())) for p in want.properties
+        ]
+
+    def test_property_names_are_held_once(self):
+        features = [
+            polygon_feature(uid, square_ring(2.0 * i, 0), extra={"ALAND": i, "NAME": uid})
+            for i, uid in enumerate("ABC")
+        ]
+        units = parse_geometry(feature_collection(features), "GEOID")
+        first = list(units.properties[0])
+        for props in units.properties[1:]:
+            assert all(a is b for a, b in zip(first, props))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (HEAD, "Expecting value: line 1 column 44 (char 43)"),
+            (
+                '{"features": [{"type": "Feature", "properties": {"GEOID": "A"}, "geom',
+                "Unterminated string starting at: line 1 column 65 (char 64)",
+            ),
+            (HEAD + "]", "Expecting ',' delimiter: line 1 column 45 (char 44)"),
+            (HEAD + "]} x", "Extra data: line 1 column 47 (char 46)"),
+            (HEAD + "]}{}", "Extra data: line 1 column 46 (char 45)"),
+            (
+                '{"type": "FeatureCollection" "features": []}',
+                "Expecting ',' delimiter: line 1 column 30 (char 29)",
+            ),
+            (
+                HEAD + SQUARE + " " + SQUARE + "]}",
+                "Expecting ',' delimiter: " + position(HEAD + SQUARE + " "),
+            ),
+            (
+                '{"type": "FeatureCollection", "features" []}',
+                "Expecting ':' delimiter: line 1 column 42 (char 41)",
+            ),
+            (
+                '{"type": "FeatureCollection", features: []}',
+                "Expecting property name enclosed in double quotes: line 1 column 31 (char 30)",
+            ),
+            (
+                HEAD + "],}",
+                "Expecting property name enclosed in double quotes: line 1 column 46 (char 45)",
+            ),
+            (HEAD + SQUARE + ",]}", "Expecting value: " + position(HEAD + SQUARE + ",")),
+            ("", "Expecting value: line 1 column 1 (char 0)"),
+            (
+                "\ufeff{}",
+                "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+            ),
+            ('\n\n  {"features": [], "type": }', "Expecting value: line 3 column 28 (char 29)"),
+        ],
+        ids=[
+            "truncated list",
+            "truncated feature",
+            "truncated object",
+            "trailing text",
+            "second document",
+            "missing comma",
+            "missing comma in the list",
+            "missing colon",
+            "unquoted name",
+            "trailing comma",
+            "trailing comma in the list",
+            "empty",
+            "byte order mark in text",
+            "missing value",
+        ],
+    )
+    def test_malformed_text_refused_as_json_does(self, text, message):
+        message = f"malformed geometry document: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_geometry(text, "GEOID")
+
+    def test_every_truncation_refused_as_json_does(self):
+        features = [polygon_feature("A", square_ring(0, 0), extra={"NAME": 'a "b"'})]
+        for text in (
+            feature_collection(features),
+            json.dumps({"features": features, "type": "FeatureCollection"}, indent=2),
+        ):
+            for k in range(len(text)):
+                with pytest.raises(json.JSONDecodeError) as parent:
+                    json.loads(text[:k])
+                with pytest.raises(ValueError) as err:
+                    parse_geometry(text[:k], "GEOID")
+                assert str(err.value) == f"malformed geometry document: {parent.value}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "geometry document is not a FeatureCollection"),
+            ("[" + HEAD + "]}]", "geometry document is not a FeatureCollection"),
+            ('"FeatureCollection"', "geometry document is not a FeatureCollection"),
+            ("3", "geometry document is not a FeatureCollection"),
+            ('{"features": []}', "geometry document is not a FeatureCollection"),
+            (
+                '{"type": "Feature", "features": []}',
+                "geometry document is not a FeatureCollection",
+            ),
+            (
+                '{"features": [], "type": "featurecollection"}',
+                "geometry document is not a FeatureCollection",
+            ),
+            ('{"type": "FeatureCollection"}', "FeatureCollection has no feature list"),
+            (
+                '{"type": "FeatureCollection", "features": {}}',
+                "FeatureCollection has no feature list",
+            ),
+            (
+                '{"features": null, "type": "FeatureCollection"}',
+                "FeatureCollection has no feature list",
+            ),
+            (
+                '{"type": "FeatureCollection", "features": "[]"}',
+                "FeatureCollection has no feature list",
+            ),
+            # after a wrong "type" the list is not read as features
+            (
+                '{"type": "Feature", "features": [1]}',
+                "geometry document is not a FeatureCollection",
+            ),
+            # malformed text is still reported before a wrong "type" met first
+            (
+                '{"type": "Feature", "features": [1] x',
+                "malformed geometry document: Expecting ',' delimiter",
+            ),
+        ],
+    )
+    def test_not_a_feature_collection(self, text, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            parse_geometry(text, "GEOID")
+
+    def test_repeated_type_keeps_the_last_as_json_does(self):
+        text = '{"type": "Feature", "features": [' + SQUARE + '], "type": "FeatureCollection"}'
+        assert parse_geometry(text, "GEOID") == whole_tree_parse(text, "GEOID")
+        text = HEAD + SQUARE + '], "type": "Feature"}'
+        with pytest.raises(ValueError, match="not a FeatureCollection"):
+            parse_geometry(text, "GEOID")
+
+    def test_faulty_feature_reported_before_later_faults(self):
+        # the feature is checked when it is decoded, before the decoder
+        # reaches what follows the list
+        faulty = json.dumps(polygon_feature("B", square_ring(2, 0)[:-1] + [(9, 9)]))
+        body = "[" + SQUARE + ", " + faulty + "]"
+        for text in (
+            '{"features": ' + body + ', "type": "Feature"}',
+            '{"features": ' + body + ', "type": "FeatureCollection"} x',
+            HEAD + body[1:] + ", 1",
+        ):
+            message = r"^feature 1 \('B'\) polygon 0 ring 0: ring is not closed"
+            with pytest.raises(ValueError, match=message):
+                parse_geometry(text, "GEOID")
 
 
 class TestRoundTrip:

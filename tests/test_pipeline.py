@@ -1146,3 +1146,20 @@ class TestInputInvariance:
         assert _differing(files, plain) == ["augmented.geojson"]
         given, moved = (json.loads(f["augmented.geojson"])["features"] for f in (plain, files))
         assert [f["properties"] for f in given] == [f["properties"] for f in moved]
+
+    def test_coordinate_mirror(self, county_inputs):
+        config, inputs, plain = county_inputs
+        doc = json.loads(inputs["geometry_path"])
+        for feature in doc["features"]:
+            geometry = feature["geometry"]
+            polygons = geometry["coordinates"]
+            for polygon in [polygons] if geometry["type"] == "Polygon" else polygons:
+                for ring in polygon:
+                    ring[:] = [[-x, y] for x, y in ring]
+        files = _pipeline_files(config, dict(inputs, geometry_path=json.dumps(doc).encode()))
+        # x -> -x keeps every adjacency, so only the coordinates and the maps
+        # drawn from them change
+        maps = ["map_comparison.svg", "map_groups.svg", "map_hotspot.svg", "map_outcome.svg"]
+        assert sorted(_differing(files, plain)) == ["augmented.geojson", *maps]
+        given, mirrored = (json.loads(f["augmented.geojson"])["features"] for f in (plain, files))
+        assert [f["properties"] for f in given] == [f["properties"] for f in mirrored]

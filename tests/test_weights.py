@@ -580,6 +580,11 @@ class TestTextFormat:
             read_weights('id,neighbors\r\n"a\r\nb"\r\nc,d\r\n')
 
     def test_asymmetric_link_pattern_rejected(self):
-        # unit 1 ('b') links to unit 2 ('c'), but 'c' does not link back
-        with pytest.raises(ValueError, match="unit 2 does not link back to unit 1"):
+        # unit 'b' links to unit 'c', but 'c' does not link back
+        message = "weights line 3: unit 'b' lists neighbor 'c', but line 4 does not list 'b' back"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             read_weights("id,neighbors\r\na,b\r\nb,a,c\r\nc\r\n")
+        # of two one-way links, the one on the earlier line is named
+        message = "weights line 2: unit 'a' lists neighbor 'c', but line 4 does not list 'a' back"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_weights("id,neighbors\r\na,b,c\r\nb,a,c\r\nc\r\n")
