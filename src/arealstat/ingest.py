@@ -355,6 +355,30 @@ def _features(features, id_property: str):
 _skip = re.compile(r"[ \t\n\r]*").match
 
 
+def _trailing_comma(probe: str) -> tuple[str, bool]:
+    """How the running json module refuses the trailing comma in ``probe``:
+    its message, and whether it points at the comma (Python 3.13 on) or at
+    the closing bracket."""
+    try:
+        json.loads(probe)
+    except JSONDecodeError as exc:
+        return exc.msg, exc.pos == probe.index(",")
+
+
+_ARRAY_COMMA = _trailing_comma("[0, ]")
+_OBJECT_COMMA = _trailing_comma('{"a": 0, }')
+
+
+def _after_comma(text: str, comma: int, close: str, refusal) -> int:
+    """The index past the whitespace after the ``,`` at ``comma``; a
+    ``close`` bracket there is refused as json refuses a trailing comma."""
+    end = _skip(text, comma + 1).end()
+    if text.startswith(close, end):
+        message, at_comma = refusal
+        raise JSONDecodeError(message, text, comma if at_comma else end)
+    return end
+
+
 def _elements(text: str, end: int, decode):
     """Yield each element of the JSON array whose ``[`` is just before
     ``end``, as soon as it is decoded; returns the index past the ``]``."""
@@ -372,7 +396,7 @@ def _elements(text: str, end: int, decode):
             return end + 1
         if not text.startswith(",", end):
             raise JSONDecodeError("Expecting ',' delimiter", text, end)
-        end = _skip(text, end + 1).end()
+        end = _after_comma(text, end, "]", _ARRAY_COMMA)
 
 
 def _collection_features(text: str):
@@ -381,23 +405,20 @@ def _collection_features(text: str):
 
     The top-level object is walked member by member, and json's own
     scanner decodes each name and value, so malformed text is refused with
-    the message and position ``json.loads`` gives (Python 3.13 words a
-    trailing comma its own way), when the walk reaches it.  The elements
-    are yielded while ``"type"`` is ``"FeatureCollection"`` or not yet
-    read; after any other ``"type"`` the list is decoded whole, and yielded
-    at the end if a later ``"type"`` corrects it, as ``json.loads`` keeps a
-    repeated member's last value.  A repeated ``"features"`` is refused as
-    malformed.
+    the message and position ``json.loads`` gives, when the walk reaches
+    it.  A ``"features"`` list is always streamed, wherever ``"type"``
+    stands and whatever it says; ``"type"`` is checked once the walk is
+    done, its last value counting, as in ``json.loads``.  A repeated
+    ``"features"`` is refused as malformed.
     """
     decode = json.JSONDecoder().raw_decode
     if text.startswith("\ufeff"):
         raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     end = _skip(text, 0).end()
-    collection = None  # whether "type" is "FeatureCollection"; None until read
-    features, streamed, names = None, False, set()
+    # whether "type" is "FeatureCollection", "features" was met, and held a list
+    collection = seen = listed = False
     if not text.startswith("{", end):
         _, end = decode(text, end)
-        collection = False
     else:
         end = _skip(text, end + 1).end()
         more = not text.startswith("}", end)
@@ -408,26 +429,25 @@ def _collection_features(text: str):
                 )
             start = end
             name, end = scanstring(text, end + 1)
-            if name == "features" and name in names:
-                raise JSONDecodeError('Repeated "features" member', text, start)
-            names.add(name)
+            if name == "features":
+                if seen:
+                    raise JSONDecodeError('Repeated "features" member', text, start)
+                seen = True
             end = _skip(text, end).end()
             if not text.startswith(":", end):
                 raise JSONDecodeError("Expecting ':' delimiter", text, end)
             end = _skip(text, end + 1).end()
-            if name == "features" and collection is not False and text.startswith("[", end):
+            if name == "features" and text.startswith("[", end):
                 end = yield from _elements(text, end + 1, decode)
-                streamed = True
+                listed = True
             else:
                 value, end = decode(text, end)
                 if name == "type":
                     collection = value == "FeatureCollection"
-                elif name == "features":
-                    features = value
             end = _skip(text, end).end()
             more = text.startswith(",", end)
             if more:
-                end = _skip(text, end + 1).end()
+                end = _after_comma(text, end, "}", _OBJECT_COMMA)
             elif not text.startswith("}", end):
                 raise JSONDecodeError("Expecting ',' delimiter", text, end)
         end += 1
@@ -436,10 +456,8 @@ def _collection_features(text: str):
         raise JSONDecodeError("Extra data", text, end)
     if not collection:
         raise ValueError("geometry document is not a FeatureCollection")
-    if not streamed:
-        if not isinstance(features, list):
-            raise ValueError("FeatureCollection has no feature list")
-        yield from features
+    if not listed:
+        raise ValueError("FeatureCollection has no feature list")
 
 
 def parse_geometry(data: bytes | str, id_property: str) -> AreaUnits:
@@ -455,7 +473,7 @@ def parse_geometry(data: bytes | str, id_property: str) -> AreaUnits:
     is freed once its rings are taken, so the whole tree is never held.  A
     feature is checked as it is decoded: a faulty feature is reported
     before malformed text after it, and before a ``"type"`` other than
-    ``"FeatureCollection"`` that follows the list.  A repeated
+    ``"FeatureCollection"`` wherever that ``"type"`` stands.  A repeated
     ``"features"`` member is refused as malformed.
     """
     if isinstance(data, bytes):

@@ -61,8 +61,9 @@ class SpatialWeights:
         if m.diagonal().any():
             i = int(np.flatnonzero(m.diagonal())[0])
             raise ValueError(f"unit {i} links to itself; contiguity links have no self-links")
-        if (m != m.T).nnz:
-            i, j, _ = _first_entry(m - m.T, lambda data: data > 0)
+        d = m - m.T
+        if d.nnz:
+            i, j, _ = _first_entry(d, lambda data: data > 0)
             raise ValueError(
                 f"unit {i} links to unit {j} but unit {j} does not link back to "
                 f"unit {i}; the link pattern must be symmetric"
@@ -262,8 +263,9 @@ def read_weights(text: str) -> tuple[list[str], SpatialWeights]:
     m = sp.csr_matrix((np.ones(len(cols)), np.array(cols, int), indptr), shape=(n, n))
     m.sort_indices()
     ids = list(index)
-    if (m != m.T).nnz:
-        i, j, _ = _first_entry(m - m.T, lambda data: data > 0)
+    d = m - m.T
+    if d.nnz:
+        i, j, _ = _first_entry(d, lambda data: data > 0)
         raise ValueError(
             f"weights line {records[i][0]}: unit {ids[i]!r} lists neighbor {ids[j]!r}, "
             f"but line {records[j][0]} does not list {ids[i]!r} back"
