@@ -43,6 +43,30 @@ class DesignMatrix:
 
     names: list[str]
     values: np.ndarray
+    _factors: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.values.flags.writeable = False
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """U and V/s of the thin SVD of the read-only ``values``, kept from
+        the first call; the squared rows of V/s sum to diag((X'X)^-1).  A
+        rank-deficient design is refused, naming its dependent columns."""
+        if self._factors is None:
+            u, s, vt, rank, dependent = _svd(self.values)
+            if rank < self.q:
+                bad = sorted(self.names[j] for j in np.flatnonzero(dependent))
+                raise ValueError(
+                    f"design matrix is rank deficient (rank {rank} of {self.q}); "
+                    f"linearly dependent columns include {bad}"
+                )
+            self._factors = u, vt.T / s
+        return self._factors
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients of b, (n,) or (n, k), on the columns."""
+        u, v_s = self.factors()
+        return v_s @ (u.T @ b)
 
     @property
     def n(self) -> int:
@@ -167,29 +191,6 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.nda
     return u, s, vt, rank, dependent
 
 
-def _lstsq(
-    a: np.ndarray, b: np.ndarray, names: list[str] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of b, (n,) or (n, k), on the columns of a, from one
-    thin SVD.
-
-    The coefficients are the minimum-norm solution over the singular values
-    that ``_svd`` keeps.  Also returns V/s over those singular values, whose
-    squared rows sum to diag((a'a)^-1) when a has full rank.  With
-    ``names``, a rank-deficient a is refused, naming every column that
-    carries weight in the null space.
-    """
-    u, s, vt, rank, dependent = _svd(a)
-    if names is not None and rank < a.shape[1]:
-        bad = sorted(names[j] for j in np.flatnonzero(dependent))
-        raise ValueError(
-            f"design matrix is rank deficient (rank {rank} of {a.shape[1]}); "
-            f"linearly dependent columns include {bad}"
-        )
-    v_s = vt[:rank].T / s[:rank]
-    return v_s @ (u[:, :rank].T @ b), v_s
-
-
 def fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     """Fit y on the design by least squares.
 
@@ -205,17 +206,20 @@ def fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     n, q = X.n, X.q
     if n <= q:
         raise ValueError(f"need more observations than parameters (n={n}, q={q})")
-    beta, v_s = _lstsq(X.values, y, X.names)
+    beta = X.solve(y)
     fitted = X.values @ beta
     e = y - fitted
     sse = float(e @ e)
     tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 0.0 if tss == 0.0 or q == 1 else 1.0 - sse / tss
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - q)
+    if tss == 0.0 or q == 1:
+        r2 = adj_r2 = 0.0
+    else:
+        r2 = 1.0 - sse / tss
+        adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - q)
     sigma2 = sse / (n - q)
     sigma2_ml = sse / n
 
-    se = np.sqrt(sigma2 * (v_s**2).sum(axis=1))
+    se = np.sqrt(sigma2 * (X.factors()[1] ** 2).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
     p = 2.0 * _t_sf(np.abs(t), n - q)
@@ -301,30 +305,29 @@ def stepwise_aic(
     Every step evaluates all single-column drops and all single-column
     re-additions; the best move is taken only on strict AIC improvement,
     with ties broken by the order columns appear in the full design.
+    Returns the design object that was fitted, with its factors.
     """
     pool = list(X.slope_names)
-    active = list(pool)
-    current_fit = fit(X.with_columns(active), y)
+    current, current_fit = X, fit(X, y)
     trace: list[dict] = [
         {"action": "start", "column": None, "aic": current_fit.aic}
     ]
     while True:
         best_aic, best = current_fit.aic, None
+        active = current.slope_names
         for name in pool:
             if name in active:
-                candidate = [c for c in active if c != name]
-                action = "drop"
+                action, cand = "drop", current.drop(name)
             else:
-                candidate = active + [name]
-                action = "add"
-            cand_fit = fit(X.with_columns(candidate), y)
+                action, cand = "add", X.with_columns(active + [name])
+            cand_fit = fit(cand, y)
             if cand_fit.aic < best_aic:
-                best_aic, best = cand_fit.aic, (action, name, candidate, cand_fit)
+                best_aic, best = cand_fit.aic, (action, name, cand, cand_fit)
         if best is None:
             break
-        action, name, active, current_fit = best
+        action, name, current, current_fit = best
         trace.append({"action": action, "column": name, "aic": current_fit.aic})
-    return X.with_columns(active), current_fit, trace
+    return current, current_fit, trace
 
 
 def significance_prune(
@@ -482,7 +485,7 @@ def lm_tests(
         raise ValueError("weights have no links; spatial tests are undefined")
 
     wxb = w @ ols_fit.fitted
-    m_wxb = wxb - X.values @ _lstsq(X.values, wxb)[0]
+    m_wxb = wxb - X.values @ X.solve(wxb)
     mq = float(m_wxb @ m_wxb)
     j_term = mq / sigma2t + t_trace
 

@@ -392,7 +392,15 @@ def _stage_decision(ctx: _Context) -> None:
         return
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ctx.decision = _ols.model_decision(ctx.lm_suite, ctx.config.alpha)
+        try:
+            ctx.decision = _ols.model_decision(ctx.lm_suite, ctx.config.alpha)
+        except ValueError as exc:
+            if ctx.design_final.q > 1:
+                raise
+            raise ValueError(
+                f"{exc}: the final model retained no predictor, so the spatial "
+                "lag and error models coincide"
+            ) from None
     for w in caught:
         ctx.decision_warning = str(w.message)
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .ols import DesignMatrix, OlsFit, _lstsq
+from .ols import DesignMatrix, OlsFit
 from .stats import _norm_sf
 from .weights import SpatialWeights
 
@@ -139,10 +139,10 @@ def _model(kind: str, X: DesignMatrix, y, links: SpatialWeights):
     ``state(p)`` returns (b, sigma^2, r, jac, cross) at p: the
     coefficients and residual variance concentrated out at p, the
     innovation r, its Jacobian in (b, p) and the vector r' d^2r/(db dp).
-    The error model filters y and X by I - pW and solves least squares at
-    each p; the lag model's b and r are linear in p, from the least-squares
-    coefficients of y and Wy on X.  That one solve is made for both models,
-    since it also refuses a rank-deficient design by name.
+    The error model filters y and X by I - pW, which keeps X's rank, and
+    solves least squares at each p; the lag model's b and r are linear in p,
+    from the least-squares coefficients of y and Wy on X.  That solve, on
+    X's factors, is made for both: it refuses a rank-deficient X by name.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (X.n,):
@@ -158,14 +158,14 @@ def _model(kind: str, X: DesignMatrix, y, links: SpatialWeights):
     xv = X.values
     w = links.row_standardized()
     wy = w @ y
-    coef, _ = _lstsq(xv, np.column_stack([y, wy]), X.names)
+    coef = X.solve(np.column_stack([y, wy]))
     if kind == "error":
         wx = w @ xv
 
         def state(lam):
             xf = xv - lam * wx
             yf = y - lam * wy
-            beta = _lstsq(xf, yf)[0]
+            beta = DesignMatrix(X.names, xf).solve(yf)
             resid_f = yf - xf @ beta
             # eps = (I - lam W)(y - Xb): d eps/db = -(X - lam WX),
             # d eps/dlam = -W(y - Xb)
@@ -531,7 +531,8 @@ def _fit(kind, X, y, links) -> SpatialFit:
         sigma2=sigma2,
         log_likelihood=ll,
         aic=-2.0 * ll + 2.0 * (q + 1),
-        pseudo_r2=float(np.corrcoef(y, fitted)[0, 1]) ** 2,
+        # the intercept alone fits a constant, whose correlation is undefined
+        pseudo_r2=float(np.corrcoef(y, fitted)[0, 1]) ** 2 if q > 1 else 0.0,
         u=u,
         n=n,
         q=q,

@@ -1,6 +1,7 @@
 """Least squares, collinearity handling, selection, diagnostics, and the
 spatial-dependence score tests."""
 
+import re
 import warnings
 
 import numpy as np
@@ -12,8 +13,8 @@ from scipy import stats as sps
 from arealstat import ols
 from arealstat.ols import (
     INTERCEPT,
+    DesignMatrix,
     LmSuite,
-    _lstsq,
     condition_number,
     design_matrix,
     fit,
@@ -45,6 +46,12 @@ class TestDesignMatrix:
         assert X.names == [INTERCEPT, "a"]
         assert np.all(X.values[:, 0] == 1.0)
         assert X.n == 3 and X.q == 2
+
+    def test_values_are_read_only(self):
+        X = design_matrix([("a", [1.0, 2.0, 3.0]), ("b", [0.0, 1.0, 0.0])])
+        for design in (X, X.drop("b"), X.with_columns(["b"])):
+            with pytest.raises(ValueError, match="read-only"):
+                design.values[0, 1] = 5.0
 
     def test_reserved_name_rejected(self):
         with pytest.raises(ValueError):
@@ -130,6 +137,7 @@ class TestFit:
         X, _ = random_problem(4)
         res = fit(X, np.full(X.n, 7.0))
         assert res.r2 == 0.0
+        assert res.adj_r2 == 0.0
 
     @pytest.mark.parametrize("n", [20, 30, 60, 200, 500])
     def test_intercept_only_r2_exactly_zero(self, n):
@@ -209,12 +217,21 @@ def lstsq_problems(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(lstsq_problems())
-def test_lstsq_matches_numpy_minimum_norm_solution(problem):
-    """The one SVD behind every least-squares solve against
-    np.linalg.lstsq(rcond=None), which has the same singular value cutoff."""
+def test_design_solve_matches_numpy_least_squares(problem):
+    """The design's one SVD against np.linalg.lstsq(rcond=None), which has
+    the same singular value cutoff.  A rank-deficient design is refused,
+    and the columns it names hold the dependency."""
     a, b = problem
-    coef, _ = _lstsq(a, b)
-    ref, *_ = np.linalg.lstsq(a, b, rcond=None)
+    X = DesignMatrix(names=[f"c{j}" for j in range(a.shape[1])], values=a)
+    ref, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < X.q:
+        with pytest.raises(ValueError, match=r"linearly dependent columns include \[") as err:
+            X.solve(b)
+        named = re.findall(r"'(c\d+)'", str(err.value))
+        assert named
+        assert np.linalg.matrix_rank(a[:, [X.column_index(c) for c in named]]) < len(named)
+        return
+    coef = X.solve(b)
     assert coef.shape == ref.shape
     assert np.linalg.norm(coef - ref) <= 1e-10 * np.linalg.norm(ref)
     resid_gap = (b - a @ coef) - (b - a @ ref)

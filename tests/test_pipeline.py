@@ -32,7 +32,9 @@ from arealstat.pipeline import (
     run_pipeline,
     run_subcommand,
 )
-from conftest import feature_collection, polygon_feature, square_ring
+from arealstat.synth import autoregressive_solver
+from arealstat.weights import queen_contiguity
+from conftest import feature_collection, grid_units, polygon_feature, square_ring
 
 PIPELINE_FILES = [
     "augmented.geojson",
@@ -494,6 +496,39 @@ class TestStageErrors:
         config = tiny_config(d, geo, attr)
         run_subcommand(config, "weights")
         assert os.path.exists(os.path.join(config.output_dir, "weights.txt"))
+
+    def test_degenerate_decision_names_the_empty_model(self, tmp_path):
+        # three pure-noise predictors against an AR(0.7) outcome: selection
+        # keeps only the intercept, where W1 = 1 makes LM-error equal LM-lag
+        # (116.147), so both fire and the robust pair is degenerate
+        side = 15
+        n = side * side
+        rng = np.random.default_rng(0)
+        links = queen_contiguity(grid_units(side, side))
+        out = autoregressive_solver(links, 0.7)(rng.normal(size=n))
+        noise = rng.normal(size=(n, 3))
+        d = str(tmp_path)
+        geo = os.path.join(d, "geo.json")
+        with open(geo, "w") as fh:
+            fh.write(feature_collection([
+                polygon_feature(f"t{i}", square_ring(float(i % side), float(i // side)))
+                for i in range(n)
+            ]))
+        attr = os.path.join(d, "attr.csv")
+        with open(attr, "w") as fh:
+            fh.write("GEOID,out,p1,p2,p3\n")
+            for i in range(n):
+                cells = [out[i], *noise[i]]
+                fh.write(f"t{i}," + ",".join(repr(float(v)) for v in cells) + "\n")
+        config = tiny_config(d, geo, attr, candidate_predictor_columns=["p1", "p2", "p3"])
+        with pytest.raises(PipelineError) as err:
+            run_subcommand(config, "regress")
+        assert err.value.stage == "model_decision"
+        assert err.value.cause == (
+            "robust spatial dependence tests are degenerate; decision rule is "
+            "undefined: the final model retained no predictor, so the spatial "
+            "lag and error models coincide"
+        )
 
     @pytest.mark.parametrize("sub", ["regress", "cluster", "pipeline"])
     def test_constant_predictor_fails_in_zscore(self, tmp_path, sub):

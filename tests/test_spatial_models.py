@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from arealstat import spatial_models
-from arealstat.ols import design_matrix, fit
+from arealstat import ols, spatial_models
+from arealstat.ols import design_matrix, fit, koenker_bassett, lm_tests
 from arealstat.spatial_models import (
     SpectralCache,
     compare,
@@ -694,6 +694,40 @@ class TestNoEigensolve:
             assert counts[res.param] <= 2
             assert all(v == 1 for p, v in counts.items() if p != res.param)
             assert len(calls) <= len(cache.log_dets) + 1
+
+
+@pytest.mark.parametrize("fit_fn", [fit_error_ml, fit_lag_ml])
+def test_one_design_is_factorised_once(w10, monkeypatch, fit_fn):
+    """The least-squares fit, its heteroskedasticity test, the score tests
+    and the spatial fit of one design share that design's one SVD."""
+    X, y = make_error_data(w10, 0.5, seed=85)
+    inner = ols._svd
+    calls = []
+
+    def counting(a):
+        if a is X.values:
+            calls.append(a)
+        return inner(a)
+
+    monkeypatch.setattr(ols, "_svd", counting)
+    res = fit(X, y)
+    koenker_bassett(X, res.residuals)
+    lm_tests(X, y, res, w10)
+    fit_fn(X, y, w10)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("fit_fn", [fit_error_ml, fit_lag_ml])
+def test_intercept_only_pseudo_r2_is_zero(fit_fn, seed):
+    # the fitted values are constant, Xb for the error model and
+    # (I - rho W)^-1 1 b = 1 b / (1 - rho) for the lag model, so their
+    # correlation with y is rounding noise or NaN
+    w = queen_contiguity(grid_units(12, 12))
+    rng = np.random.default_rng(seed)
+    y = autoregressive_solver(w, 0.6)(rng.normal(size=w.n))
+    X = design_matrix([("x", rng.normal(size=w.n))]).drop("x")
+    assert fit_fn(X, y, w).pseudo_r2 == 0.0
 
 
 @pytest.mark.parametrize("fit_fn", [fit_error_ml, fit_lag_ml])
