@@ -204,20 +204,17 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
     return merges
 
 
-def cut(dendrogram: Dendrogram, k: int, ids=None) -> np.ndarray:
+def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
     """Labels 1..k from stopping the agglomeration at k groups.
 
     The first n-k merges are replayed; groups are numbered in the order of
-    their smallest member of ``ids``, one sortable id per leaf (by default
-    the leaf index), so that with unit ids the numbering does not depend on
-    the order of the units.
+    their first leaf.  A pipeline's leaves are in unit-id order (see
+    :func:`arealstat.ingest.merge`), so there each group's number goes by
+    its smallest unit id.
     """
     n = dendrogram.n
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    keys = range(n) if ids is None else list(ids)
-    if len(keys) != n:
-        raise ValueError(f"ids must hold one id per leaf ({n}), got {len(keys)}")
     parent: dict[int, int] = {}
     for s in range(n - k):
         left, right, _, _ = dendrogram.merges[s]
@@ -230,10 +227,9 @@ def cut(dendrogram: Dendrogram, k: int, ids=None) -> np.ndarray:
         return i
 
     roots = [find(i) for i in range(n)]
-    # in id order, the first leaf met of each group holds its smallest id
     label_of: dict[int, int] = {}
-    for i in sorted(range(n), key=keys.__getitem__):
-        label_of.setdefault(roots[i], len(label_of) + 1)
+    for root in roots:
+        label_of.setdefault(root, len(label_of) + 1)
     return np.array([label_of[root] for root in roots], dtype=int)
 
 

@@ -176,7 +176,7 @@ class AttributeTable:
 
 @dataclass(eq=False)
 class MergedDataset:
-    """Geometry and attributes aligned on id, geometry-file order preserved."""
+    """Geometry and attributes aligned on id, in id order (see :func:`merge`)."""
 
     units: AreaUnits
     table: AttributeTable
@@ -593,7 +593,9 @@ def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
         while block := list(islice(rows, _ROW_BLOCK)):
             values = np.empty((len(block), len(columns)))
             for j, cells in enumerate(zip(*block)):
-                values[:, j] = _floats(cells)
+                # + 0.0 reads a -0 cell as 0.0, so which of 0 and -0 a
+                # minimum or maximum returns cannot depend on their order
+                values[:, j] = _floats(cells) + 0.0
             blocks.append(values)
     except csv.Error as exc:
         # csv's hint about universal-newline mode does not apply to decoded text
@@ -609,10 +611,12 @@ def merge(
 ) -> MergedDataset:
     """Inner-join geometry and attributes on unit id.
 
-    The output preserves geometry-file order restricted to retained ids.
-    ``policy`` is either ``"drop-with-report"`` (unmatched ids recorded on
-    both sides) or ``"fail-on-any-unmatched"``.  A side the join keeps
-    whole and in order is passed through without a copy.
+    The retained units and their attribute rows come out in id order
+    (Python string order), as do the dropped-id lists, so later stages see
+    one unit order whatever the input order.  ``policy`` is either
+    ``"drop-with-report"`` (unmatched ids recorded on both sides) or
+    ``"fail-on-any-unmatched"``.  A side the join keeps whole and in id
+    order is passed through without a copy.
     """
     if policy not in ("drop-with-report", "fail-on-any-unmatched"):
         raise ValueError(f"unknown merge policy {policy!r}")
@@ -625,14 +629,14 @@ def merge(
     row_of = dict(zip(table.ids, range(table.n)))
     rows = np.fromiter(map(row_of.get, units.ids, repeat(-1)), np.int64, count=len(units))
     matched = rows >= 0
-    dropped_geo = [units.ids[i] for i in np.flatnonzero(~matched).tolist()]
+    dropped_geo = sorted(units.ids[i] for i in np.flatnonzero(~matched).tolist())
     # when every table row is matched no id is table-only, and no set is built
     dropped_tab = []
     hit = np.zeros(table.n, dtype=bool)
     hit[rows[matched]] = True
     if not hit.all():
         unit_ids = set(units.ids)
-        dropped_tab = [uid for uid in table.ids if uid not in unit_ids]
+        dropped_tab = sorted(uid for uid in table.ids if uid not in unit_ids)
 
     if not matched.any():
         raise ValueError("geometry and attribute ids have an empty intersection")
@@ -642,9 +646,10 @@ def merge(
             f"geometry-only {dropped_geo}, attributes-only {dropped_tab}"
         )
 
-    if dropped_geo:
-        units = units.take(np.flatnonzero(matched))
-        rows = rows[matched]
+    keep = sorted(np.flatnonzero(matched).tolist(), key=units.ids.__getitem__)
+    if keep != list(range(len(units))):
+        units = units.take(keep)
+        rows = rows[keep]
     if not np.array_equal(rows, np.arange(table.n)):
         table = table.take(rows)
     return MergedDataset(

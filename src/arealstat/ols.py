@@ -304,11 +304,15 @@ def stepwise_aic(
 
     Every step evaluates all single-column drops and all single-column
     re-additions; the best move is taken only on strict AIC improvement,
-    with ties broken by the order columns appear in the full design.
-    Returns the design object that was fitted, with its factors.
+    with ties broken by the order columns appear in the full design.  Every
+    candidate keeps the full design's column order, and a column list
+    fitted before is skipped: each move lowers the AIC, so no earlier fit
+    can improve on the current one.  Returns the design object that was
+    fitted, with its factors.
     """
     pool = list(X.slope_names)
     current, current_fit = X, fit(X, y)
+    fitted = {tuple(pool)}
     trace: list[dict] = [
         {"action": "start", "column": None, "aic": current_fit.aic}
     ]
@@ -316,10 +320,12 @@ def stepwise_aic(
         best_aic, best = current_fit.aic, None
         active = current.slope_names
         for name in pool:
-            if name in active:
-                action, cand = "drop", current.drop(name)
-            else:
-                action, cand = "add", X.with_columns(active + [name])
+            names = tuple(c for c in pool if (c in active) != (c == name))
+            if names in fitted:
+                continue
+            fitted.add(names)
+            action = "drop" if name in active else "add"
+            cand = X.with_columns(names)
             cand_fit = fit(cand, y)
             if cand_fit.aic < best_aic:
                 best_aic, best = cand_fit.aic, (action, name, cand, cand_fit)

@@ -304,7 +304,7 @@ def _stage_weights(ctx: _Context) -> None:
     )
     ctx.links = build(ctx.dataset.units, cfg.snap_tolerance)
     islands = _weights.detect_islands(ctx.links)
-    ctx.island_ids = sorted(ctx.dataset.units.ids[i] for i in islands)
+    ctx.island_ids = [ctx.dataset.units.ids[i] for i in islands]
 
 
 def _stage_summarize(ctx: _Context) -> None:
@@ -441,9 +441,7 @@ def _stage_cluster(ctx: _Context) -> None:
     ctx.cluster_features = ranked[:count]
     points = np.column_stack([ctx.z_columns[c] for c in ctx.cluster_features])
     ctx.dendrogram = _cluster.ward_cluster(points)
-    ctx.assignments = _cluster.cut(
-        ctx.dendrogram, ctx.config.group_k, ids=ctx.dataset.units.ids
-    )
+    ctx.assignments = _cluster.cut(ctx.dendrogram, ctx.config.group_k)
 
 
 def _stage_profile(ctx: _Context) -> None:
@@ -501,9 +499,9 @@ def _section_config(ctx: _Context) -> dict:
 
 def _section_dropped_units(ctx: _Context) -> dict:
     return {
-        "geometry_only": sorted(ctx.dataset.dropped_geometry_ids),
-        "attributes_only": sorted(ctx.dataset.dropped_table_ids),
-        "missing_values": sorted(ctx.dropped_missing),
+        "geometry_only": ctx.dataset.dropped_geometry_ids,
+        "attributes_only": ctx.dataset.dropped_table_ids,
+        "missing_values": ctx.dropped_missing,
     }
 
 

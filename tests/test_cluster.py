@@ -478,28 +478,6 @@ class TestCut:
                 seen.append(lab)
         assert seen == [1, 2, 3]
 
-    def test_ids_number_groups_by_smallest_member(self):
-        pts = np.array([[0.0], [5.0], [10.0], [0.1], [5.1]])
-        labels = cut(ward_cluster(pts), 3, ids=["e", "d", "a", "c", "b"])
-        # groups {e, c}, {d, b} and {a}, whose smallest ids are c, b and a
-        assert labels.tolist() == [3, 2, 1, 3, 2]
-
-    def test_numbering_by_ids_is_order_free(self):
-        rng = np.random.default_rng(96)
-        pts = rng.normal(size=(30, 2))
-        ids = [f"u{i:02d}" for i in range(30)]
-        perm = rng.permutation(30)
-        labels = cut(ward_cluster(pts), 5, ids=ids)
-        permuted = cut(ward_cluster(pts[perm]), 5, ids=[ids[i] for i in perm])
-        assert np.array_equal(permuted, labels[perm])
-        # leaf-index numbering follows the input order instead
-        assert not np.array_equal(cut(ward_cluster(pts[perm]), 5), labels[perm])
-
-    def test_ids_need_one_per_leaf(self):
-        dendro = ward_cluster(np.array([[0.0], [1.0], [2.0]]))
-        with pytest.raises(ValueError, match="one id per leaf"):
-            cut(dendro, 2, ids=["a", "b"])
-
     def test_well_separated_pairs(self):
         pts = np.array([[0.0], [0.1], [50.0], [50.1]])
         labels = cut(ward_cluster(pts), 2)

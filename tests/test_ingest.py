@@ -26,7 +26,13 @@ from arealstat.ingest import (
     serialize_geometry,
     to_feature_collection,
 )
-from conftest import feature_collection, multipolygon_features, polygon_feature, square_ring
+from conftest import (
+    feature_collection,
+    multipolygon_features,
+    polygon_feature,
+    square_ring,
+    square_unit,
+)
 
 
 # Reference: the per-vertex ring checks and normalization that the flat
@@ -951,12 +957,48 @@ def _table(ids, column="v"):
     return parse_attributes(f"GEOID,{column}\n{rows}\n", "GEOID")
 
 
+SIDES = ["both", "geometry", "table"]
+
+
 class TestMerge:
-    def test_inner_join_keeps_geometry_order(self):
-        dataset = merge(_units(["A", "B", "C"]), _table(["C", "A", "B"]))
+    def test_inner_join_puts_units_in_id_order(self):
+        dataset = merge(_units(["B", "C", "A"]), _table(["C", "A", "B"]))
         assert [u.id for u in dataset.units] == ["A", "B", "C"]
+        assert dataset.units == _units(["B", "C", "A"]).take([2, 0, 1])
         assert dataset.table.ids == ["A", "B", "C"]
         assert dataset.table.column("v").tolist() == [1.0, 2.0, 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.text(min_size=1, max_size=3), st.sampled_from(SIDES)),
+            min_size=1, max_size=10, unique_by=lambda t: t[0],
+        ).filter(lambda ids: any(side == "both" for _, side in ids)),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_input_order_gives_one_dataset(self, sides, rnd):
+        # each id keeps its own square and value, wherever its row is
+        geo = [(k, u) for k, (u, side) in enumerate(sides) if side != "table"]
+        tab = [(k, u) for k, (u, side) in enumerate(sides) if side != "geometry"]
+
+        def joined(geo, tab):
+            units = AreaUnits.of([square_unit(u, 2.0 * k, 0.0) for k, u in geo])
+            values = np.array([[float(k), -0.5 * k] for k, _ in tab])
+            return merge(units, AttributeTable([u for _, u in tab], ["v", "w"], values))
+
+        plain = joined(geo, tab)
+        assert plain.table.ids == sorted(plain.table.ids)
+        rnd.shuffle(geo)
+        rnd.shuffle(tab)
+        moved = joined(geo, tab)
+        assert moved.units == plain.units
+        assert moved.table.ids == plain.table.ids
+        assert moved.table.columns == plain.table.columns
+        assert np.array_equal(moved.table.values, plain.table.values)
+        assert moved.dropped_geometry_ids == plain.dropped_geometry_ids
+        assert moved.dropped_table_ids == plain.dropped_table_ids
+        assert moved.dropped_geometry_ids == sorted(u for u, side in sides if side == "geometry")
+        assert moved.dropped_table_ids == sorted(u for u, side in sides if side == "table")
 
     @pytest.mark.parametrize(
         "order", ["geometry", "shuffled", "one extra", "one extra, one missing"]

@@ -360,8 +360,9 @@ class TestStepwise:
         assert trace[-1]["aic"] < fit(X.with_columns(["x0", "x3"]), y).aic == trace[-2]["aic"]
 
     def test_takes_the_fit_of_the_move_it_makes(self, monkeypatch):
-        # one fit to start and one per candidate in each pass; the last pass
-        # finds no move, and a move reuses its candidate's fit
+        # one fit to start and one per candidate not fitted before: 5, 4, 3,
+        # 3 and 2 in the five passes; the last pass finds no move, and a
+        # move reuses its candidate's fit
         rng = np.random.default_rng(213)
         z = rng.normal(size=(30, 5)) @ (np.eye(5) + rng.normal(size=(5, 5)))
         y = z[:, 0] + 2.0 * rng.normal(size=30)
@@ -375,10 +376,42 @@ class TestStepwise:
         monkeypatch.setattr(ols, "fit", counting)
         final, final_fit, trace = stepwise_aic(X, y)
         assert len(trace) == 5
-        assert len(calls) == 1 + 5 * len(trace)
+        assert len(calls) == 18
         refit = fit(final, y)
         assert np.array_equal(final_fit.beta, refit.beta)
         assert np.array_equal(final_fit.se, refit.se)
+
+    # seed 213 with 5 columns re-adds a dropped column; the others only drop
+    @pytest.mark.parametrize("seed, k", [(213, 5), (22, 6), (1, 6), (5, 6)])
+    def test_fits_each_column_list_once_and_moves_as_a_full_search(self, monkeypatch, seed, k):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(30, k)) @ (np.eye(k) + rng.normal(size=(k, k)))
+        y = z[:, 0] + 2.0 * rng.normal(size=30)
+        X = design_matrix([(f"x{j}", z[:, j]) for j in range(k)])
+        calls = []
+
+        def counting(design, outcome):
+            calls.append(tuple(design.names))
+            return fit(design, outcome)
+
+        monkeypatch.setattr(ols, "fit", counting)
+        final, _, trace = stepwise_aic(X, y)
+        assert len(set(calls)) == len(calls)
+        # the search without the skip: every candidate of every pass refitted
+        active, moves = X.slope_names, [("start", None)]
+        while True:
+            best_aic, best = fit(X.with_columns(active), y).aic, None
+            for name in X.slope_names:
+                cand = [c for c in X.slope_names if (c in active) != (c == name)]
+                aic = fit(X.with_columns(cand), y).aic
+                if aic < best_aic:
+                    best_aic, best = aic, ("drop" if name in active else "add", name, cand)
+            if best is None:
+                break
+            moves.append(best[:2])
+            active = best[2]
+        assert [(t["action"], t["column"]) for t in trace] == moves
+        assert final.slope_names == active
 
 
 class TestSignificancePrune:

@@ -8,7 +8,6 @@ import io
 import json
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -924,127 +923,6 @@ def test_pipeline_run_imports_no_scipy_stats_or_optimize(county, tmp_path):
     assert os.path.exists(os.path.join(out, "report.json"))
 
 
-# Reordering the units may move a number by rounding only.  Full-precision
-# floats agree to 1e-8 relative: the spatial estimate sits at its score
-# root, to about 1e-10, and its standard errors move with the rounding of
-# the log-determinant's curvature under a new LU ordering, up to 2e-9.
-# A small p-value moves by z^2 times its se's relative change, so p-values
-# are compared by their logarithms, which move by twice that change, and
-# get no floor; one near 1 may instead match as it is.  Text
-# written with six significant digits agrees to one unit in the sixth
-# digit.  Values that are rounding noise themselves, such as the OLS
-# intercept of z-scored data (4.4e-17 in one order, -8.2e-16 in the
-# other), need an absolute floor.
-_FLOAT_REL = 1e-8
-_TEXT_REL = 2e-5
-_NOISE_FLOOR = 1e-12
-_P_VALUES = {"p", "adjusted_p", "gi_p", "gi_p_adj"}
-_NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
-
-
-def _close(a: float, b: float, rel: float, floor: float = _NOISE_FLOOR) -> bool:
-    return math.isclose(a, b, rel_tol=rel, abs_tol=floor) or (
-        math.isnan(a) and math.isnan(b)
-    )
-
-
-def _assert_same_numbers(a, b, where: str, key: str = "") -> None:
-    if isinstance(a, dict):
-        assert sorted(a) == sorted(b), where
-        for k in a:
-            _assert_same_numbers(a[k], b[k], f"{where}.{k}", k)
-    elif isinstance(a, list):
-        assert len(a) == len(b), where
-        for i, (x, y) in enumerate(zip(a, b)):
-            _assert_same_numbers(x, y, f"{where}[{i}]", key)
-    elif isinstance(a, float) and isinstance(b, float):
-        if key in _P_VALUES:
-            assert _close(a, b, _FLOAT_REL, 0.0) or (
-                min(a, b) > 0.0 and _close(math.log(a), math.log(b), _FLOAT_REL, 0.0)
-            ), (where, a, b)
-        else:
-            assert _close(a, b, _FLOAT_REL), (where, a, b)
-    else:
-        assert a == b, (where, a, b)
-
-
-def _assert_same_text(a: list[str], b: list[str], where: str) -> None:
-    """Records equal up to rounding: the text between numbers exactly,
-    integers exactly (ids among them) and decimals within _TEXT_REL."""
-    assert len(a) == len(b), where
-    for x, y in zip(a, b):
-        assert _NUMBER.sub("#", x) == _NUMBER.sub("#", y), (where, x, y)
-        for u, v in zip(_NUMBER.findall(x), _NUMBER.findall(y)):
-            if re.fullmatch(r"-?\d+", u):
-                assert u == v, (where, x, y)
-            else:
-                assert _close(float(u), float(v), _TEXT_REL), (where, x, y)
-
-
-def _unit_order_free(outdir: str, name: str, inputs: tuple[str, ...]):
-    """The file's content with the input order taken out: features keyed by
-    id, text records sorted, input paths left out."""
-    path = os.path.join(outdir, name)
-    if name.endswith("json"):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if name == "augmented.geojson":
-            return {f["properties"]["GEOID"]: f for f in doc["features"]}
-        for key in ("geometry_path", "output_dir"):
-            doc["config"].pop(key)
-        return doc
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    records = text.split(">") if name.endswith(".svg") else text.splitlines()
-    return sorted(r for r in records if not any(p in r for p in inputs))
-
-
-class TestUnitOrder:
-    """Reversing or shuffling the GeoJSON features leaves every number in
-    every output in place by unit id; group numbers go by each group's
-    smallest id."""
-
-    @pytest.mark.parametrize("order", ["reversed", "permuted"])
-    @pytest.mark.parametrize("sub", ["regress", "pipeline"])
-    def test_reordered_features_match_by_unit_id(self, county, tmp_path, sub, order):
-        config = load_config(county["config"])
-        with open(config.geometry_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if order == "reversed":
-            doc["features"].reverse()
-        else:
-            perm = np.random.default_rng(16).permutation(len(doc["features"]))
-            doc["features"] = [doc["features"][i] for i in perm]
-        moved_path = str(tmp_path / f"{order}.geojson")
-        with open(moved_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        dirs = [str(tmp_path / "given"), str(tmp_path / order)]
-        run_subcommand(dataclasses.replace(config, output_dir=dirs[0]), sub)
-        run_subcommand(
-            dataclasses.replace(config, output_dir=dirs[1], geometry_path=moved_path),
-            sub,
-        )
-        names = sorted(os.listdir(dirs[0]))
-        assert names == sorted(os.listdir(dirs[1]))
-        inputs = (config.geometry_path, moved_path, *dirs)
-        for name in names:
-            given, moved = (_unit_order_free(d, name, inputs) for d in dirs)
-            if isinstance(given, list):
-                _assert_same_text(given, moved, name)
-            else:
-                _assert_same_numbers(given, moved, name)
-        if sub == "pipeline":
-            assert "augmented.geojson" in names
-            # groups.csv lists the groups by number and weights.txt the units
-            # by id, so both are order-free as they are
-            for name in ("groups.csv", "weights.txt"):
-                files = []
-                for d in dirs:
-                    with open(os.path.join(d, name), "rb") as fh:
-                        files.append(fh.read())
-                assert files[0] == files[1], name
-
-
 @pytest.fixture(scope="module")
 def county_inputs(tmp_path_factory):
     """The synthetic county's config, its input files' bytes and the files
@@ -1088,6 +966,64 @@ def _attribute_bytes(rows: list) -> bytes:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue().encode("utf-8")
+
+
+def _whole_numbers(inputs: dict, id_column: str) -> dict:
+    """``inputs`` with every attribute rounded to a whole number, as
+    published estimates often are, and printed as printf does, so that a
+    small negative value reads -0; Ward's merge costs then tie."""
+    rows = _attribute_rows(inputs)
+    id_at = rows[0].index(id_column)
+    for row in rows[1:]:
+        row[:] = [x if j == id_at else f"{float(x):.0f}" for j, x in enumerate(row)]
+    return dict(inputs, attributes_path=_attribute_bytes(rows))
+
+
+def _reordered(inputs: dict, order) -> dict:
+    """``inputs`` with the features and the attribute rows reversed, or
+    each permuted by its own draw from a generator seeded with ``order``."""
+    doc = json.loads(inputs["geometry_path"])
+    rows = _attribute_rows(inputs)
+    if order == "reversed":
+        doc["features"].reverse()
+        rows[1:] = rows[:0:-1]
+    else:
+        rng = np.random.default_rng(order)
+        doc["features"] = [doc["features"][i] for i in rng.permutation(len(doc["features"]))]
+        rows[1:] = [rows[1 + i] for i in rng.permutation(len(rows) - 1)]
+    return {
+        "geometry_path": json.dumps(doc).encode("utf-8"),
+        "attributes_path": _attribute_bytes(rows),
+    }
+
+
+class TestUnitOrder:
+    """The units are put in id order at the join, so reordering the
+    features and the attribute rows leaves every output file byte-identical,
+    also where rounded attributes make Ward's merge costs tie."""
+
+    @pytest.mark.parametrize("values", ["as written", "whole numbers"])
+    def test_reordered_inputs_give_the_same_files(self, county_inputs, values):
+        config, inputs, plain = county_inputs
+        if values == "whole numbers":
+            inputs = _whole_numbers(inputs, config.id_column)
+            plain = _pipeline_files(config, inputs)
+        for order in ("reversed", 7, 16):
+            files = _pipeline_files(config, _reordered(inputs, order))
+            assert _differing(files, plain) == [], order
+
+    def test_negative_zero_cells_read_as_zero(self, county_inputs):
+        # -0 and 0 compare equal, so np.min returns whichever comes first
+        config, inputs, _ = county_inputs
+        rows = _attribute_rows(inputs)
+        at = rows[0].index("uninsured")
+        rows[1][at], rows[2][at] = "-0", "0"
+        signed = _pipeline_files(config, dict(inputs, attributes_path=_attribute_bytes(rows)))
+        rows[1][at] = "0"
+        unsigned = _pipeline_files(config, dict(inputs, attributes_path=_attribute_bytes(rows)))
+        assert _differing(signed, unsigned) == []
+        summary = list(csv.DictReader(io.StringIO(signed["summary.csv"].decode("utf-8"))))
+        assert [row["min"] for row in summary if row["name"] == "uninsured"] == ["0"]
 
 
 # Under a*x + b of every attribute column a full-precision number moves by
