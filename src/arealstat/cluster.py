@@ -53,7 +53,7 @@ class Dendrogram:
     merges: list[tuple[int, int, float, int]]
 
 
-def _merge_costs(s, n_s, sums, sizes) -> np.ndarray:
+def _merge_costs(s, n_s, sums, sizes, work=None) -> np.ndarray:
     """Costs of merging the cluster with coordinate sums ``s`` (d, 1) and
     size ``n_s`` with each cluster of ``sums`` (d, m) and ``sizes`` (m,).
 
@@ -62,14 +62,29 @@ def _merge_costs(s, n_s, sums, sizes) -> np.ndarray:
     single points.  The squares are added over the coordinates in order, so a
     pair's cost is the same to the last bit whichever of its clusters is
     ``s``.  A cluster with inf sums costs inf.
+
+    The costs are computed in ``work``, a flat float buffer of at least
+    (2d + 1) * m items (fresh if omitted), and returned as a view of it
+    that holds until its next use.
     """
-    diff = sums * n_s
-    diff -= s * sizes
+    d, m = sums.shape
+    if work is None:
+        work = np.empty((2 * d + 1) * m)
+    # contiguous blocks, so numpy runs each operation as one flat loop
+    block = work[: (2 * d + 1) * m].reshape(2 * d + 1, m)
+    diff, term, den = block[:d], block[d : 2 * d], block[2 * d]
+    np.multiply(sums, n_s, out=diff)
+    np.multiply(s, sizes, out=term)
+    diff -= term
     diff *= diff
     num = diff[0]
     for row in diff[1:]:
         num += row
-    return 2.0 * num / (n_s * sizes * (n_s + sizes))
+    np.multiply(n_s, sizes, out=den)
+    den *= np.add(n_s, sizes, out=term[0])
+    num *= 2.0
+    num /= den
+    return num
 
 
 def _initial_minima(points: np.ndarray, row_min: np.ndarray, row_arg: np.ndarray) -> None:
@@ -153,6 +168,7 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
     live[:n] = True
     row_min = np.full(cap, np.inf)
     row_arg = np.full(cap, cap - 1)
+    work = np.empty((2 * d + 1) * cap)
     _initial_minima(sums[:, :n], row_min, row_arg)
     end = n
 
@@ -163,7 +179,9 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
             j = int(row_arg[i])
             if live[j]:
                 break
-            costs = _merge_costs(sums[:, i, None], sizes[i], sums[:, i + 1 : end], sizes[i + 1 : end])
+            costs = _merge_costs(
+                sums[:, i, None], sizes[i], sums[:, i + 1 : end], sizes[i + 1 : end], work
+            )
             k = int(costs.argmin())
             row_min[i] = costs[k]
             row_arg[i] = i + 1 + k
@@ -179,7 +197,7 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
         live[i] = live[j] = False
         live[end] = True
         row_min[i] = row_min[j] = np.inf
-        costs = _merge_costs(sums[:, end, None], size, sums[:, :end], sizes[:end])
+        costs = _merge_costs(sums[:, end, None], size, sums[:, :end], sizes[:end], work)
         lower = costs < row_min[:end]
         np.copyto(row_min[:end], costs, where=lower)
         np.copyto(row_arg[:end], end, where=lower)

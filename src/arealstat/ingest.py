@@ -355,33 +355,10 @@ def _features(features, id_property: str):
 _skip = re.compile(r"[ \t\n\r]*").match
 
 
-def _trailing_comma(probe: str) -> tuple[str, bool]:
-    """How the running json module refuses the trailing comma in ``probe``:
-    its message, and whether it points at the comma (Python 3.13 on) or at
-    the closing bracket."""
-    try:
-        json.loads(probe)
-    except JSONDecodeError as exc:
-        return exc.msg, exc.pos == probe.index(",")
-
-
-_ARRAY_COMMA = _trailing_comma("[0, ]")
-_OBJECT_COMMA = _trailing_comma('{"a": 0, }')
-
-
-def _after_comma(text: str, comma: int, close: str, refusal) -> int:
-    """The index past the whitespace after the ``,`` at ``comma``; a
-    ``close`` bracket there is refused as json refuses a trailing comma."""
-    end = _skip(text, comma + 1).end()
-    if text.startswith(close, end):
-        message, at_comma = refusal
-        raise JSONDecodeError(message, text, comma if at_comma else end)
-    return end
-
-
 def _elements(text: str, end: int, decode):
     """Yield each element of the JSON array whose ``[`` is just before
-    ``end``, as soon as it is decoded; returns the index past the ``]``."""
+    ``end``, as soon as it is decoded; returns the index past the ``]``, or
+    None at a token that cannot stand where it does."""
     end = _skip(text, end).end()
     if text.startswith("]", end):
         return end + 1
@@ -392,11 +369,9 @@ def _elements(text: str, end: int, decode):
             end += 2
             continue
         end = _skip(text, end).end()
-        if text.startswith("]", end):
-            return end + 1
         if not text.startswith(",", end):
-            raise JSONDecodeError("Expecting ',' delimiter", text, end)
-        end = _after_comma(text, end, "]", _ARRAY_COMMA)
+            return end + 1 if text.startswith("]", end) else None
+        end = _skip(text, end + 1).end()
 
 
 def _collection_features(text: str):
@@ -404,56 +379,59 @@ def _collection_features(text: str):
     as soon as it is decoded.
 
     The top-level object is walked member by member, and json's own
-    scanner decodes each name and value, so malformed text is refused with
-    the message and position ``json.loads`` gives, when the walk reaches
-    it.  A ``"features"`` list is always streamed, wherever ``"type"``
-    stands and whatever it says; ``"type"`` is checked once the walk is
-    done, its last value counting, as in ``json.loads``.  A repeated
-    ``"features"`` is refused as malformed.
+    scanner decodes each name and value.  The walk follows valid text only:
+    at a token it does not expect, or an error of the scanner, it stops, and
+    ``json.loads`` of the whole text raises json's own message and position.
+    A ``"features"`` list is always streamed, wherever ``"type"`` stands
+    and whatever it says; ``"type"`` is checked once the walk is done, its
+    last value counting, as in ``json.loads``.  A repeated ``"features"``,
+    which ``json.loads`` accepts, is refused as malformed where it is met.
     """
     decode = json.JSONDecoder().raw_decode
-    if text.startswith("\ufeff"):
-        raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    end = _skip(text, 0).end()
     # whether "type" is "FeatureCollection", "features" was met, and held a list
     collection = seen = listed = False
-    if not text.startswith("{", end):
-        _, end = decode(text, end)
-    else:
-        end = _skip(text, end + 1).end()
-        more = not text.startswith("}", end)
-        while more:
-            if not text.startswith('"', end):
-                raise JSONDecodeError(
-                    "Expecting property name enclosed in double quotes", text, end
-                )
-            start = end
-            name, end = scanstring(text, end + 1)
-            if name == "features":
-                if seen:
-                    raise JSONDecodeError('Repeated "features" member', text, start)
-                seen = True
-            end = _skip(text, end).end()
-            if not text.startswith(":", end):
-                raise JSONDecodeError("Expecting ':' delimiter", text, end)
+    repeated = None  # where "features" is named a second time
+    try:
+        end = _skip(text, 0).end()
+        if not text.startswith("{", end):
+            _, end = decode(text, end)
+        else:
             end = _skip(text, end + 1).end()
-            if name == "features" and text.startswith("[", end):
-                end = yield from _elements(text, end + 1, decode)
-                listed = True
-            else:
-                value, end = decode(text, end)
-                if name == "type":
-                    collection = value == "FeatureCollection"
-            end = _skip(text, end).end()
-            more = text.startswith(",", end)
-            if more:
-                end = _after_comma(text, end, "}", _OBJECT_COMMA)
-            elif not text.startswith("}", end):
-                raise JSONDecodeError("Expecting ',' delimiter", text, end)
-        end += 1
-    end = _skip(text, end).end()
-    if end != len(text):
-        raise JSONDecodeError("Extra data", text, end)
+            more = not text.startswith("}", end)
+            while more and text.startswith('"', end):
+                start = end
+                name, end = scanstring(text, end + 1)
+                if name == "features":
+                    if seen:
+                        repeated = start
+                        break
+                    seen = True
+                end = _skip(text, end).end()
+                if not text.startswith(":", end):
+                    break
+                end = _skip(text, end + 1).end()
+                if name == "features" and text.startswith("[", end):
+                    end = yield from _elements(text, end + 1, decode)
+                    listed = True
+                    if end is None:
+                        break
+                else:
+                    value, end = decode(text, end)
+                    if name == "type":
+                        collection = value == "FeatureCollection"
+                end = _skip(text, end).end()
+                more = text.startswith(",", end)
+                if more:
+                    end = _skip(text, end + 1).end()
+            # past the closing "}"; each break above leaves more set
+            end = end + 1 if not more and text.startswith("}", end) else None
+    except JSONDecodeError:
+        end = None
+    if repeated is not None:
+        raise JSONDecodeError('Repeated "features" member', text, repeated)
+    if end is None or _skip(text, end).end() != len(text):
+        json.loads(text)
+        raise AssertionError("json.loads accepted text the walk refused")
     if not collection:
         raise ValueError("geometry document is not a FeatureCollection")
     if not listed:
@@ -473,8 +451,10 @@ def parse_geometry(data: bytes | str, id_property: str) -> AreaUnits:
     is freed once its rings are taken, so the whole tree is never held.  A
     feature is checked as it is decoded: a faulty feature is reported
     before malformed text after it, and before a ``"type"`` other than
-    ``"FeatureCollection"`` wherever that ``"type"`` stands.  A repeated
-    ``"features"`` member is refused as malformed.
+    ``"FeatureCollection"`` wherever that ``"type"`` stands.  Malformed
+    text is refused with the message and position that ``json.loads`` of
+    the whole text gives, on any Python.  A repeated ``"features"`` member
+    is refused as malformed too.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8-sig")
@@ -491,12 +471,10 @@ def parse_geometry(data: bytes | str, id_property: str) -> AreaUnits:
             gc.enable()
 
 
-def to_feature_collection(
-    units: AreaUnits | list[AreaUnit], extra_properties: dict[str, list] | None = None
-) -> dict:
-    """Build a feature-collection dict, optionally appending per-unit columns."""
+def _feature_dicts(units: AreaUnits | list[AreaUnit], extra_properties: dict[str, list] | None):
+    """Yield each unit's GeoJSON feature dict, built as it is asked for,
+    with the per-unit columns of ``extra_properties`` appended."""
     units = AreaUnits.of(units)
-    feats = []
     for i, polys in enumerate(units._nested(units.xy.tolist())):
         props = dict(units.properties[i])
         if extra_properties:
@@ -506,8 +484,14 @@ def to_feature_collection(
             geometry = {"type": "Polygon", "coordinates": polys[0]}
         else:
             geometry = {"type": "MultiPolygon", "coordinates": polys}
-        feats.append({"type": "Feature", "properties": props, "geometry": geometry})
-    return {"type": "FeatureCollection", "features": feats}
+        yield {"type": "Feature", "properties": props, "geometry": geometry}
+
+
+def to_feature_collection(
+    units: AreaUnits | list[AreaUnit], extra_properties: dict[str, list] | None = None
+) -> dict:
+    """Build a feature-collection dict, optionally appending per-unit columns."""
+    return {"type": "FeatureCollection", "features": list(_feature_dicts(units, extra_properties))}
 
 
 def serialize_geometry(units: AreaUnits | list[AreaUnit]) -> bytes:

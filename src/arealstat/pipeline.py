@@ -32,11 +32,11 @@ from . import weights as _weights
 from .ingest import (
     AttributeTable,
     MergedDataset,
+    _feature_dicts,
     drop_missing_rows,
     merge,
     parse_attributes,
     parse_geometry,
-    to_feature_collection,
 )
 
 __all__ = [
@@ -978,13 +978,13 @@ def _write_augmented(ctx: _Context, outdir: str) -> None:
         "gi_class": list(ctx.gi.classes),
         "group": [int(g) for g in ctx.assignments],
     }
-    features = to_feature_collection(ctx.dataset.units, extra)["features"]
-    # the bytes of json.dumps(collection, sort_keys=True) plus a newline,
-    # written one feature at a time so the whole text is never held at once
+    # the bytes of json.dumps(to_feature_collection(...), sort_keys=True)
+    # plus a newline; each feature is built, encoded and written in turn, so
+    # neither the whole text nor every feature's tree is held at once
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(os.path.join(outdir, "augmented.geojson"), "wb") as fh:
         fh.write(b'{"features": [')
-        for k, feature in enumerate(features):
+        for k, feature in enumerate(_feature_dicts(ctx.dataset.units, extra)):
             if k:
                 fh.write(b", ")
             fh.write(encode(feature).encode("utf-8"))

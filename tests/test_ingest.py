@@ -436,6 +436,74 @@ PROPERTY_VALUES = st.recursive(
 )
 
 
+@st.composite
+def valid_documents(draw):
+    """Feature collections as json.dumps writes them: the members in any
+    order, with or without features and other members, in several layouts."""
+    features = draw(st.one_of(st.just([]), multipolygon_features()))
+    extra = draw(
+        st.lists(
+            st.sampled_from(
+                [
+                    ("bbox", [0, 0, 1, 1]),
+                    ("crs", {"type": "name", "properties": {"name": "EPSG:4269"}}),
+                    ("name", 'tracts "2020"\n'),
+                ]
+            ),
+            unique_by=lambda member: member[0],
+        )
+    )
+    properties = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(["ALAND", "NAME", "nested", "é"]), PROPERTY_VALUES)
+        )
+    )
+    integer_ids = draw(st.booleans())
+    layout = draw(
+        st.sampled_from(
+            [
+                {},
+                {"separators": (",", ":")},
+                {"indent": 2},
+                {"indent": "\t"},
+                {"indent": 1, "newline": "\r\n"},
+                {"indent": 0, "separators": (",", ":")},
+            ]
+        )
+    )
+    for i, (feature, props) in enumerate(zip(features, properties)):
+        feature["properties"].update(props)
+        if integer_ids:
+            feature["properties"]["GEOID"] = 1000 + i
+    members = [("type", "FeatureCollection"), ("features", features), *extra]
+    # json.dumps writes the members in the drawn order
+    doc = dict(draw(st.permutations(members)))
+    newline = layout.pop("newline", "\n")
+    text = json.dumps(doc, **layout).replace("\n", newline)
+    if draw(st.booleans()):
+        text = draw(st.sampled_from([" ", "\n", "\r\n\t "])) + text + "\n"
+    return text
+
+
+def feature_spans(text: str) -> list[tuple[int, int]]:
+    """Where each feature of the valid document ``text`` starts and stops;
+    no name or value but the top-level one spells ``"features"``."""
+    decode = json.JSONDecoder().raw_decode
+    end = text.index("[", text.index('"features"')) + 1
+    spans = []
+    while True:
+        end = re.compile(r"[ \t\n\r,]*").match(text, end).end()
+        if text.startswith("]", end):
+            return spans
+        _, stop = decode(text, end)
+        spans.append((end, stop))
+        end = stop
+
+
+# the characters one edit deletes, inserts or puts in place of another
+EDIT_CHARACTERS = '{}[],:" 0a'
+
+
 class TestStreamedDecoder:
     """parse_geometry decodes one feature at a time; on every valid document
     it agrees with one json.loads of the whole, and it refuses malformed
@@ -454,48 +522,8 @@ class TestStreamedDecoder:
             parse_geometry(text, "GEOID")
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        features=st.one_of(st.just([]), multipolygon_features()),
-        extra=st.lists(
-            st.sampled_from(
-                [
-                    ("bbox", [0, 0, 1, 1]),
-                    ("crs", {"type": "name", "properties": {"name": "EPSG:4269"}}),
-                    ("name", 'tracts "2020"\n'),
-                ]
-            ),
-            unique_by=lambda member: member[0],
-        ),
-        properties=st.lists(
-            st.dictionaries(st.sampled_from(["ALAND", "NAME", "nested", "é"]), PROPERTY_VALUES)
-        ),
-        integer_ids=st.booleans(),
-        layout=st.sampled_from(
-            [
-                {},
-                {"separators": (",", ":")},
-                {"indent": 2},
-                {"indent": "\t"},
-                {"indent": 1, "newline": "\r\n"},
-                {"indent": 0, "separators": (",", ":")},
-            ]
-        ),
-        data=st.data(),
-    )
-    def test_valid_documents_match_one_whole_tree_parse(
-        self, features, extra, properties, integer_ids, layout, data
-    ):
-        for i, (feature, props) in enumerate(zip(features, properties)):
-            feature["properties"].update(props)
-            if integer_ids:
-                feature["properties"]["GEOID"] = 1000 + i
-        members = [("type", "FeatureCollection"), ("features", features), *extra]
-        # json.dumps writes the members in the drawn order
-        doc = dict(data.draw(st.permutations(members)))
-        newline = layout.pop("newline", "\n")
-        text = json.dumps(doc, **layout).replace("\n", newline)
-        if data.draw(st.booleans()):
-            text = data.draw(st.sampled_from([" ", "\n", "\r\n\t "])) + text + "\n"
+    @given(text=valid_documents())
+    def test_valid_documents_match_one_whole_tree_parse(self, text):
         got = parse_geometry(text, "GEOID")
         want = whole_tree_parse(text, "GEOID")
         assert got == want
@@ -503,6 +531,37 @@ class TestStreamedDecoder:
         assert [list(map(type, p.values())) for p in got.properties] == [
             list(map(type, p.values())) for p in want.properties
         ]
+
+    @settings(max_examples=15, deadline=None)
+    @given(text=valid_documents(), inside=st.integers(0))
+    def test_one_edit_refused_as_json_does(self, text, inside):
+        # every one-character edit outside the features, where the walk
+        # parses, and at one drawn position; the features before the edit
+        # are untouched and valid, so the walk reaches it: json refuses the
+        # text, or the edit leaves valid JSON, or its feature i is faulty
+        spans = feature_spans(text)
+        positions = {inside % (len(text) + 1)}
+        positions.update(k for k in range(len(text) + 1) if not any(a < k < b for a, b in spans))
+        for k in sorted(positions):
+            i = sum(stop <= k for _, stop in spans)
+            edits = [text[:k] + c + text[k:] for c in EDIT_CHARACTERS]
+            if k < len(text):
+                edits += [text[:k] + c + text[k + 1 :] for c in ["", *EDIT_CHARACTERS]]
+            for edited in edits:
+                try:
+                    json.loads(edited)
+                    refusal = None
+                except json.JSONDecodeError as exc:
+                    refusal = f"malformed geometry document: {exc}"
+                try:
+                    parse_geometry(edited, "GEOID")
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                if got is None or got.startswith("malformed"):
+                    assert got == refusal, edited
+                elif refusal is not None:
+                    assert re.match(rf"feature {i}\b|duplicate .* and {i}\)", got), edited
 
     def test_property_names_are_held_once(self):
         features = [

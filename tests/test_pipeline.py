@@ -24,6 +24,7 @@ from arealstat import pipeline as pipeline_module
 from arealstat import spatial_models
 from arealstat.cli import _apply_overrides, _build_parser
 from arealstat.cli import main as cli_main
+from arealstat.ingest import to_feature_collection
 from arealstat.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -335,6 +336,25 @@ class TestFullRun:
         assert names[0] == config.outcome_column
         for col in config.candidate_predictor_columns:
             assert col in names
+
+
+def test_augmented_geometry_is_one_dump_of_the_collection(county, tmp_path, monkeypatch):
+    # written one feature at a time, the file holds the bytes of one
+    # json.dumps of to_feature_collection over the same units and columns
+    build = pipeline_module._feature_dicts
+    calls = []
+
+    def spy(units, extra):
+        calls.append((units, extra))
+        return build(units, extra)
+
+    monkeypatch.setattr(pipeline_module, "_feature_dicts", spy)
+    config = dataclasses.replace(load_config(county["config"]), output_dir=str(tmp_path))
+    run_pipeline(config)
+    [(units, extra)] = calls
+    assert sorted(extra) == ["gi_class", "gi_p", "gi_p_adj", "gi_z", "group"]
+    whole = json.dumps(to_feature_collection(units, extra), sort_keys=True) + "\n"
+    assert (tmp_path / "augmented.geojson").read_bytes() == whole.encode("utf-8")
 
 
 def test_unavailable_standard_errors_are_left_blank(county, tmp_path, monkeypatch):
