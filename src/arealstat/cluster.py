@@ -157,15 +157,14 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
     """The merges of ``ward_cluster`` over the (n, d) points ``pts``."""
     n, d = pts.shape
     # slots 0..end-1 hold clusters in id order; a retired slot and every slot
-    # from end on have inf sums and an inf bound.  Slot 2n-1 is never
-    # reached, so it stands for a retired partner after a compaction.
+    # from end on have inf sums and an inf bound, so a slot is live exactly
+    # when its sums are finite.  Slot 2n-1 is never reached, so it stands
+    # for a retired partner after a compaction.
     cap = 2 * n
     sums = np.full((d, cap), np.inf)
     sums[:, :n] = pts.T
     sizes = np.ones(cap)
     ids = np.arange(cap)
-    live = np.zeros(cap, dtype=bool)
-    live[:n] = True
     row_min = np.full(cap, np.inf)
     row_arg = np.full(cap, cap - 1)
     work = np.empty((2 * d + 1) * cap)
@@ -177,7 +176,7 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
         while True:
             i = int(row_min[:end].argmin())
             j = int(row_arg[i])
-            if live[j]:
+            if sums[0, j] < np.inf:
                 break
             costs = _merge_costs(
                 sums[:, i, None], sizes[i], sums[:, i + 1 : end], sizes[i + 1 : end], work
@@ -194,8 +193,6 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
         sums[:, j] = np.inf
         sizes[end] = size
         ids[end] = n + step
-        live[i] = live[j] = False
-        live[end] = True
         row_min[i] = row_min[j] = np.inf
         costs = _merge_costs(sums[:, end, None], size, sums[:, :end], sizes[:end], work)
         lower = costs < row_min[:end]
@@ -205,7 +202,7 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
 
         retired = end - (n - 1 - step)
         if retired > _RETIRED_FLOOR and 32 * retired > n - 1 - step:
-            keep = np.flatnonzero(live[:end])
+            keep = np.flatnonzero(sums[0, :end] < np.inf)
             count = keep.size
             moved = np.full(cap, cap - 1)
             moved[keep] = np.arange(count)
@@ -216,8 +213,6 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
             row_arg[:count] = moved[row_arg[keep]]
             row_min[:count] = row_min[keep]
             row_min[count:end] = np.inf
-            live[:count] = True
-            live[count:end] = False
             end = count
     return merges
 
@@ -225,7 +220,8 @@ def _agglomerate(pts: np.ndarray) -> list[tuple[int, int, float, int]]:
 def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
     """Labels 1..k from stopping the agglomeration at k groups.
 
-    The first n-k merges are replayed; groups are numbered in the order of
+    The first n-k merges are replayed from the last back, each handing its
+    root to the two clusters it joined; groups are numbered in the order of
     their first leaf.  A pipeline's leaves are in unit-id order (see
     :func:`arealstat.ingest.merge`), so there each group's number goes by
     its smallest unit id.
@@ -233,22 +229,15 @@ def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
     n = dendrogram.n
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    parent: dict[int, int] = {}
-    for s in range(n - k):
+    # root[c] is the cluster that c lies in after the first n-k merges
+    root = list(range(2 * n - k))
+    for s in range(n - k - 1, -1, -1):
         left, right, _, _ = dendrogram.merges[s]
-        parent[left] = n + s
-        parent[right] = n + s
-
-    def find(i: int) -> int:
-        while i in parent:
-            i = parent[i]
-        return i
-
-    roots = [find(i) for i in range(n)]
+        root[left] = root[right] = root[n + s]
     label_of: dict[int, int] = {}
-    for root in roots:
-        label_of.setdefault(root, len(label_of) + 1)
-    return np.array([label_of[root] for root in roots], dtype=int)
+    for r in root[:n]:
+        label_of.setdefault(r, len(label_of) + 1)
+    return np.array([label_of[r] for r in root[:n]], dtype=int)
 
 
 @dataclass(eq=False)

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from json.decoder import JSONDecodeError, scanstring
+from numbers import Real
 
 import numpy as np
 
@@ -193,9 +194,15 @@ class MergedDataset:
         return len(self.units)
 
 
+def _real(kind: type) -> bool:
+    # int, float, Fraction and numpy's ints and floats; not bool or str,
+    # although float() takes them
+    return issubclass(kind, Real) and kind is not bool
+
+
 def _as_xy(points: list) -> np.ndarray | None:
     """``points`` as a (V, 2) float64 array, each coordinate converted as
-    float() does; None if some point is not an (x, y) pair of numbers."""
+    float() does; None if some point is not an (x, y) pair of real numbers."""
     if not set(map(type, points)) <= {list, tuple} and not all(
         isinstance(pt, (list, tuple)) for pt in points
     ):
@@ -205,9 +212,12 @@ def _as_xy(points: list) -> np.ndarray | None:
         return None
     if lengths - {2}:
         points = [pt[:2] for pt in points]
+    coords = list(chain.from_iterable(points))
+    if not all(map(_real, set(map(type, coords)))):
+        return None
     try:
-        return np.fromiter(map(float, chain.from_iterable(points)), float).reshape(-1, 2)
-    except (TypeError, ValueError, OverflowError):
+        return np.fromiter(coords, float, count=len(coords)).reshape(-1, 2)
+    except OverflowError:
         return None
 
 

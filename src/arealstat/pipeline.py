@@ -2,11 +2,12 @@
 
 One staged executor covers the full pipeline and every subcommand subset,
 so a partial run's files and report sections are byte-identical to the
-matching pieces of a full run.  Three tables decide what each subcommand
-does: ``_STAGES`` lists the stages it runs, ``_SECTIONS`` the report
-sections it builds and lays out in report.txt, and ``_FILES`` the files it
-writes.  Any stage failure surfaces as a PipelineError tagged with the
-stage name.
+matching pieces of a full run.  Two tables decide what each subcommand
+does: ``_STAGES`` lists the stages it runs, each of which records in the
+report the section it completes, and ``_FILES`` lists the files it writes.
+A third, ``_SECTIONS``, only lays out report.txt.  Any stage failure,
+also one while a section is built, surfaces as a PipelineError tagged with
+the stage name.
 """
 
 from __future__ import annotations
@@ -220,11 +221,9 @@ class _Context:
 
     config: PipelineConfig
     dataset: MergedDataset | None = None
-    dropped_missing: list = field(default_factory=list)
     links: _weights.SpatialWeights | None = None
     island_ids: list = field(default_factory=list)
     gi: _hotspot.HotspotResult | None = None
-    summary_rows: list = field(default_factory=list)
     z_outcome: np.ndarray | None = None
     z_columns: dict = field(default_factory=dict)
     design_full: _ols.DesignMatrix | None = None
@@ -232,7 +231,6 @@ class _Context:
     design_vif: _ols.DesignMatrix | None = None
     stepwise_trace: list = field(default_factory=list)
     design_step: _ols.DesignMatrix | None = None
-    sig_removed: list = field(default_factory=list)
     design_final: _ols.DesignMatrix | None = None
     fit_final: _ols.OlsFit | None = None
     diagnostics: _ols.DiagnosticsReport | None = None
@@ -240,17 +238,11 @@ class _Context:
     lm_suite: _ols.LmSuite | None = None
     spatial_skip_reason: str | None = None
     decision: str | None = None
-    decision_warning: str | None = None
     spatial_fit: _spatial.SpatialFit | None = None
-    comparison: _spatial.ModelComparison | None = None
     cluster_features: list = field(default_factory=list)
-    dendrogram: _cluster.Dendrogram | None = None
     assignments: np.ndarray | None = None
-    profiles: list = field(default_factory=list)
-    spearman_column: str | None = None
-    spearman_rows: list = field(default_factory=list)
-    spearman_skip_reason: str | None = None
-    # the report before _sanitize; the CSV tables are written from its sections
+    # the report before _sanitize: each stage records the section it
+    # completes there, and the CSV tables are written from those sections
     report: dict = field(default_factory=dict)
 
 
@@ -275,6 +267,22 @@ def _read(path: str, what: str) -> bytes:
         raise ValueError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _coef_rows(names, beta, se, p, t=None) -> list[dict]:
+    rows = []
+    for i, name in enumerate(names):
+        row = {
+            "name": name,
+            "coefficient": float(beta[i]),
+            "se": None if se is None else float(se[i]),
+            "p": None if p is None else float(p[i]),
+            "stars": "" if p is None else _stars(float(p[i])),
+        }
+        if t is not None:
+            row["t"] = float(t[i])
+        rows.append(row)
+    return rows
+
+
 def _stage_ingest(ctx: _Context) -> None:
     cfg = ctx.config
     geo_bytes = _read(cfg.geometry_path, "geometry")
@@ -294,7 +302,11 @@ def _stage_ingest(ctx: _Context) -> None:
     if reduced.n < 3:
         raise ValueError(f"only {reduced.n} units remain after merge and missing-value drops")
     ctx.dataset = reduced
-    ctx.dropped_missing = dropped_missing
+    ctx.report["dropped_units"] = {
+        "geometry_only": reduced.dropped_geometry_ids,
+        "attributes_only": reduced.dropped_table_ids,
+        "missing_values": dropped_missing,
+    }
 
 
 def _stage_weights(ctx: _Context) -> None:
@@ -305,10 +317,27 @@ def _stage_weights(ctx: _Context) -> None:
     ctx.links = build(ctx.dataset.units, cfg.snap_tolerance)
     islands = _weights.detect_islands(ctx.links)
     ctx.island_ids = [ctx.dataset.units.ids[i] for i in islands]
+    ctx.report["weights"] = {
+        "n": ctx.links.n,
+        "contiguity": cfg.contiguity,
+        "mode": "row-standardized",
+        "directed_links": int(ctx.links.matrix.nnz),
+        "islands": list(ctx.island_ids),
+    }
 
 
 def _stage_summarize(ctx: _Context) -> None:
-    ctx.summary_rows = _stats.summarize(ctx.dataset.table)
+    ctx.report["summary"] = [
+        {
+            "name": r.name,
+            "mean": r.mean,
+            "sd": r.sd,
+            "n": r.n,
+            "min": r.minimum,
+            "max": r.maximum,
+        }
+        for r in _stats.summarize(ctx.dataset.table)
+    ]
 
 
 def _stage_zscore(ctx: _Context) -> None:
@@ -331,6 +360,15 @@ def _stage_zscore(ctx: _Context) -> None:
 def _stage_gi_star(ctx: _Context) -> None:
     x = ctx.dataset.table.column(ctx.config.outcome_column)
     ctx.gi = _hotspot.gi_star(ctx.links, x, fdr_alpha=ctx.config.fdr_alpha)
+    counts = {c: 0 for c in _hotspot.CLASS_ORDER}
+    for c in ctx.gi.classes:
+        counts[c] += 1
+    ctx.report["hotspot"] = {
+        "fdr_alpha": ctx.config.fdr_alpha,
+        "counts": counts,
+        "max_z": float(np.max(ctx.gi.z)),
+        "min_z": float(np.min(ctx.gi.z)),
+    }
 
 
 def _stage_vif_prune(ctx: _Context) -> None:
@@ -351,7 +389,18 @@ def _stage_significance(ctx: _Context) -> None:
     )
     ctx.design_final = design
     ctx.fit_final = final_fit
-    ctx.sig_removed = removed
+    ctx.report["selection"] = {
+        "candidates": list(ctx.config.candidate_predictor_columns),
+        "vif_removed": [
+            {"column": name, "vif": float(v)} for name, v in ctx.vif_removed
+        ],
+        "stepwise_trace": [
+            {"action": t["action"], "column": t["column"], "aic": float(t["aic"])}
+            for t in ctx.stepwise_trace
+        ],
+        "significance_removed": list(removed),
+        "final_columns": list(design.slope_names),
+    }
 
 
 def _stage_diagnostics(ctx: _Context) -> None:
@@ -377,47 +426,106 @@ def _island_guidance(ctx: _Context) -> str:
 
 
 def _stage_lm(ctx: _Context) -> None:
+    lm = None
     if ctx.island_ids:
-        if ctx.config.allow_islands:
-            ctx.spatial_skip_reason = _island_guidance(ctx)
-            return
-        raise ValueError(_island_guidance(ctx))
-    ctx.lm_suite = _ols.lm_tests(
-        ctx.design_final, ctx.z_outcome, ctx.fit_final, ctx.links
-    )
+        if not ctx.config.allow_islands:
+            raise ValueError(_island_guidance(ctx))
+        ctx.spatial_skip_reason = _island_guidance(ctx)
+    else:
+        ctx.lm_suite = _ols.lm_tests(
+            ctx.design_final, ctx.z_outcome, ctx.fit_final, ctx.links
+        )
+        lm = {
+            name: {"stat": float(stat), "p": float(p)}
+            for name, stat, p in ctx.lm_suite.as_rows()
+        }
+        lm["degenerate"] = bool(ctx.lm_suite.degenerate)
+    fit = ctx.fit_final
+    diag = ctx.diagnostics
+    kb = diag.koenker_bassett
+    ctx.report["ols"] = {
+        "coefficients": _coef_rows(fit.names, fit.beta, fit.se, fit.p, t=fit.t),
+        "n": fit.n,
+        "q": fit.q,
+        "r2": float(fit.r2),
+        "adj_r2": float(fit.adj_r2),
+        "sigma2": float(fit.sigma2),
+        "sigma2_ml": float(fit.sigma2_ml),
+        "log_likelihood": float(fit.log_likelihood),
+        "aic": float(fit.aic),
+        "diagnostics": {
+            "jarque_bera": {"stat": float(diag.jarque_bera[0]), "p": float(diag.jarque_bera[1])},
+            "koenker_bassett": (
+                None if kb is None else {"stat": float(kb[0]), "p": float(kb[1])}
+            ),
+            "koenker_bassett_skipped": ctx.kb_skipped,
+            "condition_number": float(diag.condition_number),
+        },
+        "lm_tests": lm,
+    }
 
 
 def _stage_decision(ctx: _Context) -> None:
-    if ctx.spatial_skip_reason:
-        return
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            ctx.decision = _ols.model_decision(ctx.lm_suite, ctx.config.alpha)
-        except ValueError as exc:
-            if ctx.design_final.q > 1:
-                raise
-            raise ValueError(
-                f"{exc}: the final model retained no predictor, so the spatial "
-                "lag and error models coincide"
-            ) from None
-    for w in caught:
-        ctx.decision_warning = str(w.message)
+    warning = None
+    if not ctx.spatial_skip_reason:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                ctx.decision = _ols.model_decision(ctx.lm_suite, ctx.config.alpha)
+            except ValueError as exc:
+                if ctx.design_final.q > 1:
+                    raise
+                raise ValueError(
+                    f"{exc}: the final model retained no predictor, so the spatial "
+                    "lag and error models coincide"
+                ) from None
+        if caught:
+            warning = str(caught[-1].message)
+    ctx.report["decision"] = {
+        "alpha": ctx.config.alpha,
+        "decision": ctx.decision,
+        "warning": warning,
+        "skipped_reason": ctx.spatial_skip_reason,
+    }
 
 
 def _stage_spatial(ctx: _Context) -> None:
+    ctx.report["spatial"] = None
     if ctx.spatial_skip_reason or ctx.decision == "stay-OLS":
         return
     fit_fn = (
         _spatial.fit_error_ml if ctx.decision == "fit-error" else _spatial.fit_lag_ml
     )
-    ctx.spatial_fit = fit_fn(ctx.design_final, ctx.z_outcome, ctx.links)
+    sf = ctx.spatial_fit = fit_fn(ctx.design_final, ctx.z_outcome, ctx.links)
+    param_name = "lambda" if sf.kind == "error" else "rho"
+    # the spatial parameter's row follows the intercept's
+    names = [sf.names[0], param_name, *sf.names[1:]]
+    beta = [sf.beta[0], sf.param, *sf.beta[1:]]
+    se = p = None
+    if sf.se_available:
+        se = [sf.beta_se[0], sf.param_se, *sf.beta_se[1:]]
+        p = [sf.beta_p[0], sf.param_p, *sf.beta_p[1:]]
+    ctx.report["spatial"] = {
+        "kind": sf.kind,
+        "coefficients": _coef_rows(names, beta, se, p),
+        "sigma2": float(sf.sigma2),
+        "log_likelihood": float(sf.log_likelihood),
+        "aic": float(sf.aic),
+        "pseudo_r2": float(sf.pseudo_r2),
+        "se_available": bool(sf.se_available),
+    }
 
 
 def _stage_compare(ctx: _Context) -> None:
+    ctx.report["comparison"] = None
     if ctx.spatial_fit is None:
         return
-    ctx.comparison = _spatial.compare(ctx.fit_final, ctx.spatial_fit)
+    comparison = _spatial.compare(ctx.fit_final, ctx.spatial_fit)
+    ctx.report["comparison"] = {
+        "rows": [dict(r) for r in comparison.rows],
+        "preferred": comparison.preferred,
+        "note": comparison.note,
+    }
 
 
 def _final_slope_ranking(ctx: _Context) -> list[str]:
@@ -440,8 +548,7 @@ def _stage_cluster(ctx: _Context) -> None:
     count = min(ctx.config.top_features_for_grouping, len(ranked))
     ctx.cluster_features = ranked[:count]
     points = np.column_stack([ctx.z_columns[c] for c in ctx.cluster_features])
-    ctx.dendrogram = _cluster.ward_cluster(points)
-    ctx.assignments = _cluster.cut(ctx.dendrogram, ctx.config.group_k)
+    ctx.assignments = _cluster.cut(_cluster.ward_cluster(points), ctx.config.group_k)
 
 
 def _stage_profile(ctx: _Context) -> None:
@@ -449,190 +556,7 @@ def _stage_profile(ctx: _Context) -> None:
     feats = np.column_stack(
         [ctx.z_outcome] + [ctx.z_columns[c] for c in ctx.cluster_features]
     )
-    ctx.profiles = _cluster.profile(ctx.assignments, feats, names)
-
-
-def _stage_spearman(ctx: _Context) -> None:
-    cfg = ctx.config
-    column = cfg.spearman_column
-    if column is None and ctx.vif_removed:
-        column = ctx.vif_removed[0][0]
-    if column is None:
-        ctx.spearman_skip_reason = (
-            "no comparison column configured and collinearity pruning removed nothing"
-        )
-        return
-    ctx.spearman_column = column
-    base = ctx.dataset.table.column(column)
-    rows = []
-    for versus in [cfg.outcome_column] + ctx.cluster_features:
-        if versus == column:
-            continue
-        rho, p = _stats.spearman(base, ctx.dataset.table.column(versus))
-        rows.append({"versus": versus, "rho": rho, "p": p, "stars": _stars(p)})
-    ctx.spearman_rows = rows
-
-
-# ---------------------------------------------------------------------------
-# report assembly
-
-
-def _coef_rows(names, beta, se, p, t=None) -> list[dict]:
-    rows = []
-    for i, name in enumerate(names):
-        row = {
-            "name": name,
-            "coefficient": float(beta[i]),
-            "se": None if se is None else float(se[i]),
-            "p": None if p is None else float(p[i]),
-            "stars": "" if p is None else _stars(float(p[i])),
-        }
-        if t is not None:
-            row["t"] = float(t[i])
-        rows.append(row)
-    return rows
-
-
-def _section_config(ctx: _Context) -> dict:
-    return asdict(ctx.config)
-
-
-def _section_dropped_units(ctx: _Context) -> dict:
-    return {
-        "geometry_only": ctx.dataset.dropped_geometry_ids,
-        "attributes_only": ctx.dataset.dropped_table_ids,
-        "missing_values": ctx.dropped_missing,
-    }
-
-
-def _section_weights(ctx: _Context) -> dict:
-    return {
-        "n": ctx.links.n,
-        "contiguity": ctx.config.contiguity,
-        "mode": "row-standardized",
-        "directed_links": int(ctx.links.matrix.nnz),
-        "islands": list(ctx.island_ids),
-    }
-
-
-def _section_summary(ctx: _Context) -> list[dict]:
-    return [
-        {
-            "name": r.name,
-            "mean": r.mean,
-            "sd": r.sd,
-            "n": r.n,
-            "min": r.minimum,
-            "max": r.maximum,
-        }
-        for r in ctx.summary_rows
-    ]
-
-
-def _section_hotspot(ctx: _Context) -> dict:
-    counts = {c: 0 for c in _hotspot.CLASS_ORDER}
-    for c in ctx.gi.classes:
-        counts[c] += 1
-    return {
-        "fdr_alpha": ctx.config.fdr_alpha,
-        "counts": counts,
-        "max_z": float(np.max(ctx.gi.z)),
-        "min_z": float(np.min(ctx.gi.z)),
-    }
-
-
-def _section_selection(ctx: _Context) -> dict:
-    return {
-        "candidates": list(ctx.config.candidate_predictor_columns),
-        "vif_removed": [
-            {"column": name, "vif": float(v)} for name, v in ctx.vif_removed
-        ],
-        "stepwise_trace": [
-            {"action": t["action"], "column": t["column"], "aic": float(t["aic"])}
-            for t in ctx.stepwise_trace
-        ],
-        "significance_removed": list(ctx.sig_removed),
-        "final_columns": list(ctx.design_final.slope_names),
-    }
-
-
-def _section_ols(ctx: _Context) -> dict:
-    fit = ctx.fit_final
-    diag = ctx.diagnostics
-    kb = diag.koenker_bassett
-    lm = None
-    if ctx.lm_suite is not None:
-        lm = {
-            name: {"stat": float(stat), "p": float(p)}
-            for name, stat, p in ctx.lm_suite.as_rows()
-        }
-        lm["degenerate"] = bool(ctx.lm_suite.degenerate)
-    return {
-        "coefficients": _coef_rows(fit.names, fit.beta, fit.se, fit.p, t=fit.t),
-        "n": fit.n,
-        "q": fit.q,
-        "r2": float(fit.r2),
-        "adj_r2": float(fit.adj_r2),
-        "sigma2": float(fit.sigma2),
-        "sigma2_ml": float(fit.sigma2_ml),
-        "log_likelihood": float(fit.log_likelihood),
-        "aic": float(fit.aic),
-        "diagnostics": {
-            "jarque_bera": {"stat": float(diag.jarque_bera[0]), "p": float(diag.jarque_bera[1])},
-            "koenker_bassett": (
-                None if kb is None else {"stat": float(kb[0]), "p": float(kb[1])}
-            ),
-            "koenker_bassett_skipped": ctx.kb_skipped,
-            "condition_number": float(diag.condition_number),
-        },
-        "lm_tests": lm,
-    }
-
-
-def _section_decision(ctx: _Context) -> dict:
-    return {
-        "alpha": ctx.config.alpha,
-        "decision": ctx.decision,
-        "warning": ctx.decision_warning,
-        "skipped_reason": ctx.spatial_skip_reason,
-    }
-
-
-def _section_spatial(ctx: _Context):
-    if ctx.spatial_fit is None:
-        return None
-    sf = ctx.spatial_fit
-    param_name = "lambda" if sf.kind == "error" else "rho"
-    # the spatial parameter's row follows the intercept's
-    names = [sf.names[0], param_name, *sf.names[1:]]
-    beta = [sf.beta[0], sf.param, *sf.beta[1:]]
-    se = p = None
-    if sf.se_available:
-        se = [sf.beta_se[0], sf.param_se, *sf.beta_se[1:]]
-        p = [sf.beta_p[0], sf.param_p, *sf.beta_p[1:]]
-    return {
-        "kind": sf.kind,
-        "coefficients": _coef_rows(names, beta, se, p),
-        "sigma2": float(sf.sigma2),
-        "log_likelihood": float(sf.log_likelihood),
-        "aic": float(sf.aic),
-        "pseudo_r2": float(sf.pseudo_r2),
-        "se_available": bool(sf.se_available),
-    }
-
-
-def _section_comparison(ctx: _Context):
-    if ctx.comparison is None:
-        return None
-    return {
-        "rows": [dict(r) for r in ctx.comparison.rows],
-        "preferred": ctx.comparison.preferred,
-        "note": ctx.comparison.note,
-    }
-
-
-def _section_groups(ctx: _Context) -> dict:
-    return {
+    ctx.report["groups"] = {
         "k": ctx.config.group_k,
         "linkage": "ward-d2",
         "features": list(ctx.cluster_features),
@@ -644,18 +568,31 @@ def _section_groups(ctx: _Context) -> dict:
                 "means": {n: float(m) for n, m in zip(pr.feature_names, pr.means)},
                 "labels": dict(zip(pr.feature_names, pr.labels)),
             }
-            for pr in ctx.profiles
+            for pr in _cluster.profile(ctx.assignments, feats, names)
         ],
     }
 
 
-def _section_spearman(ctx: _Context) -> dict:
-    if ctx.spearman_skip_reason:
-        return {"skipped_reason": ctx.spearman_skip_reason}
-    return {
-        "column": ctx.spearman_column,
-        "rows": [dict(r) for r in ctx.spearman_rows],
-    }
+def _stage_spearman(ctx: _Context) -> None:
+    cfg = ctx.config
+    column = cfg.spearman_column
+    if column is None and ctx.vif_removed:
+        column = ctx.vif_removed[0][0]
+    if column is None:
+        ctx.report["spearman"] = {
+            "skipped_reason": (
+                "no comparison column configured and collinearity pruning removed nothing"
+            )
+        }
+        return
+    base = ctx.dataset.table.column(column)
+    rows = []
+    for versus in [cfg.outcome_column] + ctx.cluster_features:
+        if versus == column:
+            continue
+        rho, p = _stats.spearman(base, ctx.dataset.table.column(versus))
+        rows.append({"versus": versus, "rho": rho, "p": p, "stars": _stars(p)})
+    ctx.report["spearman"] = {"column": column, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -802,11 +739,31 @@ def _text_spearman(s: dict) -> list[str]:
     ]
 
 
+# Every report section in report.txt order: its key, its heading (a format
+# string over the section's fields) and its text renderer.  Each stage
+# records the section it completes; report.txt leaves out a section that
+# the run did not record or recorded as None.
+_SECTIONS = (
+    ("config", "config", _text_config),
+    ("dropped_units", "dropped units", _text_dropped_units),
+    ("weights", "weights", _text_weights),
+    ("summary", "summary", _text_summary),
+    ("hotspot", "hot and cold spots", _text_hotspot),
+    ("selection", "model selection", _text_selection),
+    ("ols", "final least-squares fit", _text_ols),
+    ("decision", "decision", _text_decision),
+    ("spatial", "spatial {kind} model", _text_spatial),
+    ("comparison", "model comparison", _text_comparison),
+    ("groups", "groups", _text_groups),
+    ("spearman", "rank correlations", _text_spearman),
+)
+
+
 def _render_report_text(report: dict) -> str:
     tool = report["tool"]
     title = f"{tool['name']} {tool['version']} report ({tool['command']})"
     lines = [title, "=" * len(title), ""]
-    for key, _, heading, render, _ in _SECTIONS:
+    for key, heading, render in _SECTIONS:
         section = report.get(key)
         if section is not None:
             heading = heading.format_map(section)
@@ -1028,25 +985,6 @@ _STAGES = (
     ("spearman", _stage_spearman, ("pipeline",)),
 )
 
-# Every report section in report.txt order: its key, its builder, its
-# heading (a format string over the section's fields), its text renderer
-# and the subcommands whose report holds it.  report.txt leaves out a
-# section built as None.
-_SECTIONS = (
-    ("config", _section_config, "config", _text_config, SUBCOMMANDS),
-    ("dropped_units", _section_dropped_units, "dropped units", _text_dropped_units, SUBCOMMANDS),
-    ("weights", _section_weights, "weights", _text_weights, SUBCOMMANDS),
-    ("summary", _section_summary, "summary", _text_summary, ("pipeline",)),
-    ("hotspot", _section_hotspot, "hot and cold spots", _text_hotspot, ("hotspot", "pipeline")),
-    ("selection", _section_selection, "model selection", _text_selection, _MODEL),
-    ("ols", _section_ols, "final least-squares fit", _text_ols, _MODEL),
-    ("decision", _section_decision, "decision", _text_decision, _MODEL),
-    ("spatial", _section_spatial, "spatial {kind} model", _text_spatial, _MODEL),
-    ("comparison", _section_comparison, "model comparison", _text_comparison, _MODEL),
-    ("groups", _section_groups, "groups", _text_groups, _GROUPS),
-    ("spearman", _section_spearman, "rank correlations", _text_spearman, ("pipeline",)),
-)
-
 # Every file writer in writing order and the subcommands that run it; each
 # run then writes report.json and report.txt last.
 _FILES = (
@@ -1067,15 +1005,12 @@ def _run(config: PipelineConfig, which: str) -> dict:
     with _stage("config"):
         config.validate()
         os.makedirs(config.output_dir, exist_ok=True)
-    ctx = _Context(config=config)
+    tool = {"name": "arealstat", "version": __version__, "command": which}
+    ctx = _Context(config=config, report={"tool": tool, "config": asdict(config)})
     for tag, run_stage, subcommands in _STAGES:
         if which in subcommands:
             with _stage(tag):
                 run_stage(ctx)
-    ctx.report = {"tool": {"name": "arealstat", "version": __version__, "command": which}}
-    for key, build, _, _, subcommands in _SECTIONS:
-        if which in subcommands:
-            ctx.report[key] = build(ctx)
     with _stage("outputs"):
         for write, subcommands in _FILES:
             if which in subcommands:

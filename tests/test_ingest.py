@@ -299,9 +299,10 @@ class TestCoordinateValues:
         with pytest.raises(ValueError, match=r"feature 2 \('C'\) polygon 0 ring 0: .*pair"):
             parse_geometry(three_squares((1.0, "x"), index=2), "GEOID")
 
-    def test_numeric_string_converts_as_float_does(self):
-        units = parse_geometry(three_squares(("4.0", "0")), "GEOID")
-        assert units[1].geometry == ((tuple(square_ring(3.0, 0)),),)
+    def test_numeric_string_is_refused(self):
+        # float() reads "4.0", but a GeoJSON position holds numbers only
+        with pytest.raises(ValueError, match=r"feature 1 \('B'\) polygon 0 ring 0: .*pair"):
+            parse_geometry(three_squares(("4.0", "0")), "GEOID")
 
     @pytest.mark.parametrize("z_points", [range(5), [0, 4], [2]])
     def test_third_coordinate_is_dropped(self, z_points):
@@ -360,6 +361,58 @@ class TestCoordinateValues:
         missing_id["features"][1]["properties"] = {}
         with pytest.raises(ValueError, match="ring 1: ring is not closed"):
             parse_geometry(json.dumps(missing_id), "GEOID")
+
+    @pytest.mark.parametrize("bad", [True, False, "0", "1.5"], ids=repr)
+    def test_coordinate_that_is_not_a_number_is_refused(self, bad):
+        ring = list(map(list, square_ring(3, 0)))
+        ring[2][1] = bad
+        text = feature_collection(
+            [
+                polygon_feature("u0", square_ring(0, 0)),
+                {
+                    "type": "Feature",
+                    "properties": {"GEOID": "u1"},
+                    "geometry": {
+                        "type": "MultiPolygon",
+                        "coordinates": [[square_ring(6, 0)], [square_ring(9, 0, 4.0), ring]],
+                    },
+                },
+            ]
+        )
+        message = (
+            "feature 1 ('u1') polygon 1 ring 1: "
+            "ring point must be an (x, y) pair of finite numbers"
+        )
+        with pytest.raises(ValueError) as err:
+            parse_geometry(text, "GEOID")
+        assert str(err.value) == message
+        hand_built = [
+            AreaUnit(id="u0", geometry=((tuple(square_ring(0, 0)),),), properties={}),
+            AreaUnit(
+                id="u1",
+                geometry=(
+                    (tuple(square_ring(6, 0)),),
+                    (tuple(square_ring(9, 0, 4.0)), tuple(map(tuple, ring))),
+                ),
+                properties={},
+            ),
+        ]
+        with pytest.raises(ValueError) as err:
+            AreaUnits.of(hand_built)
+        assert str(err.value) == message
+
+    def test_numpy_booleans_are_refused_as_coordinates(self):
+        ring = [(np.True_, 0.0)] + square_ring(0, 0)[1:-1] + [(np.True_, 0.0)]
+        with pytest.raises(ValueError, match=r"^feature 0 \('A'\) polygon 0 ring 0: ring point"):
+            AreaUnits.of([AreaUnit(id="A", geometry=((tuple(ring),),), properties={})])
+
+    @pytest.mark.parametrize(
+        "kind", [int, float, np.int32, np.int64, np.float32, np.float64], ids=repr
+    )
+    def test_int_float_and_numpy_number_coordinates_are_read(self, kind):
+        ring = [(kind(x), kind(y)) for x, y in square_ring(2, 1, 4)]
+        got = AreaUnits.of([AreaUnit(id="A", geometry=((tuple(ring),),), properties={})])
+        assert got[0].geometry == ((tuple(square_ring(2.0, 1.0, 4.0)),),)
 
     def test_hand_built_units_get_the_same_checks(self):
         ring = tuple(square_ring(0, 0)[:-1]) + ((0.5, 0.5),)

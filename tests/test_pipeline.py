@@ -320,6 +320,38 @@ class TestFullRun:
                     assert fh.read() == before[name], f"{sub}/{name}"
         run_pipeline(config)  # restore full report files
 
+    def test_subcommand_sections_match_full_run(self, county_run):
+        # each subcommand writes where the full run did, so the config
+        # sections echo the same output_dir
+        config, _ = county_run
+        saved = {}
+        for name in ("report.json", "report.txt"):
+            with open(os.path.join(config.output_dir, name), "rb") as fh:
+                saved[name] = fh.read()
+
+        def blocks(text):
+            # report.txt's sections by heading; the title block names the command
+            title, *sections = text.rstrip("\n").split("\n\n")
+            return {block.split("\n", 1)[0]: block for block in sections}
+
+        full_report, full_text = _read_outputs(config.output_dir)
+        full_blocks = blocks(full_text)
+        try:
+            for sub in ("weights", "hotspot", "regress", "cluster"):
+                run_subcommand(config, sub)
+                report, text = _read_outputs(config.output_dir)
+                assert report["tool"]["command"] == sub
+                for key in set(report) - {"tool"}:
+                    assert report[key] == full_report[key], f"{sub}/{key}"
+                sub_blocks = blocks(text)
+                assert sub_blocks
+                for heading, block in sub_blocks.items():
+                    assert block == full_blocks[heading], f"{sub}/{heading}"
+        finally:
+            for name, data in saved.items():
+                with open(os.path.join(config.output_dir, name), "wb") as fh:
+                    fh.write(data)
+
     def test_augmented_geometry_carries_scores_and_groups(self, county_run):
         config, report = county_run
         with open(os.path.join(config.output_dir, "augmented.geojson")) as fh:
