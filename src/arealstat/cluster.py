@@ -140,6 +140,8 @@ def ward_cluster(points: np.ndarray) -> Dendrogram:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
+    if pts.shape[1] == 0:
+        raise ValueError("points must have at least one column")
     n = pts.shape[0]
     if n < 2:
         raise ValueError("grouping needs at least 2 points")
@@ -229,6 +231,11 @@ def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
     n = dendrogram.n
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in 1..{n}, got {k}")
+    if len(dendrogram.merges) < n - k:
+        raise ValueError(
+            f"the dendrogram holds {len(dendrogram.merges)} merges; "
+            f"{n - k} are needed to cut {n} leaves into {k} groups"
+        )
     # root[c] is the cluster that c lies in after the first n-k merges
     root = list(range(2 * n - k))
     for s in range(n - k - 1, -1, -1):

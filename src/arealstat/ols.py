@@ -27,7 +27,6 @@ __all__ = [
     "jarque_bera",
     "koenker_bassett",
     "condition_number",
-    "DiagnosticsReport",
     "LmSuite",
     "lm_tests",
     "model_decision",
@@ -421,16 +420,6 @@ def condition_number(X: DesignMatrix) -> float:
     if lam_min < lam_max * 1e-12:
         return math.inf
     return math.sqrt(lam_max / lam_min)
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Residual diagnostics for one fitted regression; ``koenker_bassett``
-    is None when the design has no slope to test against."""
-
-    jarque_bera: tuple[float, float]
-    koenker_bassett: tuple[float, float] | None
-    condition_number: float
 
 
 @dataclass(eq=False)

@@ -3,11 +3,11 @@
 One staged executor covers the full pipeline and every subcommand subset,
 so a partial run's files and report sections are byte-identical to the
 matching pieces of a full run.  Two tables decide what each subcommand
-does: ``_STAGES`` lists the stages it runs, each of which records in the
-report the section it completes, and ``_FILES`` lists the files it writes.
-A third, ``_SECTIONS``, only lays out report.txt.  Any stage failure,
-also one while a section is built, surfaces as a PipelineError tagged with
-the stage name.
+does.  ``_STAGES`` has one row per report section, in report order: the
+stage that builds the section, the subcommands that run it, the section's
+key, and its report.txt heading and text renderer.  ``_FILES`` lists the
+files each subcommand writes.  Any stage failure, also one while a section
+is built, surfaces as a PipelineError tagged with the stage name.
 """
 
 from __future__ import annotations
@@ -226,23 +226,16 @@ class _Context:
     gi: _hotspot.HotspotResult | None = None
     z_outcome: np.ndarray | None = None
     z_columns: dict = field(default_factory=dict)
-    design_full: _ols.DesignMatrix | None = None
-    vif_removed: list = field(default_factory=list)
-    design_vif: _ols.DesignMatrix | None = None
-    stepwise_trace: list = field(default_factory=list)
-    design_step: _ols.DesignMatrix | None = None
     design_final: _ols.DesignMatrix | None = None
     fit_final: _ols.OlsFit | None = None
-    diagnostics: _ols.DiagnosticsReport | None = None
-    kb_skipped: str | None = None
     lm_suite: _ols.LmSuite | None = None
     spatial_skip_reason: str | None = None
     decision: str | None = None
     spatial_fit: _spatial.SpatialFit | None = None
     cluster_features: list = field(default_factory=list)
     assignments: np.ndarray | None = None
-    # the report before _sanitize: each stage records the section it
-    # completes there, and the CSV tables are written from those sections
+    # the report before _sanitize: each stage's section is stored there
+    # under its key, and the CSV tables are written from those sections
     report: dict = field(default_factory=dict)
 
 
@@ -283,7 +276,7 @@ def _coef_rows(names, beta, se, p, t=None) -> list[dict]:
     return rows
 
 
-def _stage_ingest(ctx: _Context) -> None:
+def _stage_ingest(ctx: _Context) -> dict:
     cfg = ctx.config
     geo_bytes = _read(cfg.geometry_path, "geometry")
     attr_bytes = _read(cfg.attributes_path, "attributes")
@@ -302,14 +295,14 @@ def _stage_ingest(ctx: _Context) -> None:
     if reduced.n < 3:
         raise ValueError(f"only {reduced.n} units remain after merge and missing-value drops")
     ctx.dataset = reduced
-    ctx.report["dropped_units"] = {
+    return {
         "geometry_only": reduced.dropped_geometry_ids,
         "attributes_only": reduced.dropped_table_ids,
         "missing_values": dropped_missing,
     }
 
 
-def _stage_weights(ctx: _Context) -> None:
+def _stage_weights(ctx: _Context) -> dict:
     cfg = ctx.config
     build = (
         _weights.queen_contiguity if cfg.contiguity == "queen" else _weights.rook_contiguity
@@ -317,7 +310,7 @@ def _stage_weights(ctx: _Context) -> None:
     ctx.links = build(ctx.dataset.units, cfg.snap_tolerance)
     islands = _weights.detect_islands(ctx.links)
     ctx.island_ids = [ctx.dataset.units.ids[i] for i in islands]
-    ctx.report["weights"] = {
+    return {
         "n": ctx.links.n,
         "contiguity": cfg.contiguity,
         "mode": "row-standardized",
@@ -326,8 +319,8 @@ def _stage_weights(ctx: _Context) -> None:
     }
 
 
-def _stage_summarize(ctx: _Context) -> None:
-    ctx.report["summary"] = [
+def _stage_summarize(ctx: _Context) -> list[dict]:
+    return [
         {
             "name": r.name,
             "mean": r.mean,
@@ -340,7 +333,21 @@ def _stage_summarize(ctx: _Context) -> None:
     ]
 
 
-def _stage_zscore(ctx: _Context) -> None:
+def _stage_gi_star(ctx: _Context) -> dict:
+    x = ctx.dataset.table.column(ctx.config.outcome_column)
+    ctx.gi = _hotspot.gi_star(ctx.links, x, fdr_alpha=ctx.config.fdr_alpha)
+    counts = {c: 0 for c in _hotspot.CLASS_ORDER}
+    for c in ctx.gi.classes:
+        counts[c] += 1
+    return {
+        "fdr_alpha": ctx.config.fdr_alpha,
+        "counts": counts,
+        "max_z": float(np.max(ctx.gi.z)),
+        "min_z": float(np.min(ctx.gi.z)),
+    }
+
+
+def _stage_selection(ctx: _Context) -> dict:
     cfg = ctx.config
     table = ctx.dataset.table
 
@@ -352,68 +359,25 @@ def _stage_zscore(ctx: _Context) -> None:
 
     ctx.z_outcome = z(cfg.outcome_column)
     ctx.z_columns = {c: z(c) for c in cfg.candidate_predictor_columns}
-    ctx.design_full = _ols.design_matrix(
+    design = _ols.design_matrix(
         [(c, ctx.z_columns[c]) for c in cfg.candidate_predictor_columns]
     )
-
-
-def _stage_gi_star(ctx: _Context) -> None:
-    x = ctx.dataset.table.column(ctx.config.outcome_column)
-    ctx.gi = _hotspot.gi_star(ctx.links, x, fdr_alpha=ctx.config.fdr_alpha)
-    counts = {c: 0 for c in _hotspot.CLASS_ORDER}
-    for c in ctx.gi.classes:
-        counts[c] += 1
-    ctx.report["hotspot"] = {
-        "fdr_alpha": ctx.config.fdr_alpha,
-        "counts": counts,
-        "max_z": float(np.max(ctx.gi.z)),
-        "min_z": float(np.min(ctx.gi.z)),
-    }
-
-
-def _stage_vif_prune(ctx: _Context) -> None:
-    design, removed = _ols.vif_prune(ctx.design_full, ctx.config.vif_threshold)
-    ctx.design_vif = design
-    ctx.vif_removed = removed
-
-
-def _stage_stepwise(ctx: _Context) -> None:
-    design, _, trace = _ols.stepwise_aic(ctx.design_vif, ctx.z_outcome)
-    ctx.design_step = design
-    ctx.stepwise_trace = trace
-
-
-def _stage_significance(ctx: _Context) -> None:
-    design, final_fit, removed = _ols.significance_prune(
-        ctx.design_step, ctx.z_outcome, ctx.config.alpha
+    design, vif_removed = _ols.vif_prune(design, cfg.vif_threshold)
+    design, _, trace = _ols.stepwise_aic(design, ctx.z_outcome)
+    design, ctx.fit_final, sig_removed = _ols.significance_prune(
+        design, ctx.z_outcome, cfg.alpha
     )
     ctx.design_final = design
-    ctx.fit_final = final_fit
-    ctx.report["selection"] = {
-        "candidates": list(ctx.config.candidate_predictor_columns),
-        "vif_removed": [
-            {"column": name, "vif": float(v)} for name, v in ctx.vif_removed
-        ],
+    return {
+        "candidates": list(cfg.candidate_predictor_columns),
+        "vif_removed": [{"column": name, "vif": float(v)} for name, v in vif_removed],
         "stepwise_trace": [
             {"action": t["action"], "column": t["column"], "aic": float(t["aic"])}
-            for t in ctx.stepwise_trace
+            for t in trace
         ],
-        "significance_removed": list(removed),
+        "significance_removed": list(sig_removed),
         "final_columns": list(design.slope_names),
     }
-
-
-def _stage_diagnostics(ctx: _Context) -> None:
-    jb = _ols.jarque_bera(ctx.fit_final.residuals)
-    cond = _ols.condition_number(ctx.design_final)
-    if ctx.design_final.q >= 2:
-        kb = _ols.koenker_bassett(ctx.design_final, ctx.fit_final.residuals)
-    else:
-        kb = None
-        ctx.kb_skipped = "final model has no slopes; heteroskedasticity test undefined"
-    ctx.diagnostics = _ols.DiagnosticsReport(
-        jarque_bera=jb, koenker_bassett=kb, condition_number=cond
-    )
 
 
 def _island_guidance(ctx: _Context) -> str:
@@ -425,25 +389,28 @@ def _island_guidance(ctx: _Context) -> str:
     )
 
 
-def _stage_lm(ctx: _Context) -> None:
+def _stage_lm(ctx: _Context) -> dict:
+    fit = ctx.fit_final
+    jb = _ols.jarque_bera(fit.residuals)
+    cond = _ols.condition_number(ctx.design_final)
+    kb = kb_skipped = None
+    if ctx.design_final.q >= 2:
+        kb = _ols.koenker_bassett(ctx.design_final, fit.residuals)
+    else:
+        kb_skipped = "final model has no slopes; heteroskedasticity test undefined"
     lm = None
     if ctx.island_ids:
         if not ctx.config.allow_islands:
             raise ValueError(_island_guidance(ctx))
         ctx.spatial_skip_reason = _island_guidance(ctx)
     else:
-        ctx.lm_suite = _ols.lm_tests(
-            ctx.design_final, ctx.z_outcome, ctx.fit_final, ctx.links
-        )
+        ctx.lm_suite = _ols.lm_tests(ctx.design_final, ctx.z_outcome, fit, ctx.links)
         lm = {
             name: {"stat": float(stat), "p": float(p)}
             for name, stat, p in ctx.lm_suite.as_rows()
         }
         lm["degenerate"] = bool(ctx.lm_suite.degenerate)
-    fit = ctx.fit_final
-    diag = ctx.diagnostics
-    kb = diag.koenker_bassett
-    ctx.report["ols"] = {
+    return {
         "coefficients": _coef_rows(fit.names, fit.beta, fit.se, fit.p, t=fit.t),
         "n": fit.n,
         "q": fit.q,
@@ -454,18 +421,18 @@ def _stage_lm(ctx: _Context) -> None:
         "log_likelihood": float(fit.log_likelihood),
         "aic": float(fit.aic),
         "diagnostics": {
-            "jarque_bera": {"stat": float(diag.jarque_bera[0]), "p": float(diag.jarque_bera[1])},
+            "jarque_bera": {"stat": float(jb[0]), "p": float(jb[1])},
             "koenker_bassett": (
                 None if kb is None else {"stat": float(kb[0]), "p": float(kb[1])}
             ),
-            "koenker_bassett_skipped": ctx.kb_skipped,
-            "condition_number": float(diag.condition_number),
+            "koenker_bassett_skipped": kb_skipped,
+            "condition_number": float(cond),
         },
         "lm_tests": lm,
     }
 
 
-def _stage_decision(ctx: _Context) -> None:
+def _stage_decision(ctx: _Context) -> dict:
     warning = None
     if not ctx.spatial_skip_reason:
         with warnings.catch_warnings(record=True) as caught:
@@ -481,7 +448,7 @@ def _stage_decision(ctx: _Context) -> None:
                 ) from None
         if caught:
             warning = str(caught[-1].message)
-    ctx.report["decision"] = {
+    return {
         "alpha": ctx.config.alpha,
         "decision": ctx.decision,
         "warning": warning,
@@ -489,10 +456,9 @@ def _stage_decision(ctx: _Context) -> None:
     }
 
 
-def _stage_spatial(ctx: _Context) -> None:
-    ctx.report["spatial"] = None
+def _stage_spatial(ctx: _Context) -> dict | None:
     if ctx.spatial_skip_reason or ctx.decision == "stay-OLS":
-        return
+        return None
     fit_fn = (
         _spatial.fit_error_ml if ctx.decision == "fit-error" else _spatial.fit_lag_ml
     )
@@ -505,7 +471,7 @@ def _stage_spatial(ctx: _Context) -> None:
     if sf.se_available:
         se = [sf.beta_se[0], sf.param_se, *sf.beta_se[1:]]
         p = [sf.beta_p[0], sf.param_p, *sf.beta_p[1:]]
-    ctx.report["spatial"] = {
+    return {
         "kind": sf.kind,
         "coefficients": _coef_rows(names, beta, se, p),
         "sigma2": float(sf.sigma2),
@@ -516,12 +482,11 @@ def _stage_spatial(ctx: _Context) -> None:
     }
 
 
-def _stage_compare(ctx: _Context) -> None:
-    ctx.report["comparison"] = None
+def _stage_compare(ctx: _Context) -> dict | None:
     if ctx.spatial_fit is None:
-        return
+        return None
     comparison = _spatial.compare(ctx.fit_final, ctx.spatial_fit)
-    ctx.report["comparison"] = {
+    return {
         "rows": [dict(r) for r in comparison.rows],
         "preferred": comparison.preferred,
         "note": comparison.note,
@@ -541,7 +506,7 @@ def _final_slope_ranking(ctx: _Context) -> list[str]:
     return [name for _, _, name in slopes]
 
 
-def _stage_cluster(ctx: _Context) -> None:
+def _stage_cluster(ctx: _Context) -> dict:
     ranked = _final_slope_ranking(ctx)
     if not ranked:
         raise ValueError("final model retained no predictors to group on")
@@ -549,14 +514,9 @@ def _stage_cluster(ctx: _Context) -> None:
     ctx.cluster_features = ranked[:count]
     points = np.column_stack([ctx.z_columns[c] for c in ctx.cluster_features])
     ctx.assignments = _cluster.cut(_cluster.ward_cluster(points), ctx.config.group_k)
-
-
-def _stage_profile(ctx: _Context) -> None:
     names = [ctx.config.outcome_column] + ctx.cluster_features
-    feats = np.column_stack(
-        [ctx.z_outcome] + [ctx.z_columns[c] for c in ctx.cluster_features]
-    )
-    ctx.report["groups"] = {
+    feats = np.column_stack([ctx.z_outcome, points])
+    return {
         "k": ctx.config.group_k,
         "linkage": "ward-d2",
         "features": list(ctx.cluster_features),
@@ -573,18 +533,18 @@ def _stage_profile(ctx: _Context) -> None:
     }
 
 
-def _stage_spearman(ctx: _Context) -> None:
+def _stage_spearman(ctx: _Context) -> dict:
     cfg = ctx.config
     column = cfg.spearman_column
-    if column is None and ctx.vif_removed:
-        column = ctx.vif_removed[0][0]
+    vif_removed = ctx.report["selection"]["vif_removed"]
+    if column is None and vif_removed:
+        column = vif_removed[0]["column"]
     if column is None:
-        ctx.report["spearman"] = {
+        return {
             "skipped_reason": (
                 "no comparison column configured and collinearity pruning removed nothing"
             )
         }
-        return
     base = ctx.dataset.table.column(column)
     rows = []
     for versus in [cfg.outcome_column] + ctx.cluster_features:
@@ -592,7 +552,7 @@ def _stage_spearman(ctx: _Context) -> None:
             continue
         rho, p = _stats.spearman(base, ctx.dataset.table.column(versus))
         rows.append({"versus": versus, "rho": rho, "p": p, "stars": _stars(p)})
-    ctx.report["spearman"] = {"column": column, "rows": rows}
+    return {"column": column, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -739,31 +699,12 @@ def _text_spearman(s: dict) -> list[str]:
     ]
 
 
-# Every report section in report.txt order: its key, its heading (a format
-# string over the section's fields) and its text renderer.  Each stage
-# records the section it completes; report.txt leaves out a section that
-# the run did not record or recorded as None.
-_SECTIONS = (
-    ("config", "config", _text_config),
-    ("dropped_units", "dropped units", _text_dropped_units),
-    ("weights", "weights", _text_weights),
-    ("summary", "summary", _text_summary),
-    ("hotspot", "hot and cold spots", _text_hotspot),
-    ("selection", "model selection", _text_selection),
-    ("ols", "final least-squares fit", _text_ols),
-    ("decision", "decision", _text_decision),
-    ("spatial", "spatial {kind} model", _text_spatial),
-    ("comparison", "model comparison", _text_comparison),
-    ("groups", "groups", _text_groups),
-    ("spearman", "rank correlations", _text_spearman),
-)
-
-
 def _render_report_text(report: dict) -> str:
     tool = report["tool"]
     title = f"{tool['name']} {tool['version']} report ({tool['command']})"
     lines = [title, "=" * len(title), ""]
-    for key, heading, render in _SECTIONS:
+    rows = [("config", "config", _text_config)] + [row[3:] for row in _STAGES]
+    for key, heading, render in rows:
         section = report.get(key)
         if section is not None:
             heading = heading.format_map(section)
@@ -965,24 +906,26 @@ def _write_report(report: dict, outdir: str) -> None:
 _MODEL = ("regress", "cluster", "pipeline")
 _GROUPS = ("cluster", "pipeline")
 
-# Every stage in run order: its tag, its function and the subcommands that run it.
+# One row per report section, in run order and report.txt order: the tag and
+# function of the stage that returns the section, the subcommands that run
+# it, the section's key, and its report.txt heading (a format string over
+# the section's fields) and text renderer.  report.txt opens with the config
+# block and leaves out a section that the run did not record or recorded as
+# None.
 _STAGES = (
-    ("ingest", _stage_ingest, SUBCOMMANDS),
-    ("weights", _stage_weights, SUBCOMMANDS),
-    ("summarize", _stage_summarize, ("pipeline",)),
-    ("zscore", _stage_zscore, _MODEL),
-    ("gi_star", _stage_gi_star, ("hotspot", "pipeline")),
-    ("vif_prune", _stage_vif_prune, _MODEL),
-    ("stepwise_aic", _stage_stepwise, _MODEL),
-    ("significance_prune", _stage_significance, _MODEL),
-    ("diagnostics", _stage_diagnostics, _MODEL),
-    ("lm_tests", _stage_lm, _MODEL),
-    ("model_decision", _stage_decision, _MODEL),
-    ("spatial_fit", _stage_spatial, _MODEL),
-    ("compare", _stage_compare, _MODEL),
-    ("ward_cluster", _stage_cluster, _GROUPS),
-    ("profile", _stage_profile, _GROUPS),
-    ("spearman", _stage_spearman, ("pipeline",)),
+    ("ingest", _stage_ingest, SUBCOMMANDS,
+     "dropped_units", "dropped units", _text_dropped_units),
+    ("weights", _stage_weights, SUBCOMMANDS, "weights", "weights", _text_weights),
+    ("summarize", _stage_summarize, ("pipeline",), "summary", "summary", _text_summary),
+    ("gi_star", _stage_gi_star, ("hotspot", "pipeline"),
+     "hotspot", "hot and cold spots", _text_hotspot),
+    ("selection", _stage_selection, _MODEL, "selection", "model selection", _text_selection),
+    ("lm_tests", _stage_lm, _MODEL, "ols", "final least-squares fit", _text_ols),
+    ("model_decision", _stage_decision, _MODEL, "decision", "decision", _text_decision),
+    ("spatial_fit", _stage_spatial, _MODEL, "spatial", "spatial {kind} model", _text_spatial),
+    ("compare", _stage_compare, _MODEL, "comparison", "model comparison", _text_comparison),
+    ("ward_cluster", _stage_cluster, _GROUPS, "groups", "groups", _text_groups),
+    ("spearman", _stage_spearman, ("pipeline",), "spearman", "rank correlations", _text_spearman),
 )
 
 # Every file writer in writing order and the subcommands that run it; each
@@ -1007,10 +950,10 @@ def _run(config: PipelineConfig, which: str) -> dict:
         os.makedirs(config.output_dir, exist_ok=True)
     tool = {"name": "arealstat", "version": __version__, "command": which}
     ctx = _Context(config=config, report={"tool": tool, "config": asdict(config)})
-    for tag, run_stage, subcommands in _STAGES:
+    for tag, run_stage, subcommands, key, _, _ in _STAGES:
         if which in subcommands:
             with _stage(tag):
-                run_stage(ctx)
+                ctx.report[key] = run_stage(ctx)
     with _stage("outputs"):
         for write, subcommands in _FILES:
             if which in subcommands:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arealstat import cluster
-from arealstat.cluster import _merge_costs, cut, profile, ward_cluster
+from arealstat.cluster import Dendrogram, _merge_costs, cut, profile, ward_cluster
 
 
 def naive_agglomeration(points):
@@ -455,6 +455,10 @@ class TestWardMerges:
         with pytest.raises(ValueError):
             ward_cluster(np.array([[0.0]]))
 
+    def test_rejects_points_without_columns(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            ward_cluster(np.zeros((5, 0)))
+
 
 class TestCut:
     def test_k_equals_n_is_identity_partition(self):
@@ -490,6 +494,13 @@ class TestCut:
         for k in (0, 4, -1):
             with pytest.raises(ValueError):
                 cut(dendro, k)
+
+    def test_rejects_a_tree_short_of_merges(self):
+        # five leaves cut into two groups need three merges; this tree has one
+        dendro = Dendrogram(n=5, merges=[(0, 1, 1.0, 2)])
+        with pytest.raises(ValueError, match="holds 1 merges; 3 are needed"):
+            cut(dendro, 2)
+        assert cut(dendro, 4).tolist() == [1, 1, 2, 3, 4]
 
     def test_consistent_with_merge_replay(self):
         rng = np.random.default_rng(95)

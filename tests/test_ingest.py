@@ -955,8 +955,9 @@ class TestParseAttributes:
             parse_attributes(text, "GEOID")
 
 
-# Reference: the per-cell conversion that parse_attributes replaced, kept
-# verbatim: strip the cell, take a blank one as missing, else float().
+# Reference: the per-cell conversion that parse_attributes replaced: strip
+# the cell, take a blank one as missing, else float(), plus 0.0 so that a
+# -0 cell reads as 0.
 def oracle_attributes(text: str, id_column: str):
     header, *rows = csv.reader(io.StringIO(text))
     id_idx = header.index(id_column)
@@ -974,7 +975,7 @@ def oracle_attributes(text: str, id_column: str):
                 parsed.append(math.nan)
                 continue
             try:
-                parsed.append(float(token))
+                parsed.append(float(token) + 0.0)
             except ValueError:
                 parsed.append(math.nan)
         values.append(parsed)
@@ -1003,17 +1004,17 @@ CELLS = st.one_of(
 class TestParseAttributesOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 3), st.integers(0, 3), st.data())
-    @example(width=0, id_at=0, data=None)
+    # ``data`` is a literal list of rows in an example, drawn otherwise
+    @example(width=0, id_at=0, data=[])
+    @example(width=1, id_at=1, data=[["-0.0"]])
     def test_matches_per_cell_parse(self, width, id_at, data):
         id_at = min(id_at, width)
         header = [f"c{j}" for j in range(width)]
         header.insert(id_at, "GEOID")
-        rows = []
-        if data is not None:
+        if not isinstance(data, list):
             cells = st.lists(CELLS, min_size=width, max_size=width)
-            for i, row in enumerate(data.draw(st.lists(cells, max_size=5))):
-                row.insert(id_at, f"u{i}")
-                rows.append(row)
+            data = data.draw(st.lists(cells, max_size=5))
+        rows = [row[:id_at] + [f"u{i}"] + row[id_at:] for i, row in enumerate(data)]
         out = io.StringIO()
         csv.writer(out).writerows([header] + rows)
         text = out.getvalue()

@@ -533,13 +533,19 @@ class TestReportBranches:
 
 
 class TestStageErrors:
-    def test_constant_outcome_fails_in_scoring_stage(self, tmp_path):
+    @pytest.mark.parametrize(
+        "sub, stage",
+        [("pipeline", "gi_star"), ("hotspot", "gi_star"),
+         ("regress", "selection"), ("cluster", "selection")],
+    )
+    def test_constant_outcome_fails_in_scoring_stage(self, tmp_path, sub, stage):
+        # a subcommand runs its stages in the full run's order, so where both
+        # run the stage that fails, both fail with its tag
         d = str(tmp_path)
-        geo, attr = write_tiny_dataset(d, [5.0] * 9)
-        config = tiny_config(d, geo, attr)
+        geo, attr = write_tiny_dataset(d, [5.0] * 16, n_side=4)
         with pytest.raises(PipelineError) as err:
-            run_subcommand(config, "hotspot")
-        assert err.value.stage == "gi_star"
+            run_subcommand(tiny_config(d, geo, attr), sub)
+        assert err.value.stage == stage
 
     def test_constant_outcome_still_builds_weights(self, tmp_path):
         d = str(tmp_path)
@@ -582,13 +588,14 @@ class TestStageErrors:
         )
 
     @pytest.mark.parametrize("sub", ["regress", "cluster", "pipeline"])
-    def test_constant_predictor_fails_in_zscore(self, tmp_path, sub):
+    def test_constant_predictor_fails_in_selection(self, tmp_path, sub):
         d = str(tmp_path)
-        geo, attr = write_tiny_dataset(d, list(range(9)), constant_p2=True)
+        # 4 x 4: on a 3 x 3 lattice a full run stops at gi_star first
+        geo, attr = write_tiny_dataset(d, list(range(16)), n_side=4, constant_p2=True)
         config = tiny_config(d, geo, attr)
         with pytest.raises(PipelineError) as err:
             run_subcommand(config, sub)
-        assert err.value.stage == "zscore"
+        assert err.value.stage == "selection"
         assert "p2" in str(err.value)
 
     def test_constant_predictor_leaves_hotspot_alone(self, tmp_path):
