@@ -13,6 +13,7 @@ import sys
 
 from ._version import __version__
 from .pipeline import SUBCOMMANDS, PipelineError, load_config, run_subcommand
+from .weights import CONTIGUITY_RULES
 
 _HELP = {
     "pipeline": "run every stage and write all outputs",
@@ -29,7 +30,7 @@ _OVERRIDES = (
     ("--fdr-alpha", {"type": float, "help": "override FDR level"}),
     ("--vif-threshold", {"type": float, "help": "override collinearity cutoff"}),
     ("--group-k", {"type": int, "help": "override number of groups"}),
-    ("--contiguity", {"choices": ("queen", "rook"), "help": "override contiguity rule"}),
+    ("--contiguity", {"choices": CONTIGUITY_RULES, "help": "override contiguity rule"}),
     ("--snap-tolerance", {"type": float, "help": "override vertex snap tolerance"}),
     (
         "--allow-islands",

@@ -38,6 +38,7 @@ __all__ = [
     "to_feature_collection",
     "parse_attributes",
     "merge",
+    "MERGE_POLICIES",
     "drop_missing_rows",
 ]
 
@@ -598,6 +599,10 @@ def parse_attributes(data: bytes | str, id_column: str) -> AttributeTable:
     return AttributeTable(ids=ids, columns=columns, values=np.concatenate(blocks))
 
 
+# The join policies ``merge`` accepts.
+MERGE_POLICIES = ("drop-with-report", "fail-on-any-unmatched")
+
+
 def merge(
     units: AreaUnits | list[AreaUnit],
     table: AttributeTable,
@@ -612,7 +617,7 @@ def merge(
     ``"fail-on-any-unmatched"``.  A side the join keeps whole and in id
     order is passed through without a copy.
     """
-    if policy not in ("drop-with-report", "fail-on-any-unmatched"):
+    if policy not in MERGE_POLICIES:
         raise ValueError(f"unknown merge policy {policy!r}")
     units = AreaUnits.of(units)
     if not len(units):

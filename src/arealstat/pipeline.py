@@ -5,9 +5,10 @@ so a partial run's files and report sections are byte-identical to the
 matching pieces of a full run.  Two tables decide what each subcommand
 does.  ``_STAGES`` has one row per report section, in report order: the
 stage that builds the section, the subcommands that run it, the section's
-key, and its report.txt heading and text renderer.  ``_FILES`` lists the
-files each subcommand writes.  Any stage failure, also one while a section
-is built, surfaces as a PipelineError tagged with the stage name.
+key, and its report.txt heading and text renderer.  ``_FILES`` has one row
+per output file: its name, the subcommands that write it, and the function
+that returns its text.  Any stage failure, also one while a section is
+built, surfaces as a PipelineError tagged with the stage name.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from . import spatial_models as _spatial
 from . import stats as _stats
 from . import weights as _weights
 from .ingest import (
+    MERGE_POLICIES,
     AttributeTable,
     MergedDataset,
     _feature_dicts,
@@ -101,8 +103,9 @@ class PipelineConfig:
             raise ValueError(
                 f"outcome column {self.outcome_column!r} may not also be a predictor"
             )
-        if self.contiguity not in ("queen", "rook"):
-            raise ValueError(f"contiguity must be queen or rook, got {self.contiguity!r}")
+        if self.contiguity not in _weights.CONTIGUITY_RULES:
+            rules = " or ".join(_weights.CONTIGUITY_RULES)
+            raise ValueError(f"contiguity must be {rules}, got {self.contiguity!r}")
         tol = self.snap_tolerance
         if tol is not None and not (_is_number(tol) and math.isfinite(tol) and tol > 0):
             raise ValueError("snap_tolerance must be a finite positive number when given")
@@ -118,7 +121,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be a positive integer")
         if not isinstance(self.allow_islands, bool):
             raise ValueError("allow_islands must be true or false")
-        if self.merge_policy not in ("drop-with-report", "fail-on-any-unmatched"):
+        if self.merge_policy not in MERGE_POLICIES:
             raise ValueError(f"unknown merge policy {self.merge_policy!r}")
         if self.spearman_column is not None:
             if not isinstance(self.spearman_column, str) or not self.spearman_column:
@@ -222,20 +225,16 @@ class _Context:
     config: PipelineConfig
     dataset: MergedDataset | None = None
     links: _weights.SpatialWeights | None = None
-    island_ids: list = field(default_factory=list)
     gi: _hotspot.HotspotResult | None = None
     z_outcome: np.ndarray | None = None
     z_columns: dict = field(default_factory=dict)
     design_final: _ols.DesignMatrix | None = None
     fit_final: _ols.OlsFit | None = None
     lm_suite: _ols.LmSuite | None = None
-    spatial_skip_reason: str | None = None
-    decision: str | None = None
     spatial_fit: _spatial.SpatialFit | None = None
-    cluster_features: list = field(default_factory=list)
     assignments: np.ndarray | None = None
     # the report before _sanitize: each stage's section is stored there
-    # under its key, and the CSV tables are written from those sections
+    # under its key, where later stages and the file functions read it
     report: dict = field(default_factory=dict)
 
 
@@ -258,6 +257,16 @@ def _read(path: str, what: str) -> bytes:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+
+
+# The four tables that report.txt shows as tables, each with the columns its
+# CSV file (through _csv_text) and its report.txt block (through _text_table)
+# both list.  comparison.csv adds a "preferred" column, which report.txt
+# states on a line of its own.
+_SUMMARY_COLUMNS = ("name", "mean", "sd", "n", "min", "max")
+_OLS_COLUMNS = ("name", "coefficient", "se", "t", "p", "stars")
+_SPATIAL_COLUMNS = ("name", "coefficient", "se", "p", "stars")
+_COMPARISON_COLUMNS = ("model", "fit_statistic", "fit_value", "log_likelihood", "aic", "n_params")
 
 
 def _coef_rows(names, beta, se, p, t=None) -> list[dict]:
@@ -304,31 +313,21 @@ def _stage_ingest(ctx: _Context) -> dict:
 
 def _stage_weights(ctx: _Context) -> dict:
     cfg = ctx.config
-    build = (
-        _weights.queen_contiguity if cfg.contiguity == "queen" else _weights.rook_contiguity
-    )
+    build = getattr(_weights, f"{cfg.contiguity}_contiguity")
     ctx.links = build(ctx.dataset.units, cfg.snap_tolerance)
-    islands = _weights.detect_islands(ctx.links)
-    ctx.island_ids = [ctx.dataset.units.ids[i] for i in islands]
+    ids = ctx.dataset.units.ids
     return {
         "n": ctx.links.n,
         "contiguity": cfg.contiguity,
         "mode": "row-standardized",
         "directed_links": int(ctx.links.matrix.nnz),
-        "islands": list(ctx.island_ids),
+        "islands": [ids[i] for i in _weights.detect_islands(ctx.links)],
     }
 
 
 def _stage_summarize(ctx: _Context) -> list[dict]:
     return [
-        {
-            "name": r.name,
-            "mean": r.mean,
-            "sd": r.sd,
-            "n": r.n,
-            "min": r.minimum,
-            "max": r.maximum,
-        }
+        dict(zip(_SUMMARY_COLUMNS, (r.name, r.mean, r.sd, r.n, r.minimum, r.maximum)))
         for r in _stats.summarize(ctx.dataset.table)
     ]
 
@@ -380,9 +379,9 @@ def _stage_selection(ctx: _Context) -> dict:
     }
 
 
-def _island_guidance(ctx: _Context) -> str:
+def _island_guidance(islands: list[str]) -> str:
     return (
-        f"{len(ctx.island_ids)} isolated units ({ctx.island_ids}) have no "
+        f"{len(islands)} isolated units ({islands}) have no "
         "neighbors; row-standardized weights and spatial models are "
         "undefined. Remove or reconnect them, raise snap_tolerance, or set "
         "allow_islands to skip the spatial stages."
@@ -399,10 +398,10 @@ def _stage_lm(ctx: _Context) -> dict:
     else:
         kb_skipped = "final model has no slopes; heteroskedasticity test undefined"
     lm = None
-    if ctx.island_ids:
+    islands = ctx.report["weights"]["islands"]
+    if islands:
         if not ctx.config.allow_islands:
-            raise ValueError(_island_guidance(ctx))
-        ctx.spatial_skip_reason = _island_guidance(ctx)
+            raise ValueError(_island_guidance(islands))
     else:
         ctx.lm_suite = _ols.lm_tests(ctx.design_final, ctx.z_outcome, fit, ctx.links)
         lm = {
@@ -433,12 +432,14 @@ def _stage_lm(ctx: _Context) -> dict:
 
 
 def _stage_decision(ctx: _Context) -> dict:
-    warning = None
-    if not ctx.spatial_skip_reason:
+    # units without neighbors skip the spatial stages, as _stage_lm allowed
+    islands = ctx.report["weights"]["islands"]
+    decision = warning = None
+    if not islands:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                ctx.decision = _ols.model_decision(ctx.lm_suite, ctx.config.alpha)
+                decision = _ols.model_decision(ctx.lm_suite, ctx.config.alpha)
             except ValueError as exc:
                 if ctx.design_final.q > 1:
                     raise
@@ -450,18 +451,17 @@ def _stage_decision(ctx: _Context) -> dict:
             warning = str(caught[-1].message)
     return {
         "alpha": ctx.config.alpha,
-        "decision": ctx.decision,
+        "decision": decision,
         "warning": warning,
-        "skipped_reason": ctx.spatial_skip_reason,
+        "skipped_reason": _island_guidance(islands) if islands else None,
     }
 
 
 def _stage_spatial(ctx: _Context) -> dict | None:
-    if ctx.spatial_skip_reason or ctx.decision == "stay-OLS":
+    decision = ctx.report["decision"]["decision"]
+    if decision in (None, "stay-OLS"):
         return None
-    fit_fn = (
-        _spatial.fit_error_ml if ctx.decision == "fit-error" else _spatial.fit_lag_ml
-    )
+    fit_fn = _spatial.fit_error_ml if decision == "fit-error" else _spatial.fit_lag_ml
     sf = ctx.spatial_fit = fit_fn(ctx.design_final, ctx.z_outcome, ctx.links)
     param_name = "lambda" if sf.kind == "error" else "rho"
     # the spatial parameter's row follows the intercept's
@@ -510,16 +510,15 @@ def _stage_cluster(ctx: _Context) -> dict:
     ranked = _final_slope_ranking(ctx)
     if not ranked:
         raise ValueError("final model retained no predictors to group on")
-    count = min(ctx.config.top_features_for_grouping, len(ranked))
-    ctx.cluster_features = ranked[:count]
-    points = np.column_stack([ctx.z_columns[c] for c in ctx.cluster_features])
+    features = ranked[: ctx.config.top_features_for_grouping]
+    points = np.column_stack([ctx.z_columns[c] for c in features])
     ctx.assignments = _cluster.cut(_cluster.ward_cluster(points), ctx.config.group_k)
-    names = [ctx.config.outcome_column] + ctx.cluster_features
+    names = [ctx.config.outcome_column] + features
     feats = np.column_stack([ctx.z_outcome, points])
     return {
         "k": ctx.config.group_k,
         "linkage": "ward-d2",
-        "features": list(ctx.cluster_features),
+        "features": features,
         "thresholds": list(_cluster.LABEL_THRESHOLDS),
         "profiles": [
             {
@@ -547,7 +546,7 @@ def _stage_spearman(ctx: _Context) -> dict:
         }
     base = ctx.dataset.table.column(column)
     rows = []
-    for versus in [cfg.outcome_column] + ctx.cluster_features:
+    for versus in [cfg.outcome_column] + ctx.report["groups"]["features"]:
         if versus == column:
             continue
         rho, p = _stats.spearman(base, ctx.dataset.table.column(versus))
@@ -556,8 +555,48 @@ def _stage_spearman(ctx: _Context) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# text rendering: one function per report section, from its sanitized JSON
-# form to its report.txt lines under the heading
+# text rendering: a table as CSV and as report.txt lines, then one function
+# per report section, from its sanitized JSON form to its report.txt lines
+# under the heading
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(text: str) -> str:
+    """``text`` as one CSV field: in double quotes, each quote doubled, when
+    it holds a comma, a quote, CR or LF (RFC 4180); as it is otherwise."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return _quoted(value)
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
+
+
+def _csv_text(columns, rows: list[dict]) -> str:
+    """``rows`` as CSV, each line's cells picked by column name: strings
+    through _quoted, integers in full, other numbers through _fmt."""
+    lines = [",".join(map(_quoted, columns))]
+    lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _text_table(columns: tuple, rows: list[dict]) -> list[str]:
+    """``rows`` as report.txt lines under a line of column names: strings
+    bare, numbers as _csv_text spells them, and a stars column unnamed, its
+    cell right after the p-value.  The rows are sanitized, so a NaN cell is
+    blank and an infinite one reads as report.json spells it."""
+    named = [c for c in columns if c != "stars"]
+    return ["  " + " ".join(named)] + [
+        "  " + " ".join(row[c] if isinstance(row[c], str) else _cell(row[c]) for c in named)
+        + (row["stars"] if "stars" in columns else "")
+        for row in rows
+    ]
 
 
 def _text_config(config: dict) -> list[str]:
@@ -581,11 +620,7 @@ def _text_weights(w: dict) -> list[str]:
 
 
 def _text_summary(rows: list[dict]) -> list[str]:
-    return ["  name mean sd n min max"] + [
-        f"  {r['name']} {_fmt(r['mean'])} {_fmt(r['sd'])} {r['n']} "
-        f"{_fmt(r['min'])} {_fmt(r['max'])}"
-        for r in rows
-    ]
+    return _text_table(_SUMMARY_COLUMNS, rows)
 
 
 def _text_hotspot(h: dict) -> list[str]:
@@ -612,12 +647,7 @@ def _text_selection(s: dict) -> list[str]:
 
 
 def _text_ols(o: dict) -> list[str]:
-    lines = ["  name coefficient se t p"]
-    for c in o["coefficients"]:
-        lines.append(
-            f"  {c['name']} {_fmt(c['coefficient'])} {_fmt(c['se'])} "
-            f"{_fmt(c.get('t'))} {_fmt(c['p'])}{c['stars']}"
-        )
+    lines = _text_table(_OLS_COLUMNS, o["coefficients"])
     lines.append(
         f"  n={o['n']} q={o['q']} r2={_fmt(o['r2'])} adj_r2={_fmt(o['adj_r2'])} "
         f"sigma2={_fmt(o['sigma2'])}"
@@ -654,12 +684,7 @@ def _text_decision(dec: dict) -> list[str]:
 
 
 def _text_spatial(sp_: dict) -> list[str]:
-    lines = ["  name coefficient se p"]
-    for c in sp_["coefficients"]:
-        lines.append(
-            f"  {c['name']} {_fmt(c['coefficient'])} {_fmt(c['se'])} "
-            f"{_fmt(c['p'])}{c['stars']}"
-        )
+    lines = _text_table(_SPATIAL_COLUMNS, sp_["coefficients"])
     lines.append(
         f"  sigma2={_fmt(sp_['sigma2'])} log_likelihood={_fmt(sp_['log_likelihood'])} "
         f"aic={_fmt(sp_['aic'])} pseudo_r2={_fmt(sp_['pseudo_r2'])}"
@@ -670,12 +695,7 @@ def _text_spatial(sp_: dict) -> list[str]:
 
 
 def _text_comparison(cmp_: dict) -> list[str]:
-    lines = ["  model fit_statistic fit_value log_likelihood aic n_params"]
-    for r in cmp_["rows"]:
-        lines.append(
-            f"  {r['model']} {r['fit_statistic']} {_fmt(r['fit_value'])} "
-            f"{_fmt(r['log_likelihood'])} {_fmt(r['aic'])} {r['n_params']}"
-        )
+    lines = _text_table(_COMPARISON_COLUMNS, cmp_["rows"])
     lines.append(f"  preferred: {cmp_['preferred']}")
     lines.append(f"  note: {cmp_['note']}")
     return lines
@@ -713,57 +733,18 @@ def _render_report_text(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# file outputs
+# file outputs: the one writer, and the text of each file whose _FILES row
+# does not build it in one expression
 
 
-def _write(path: str, data: bytes) -> None:
+def _write(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of strings, as UTF-8."""
     with open(path, "wb") as fh:
-        fh.write(data)
+        for chunk in [text] if isinstance(text, str) else text:
+            fh.write(chunk.encode("utf-8"))
 
 
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-
-
-def _quoted(text: str) -> str:
-    """``text`` as one CSV field: in double quotes, each quote doubled, when
-    it holds a comma, a quote, CR or LF (RFC 4180); as it is otherwise."""
-    if _NEEDS_QUOTES.search(text) is None:
-        return text
-    return '"' + text.replace('"', '""') + '"'
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return _quoted(value)
-    if isinstance(value, int):
-        return str(value)
-    return _fmt(value)
-
-
-def _write_table(path: str, columns: list[str], rows: list[dict]) -> None:
-    """Write ``rows`` as CSV, each line's cells picked by column name:
-    strings through _quoted, integers in full, other numbers through _fmt."""
-    lines = [",".join(map(_quoted, columns))]
-    lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
-    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _write_weights_files(ctx: _Context, outdir: str) -> None:
-    text = _weights.write_weights(ctx.links, ctx.dataset.units.ids)
-    _write(os.path.join(outdir, "weights.txt"), text.encode("utf-8"))
-    island_text = "".join(f"{uid}\n" for uid in ctx.island_ids)
-    _write(os.path.join(outdir, "islands.txt"), island_text.encode("utf-8"))
-
-
-def _write_summary(ctx: _Context, outdir: str) -> None:
-    _write_table(
-        os.path.join(outdir, "summary.csv"),
-        ["name", "mean", "sd", "n", "min", "max"],
-        ctx.report["summary"],
-    )
-
-
-def _write_hotspot(ctx: _Context, outdir: str) -> None:
+def _hotspot_csv(ctx: _Context) -> str:
     # one %-format per row; "%.6g" % x spells every float as _fmt does
     x = ctx.dataset.table.column(ctx.config.outcome_column)
     gi = ctx.gi
@@ -779,56 +760,39 @@ def _write_hotspot(ctx: _Context, outdir: str) -> None:
             gi.classes,
         )
     ]
-    _write(
-        os.path.join(outdir, "hotspot.csv"),
-        ("\n".join(lines) + "\n").encode("utf-8"),
-    )
+    return "\n".join(lines) + "\n"
 
 
-def _write_hotspot_maps(ctx: _Context, outdir: str) -> None:
-    outcome = ctx.config.outcome_column
-    x = ctx.dataset.table.column(outcome)
-    svg = _render.render_choropleth(
-        ctx.dataset.units, x, kind="quantile", title=outcome
-    )
-    _write(os.path.join(outdir, "map_outcome.svg"), svg.encode("utf-8"))
-    svg = _render.render_choropleth(
-        ctx.dataset.units,
-        ctx.gi.classes,
-        kind="hotspot",
-        title=f"{outcome} hot and cold spots",
-    )
-    _write(os.path.join(outdir, "map_hotspot.svg"), svg.encode("utf-8"))
+def _map(ctx: _Context, values, kind: str, title: str) -> str:
+    return _render.render_choropleth(ctx.dataset.units, values, kind=kind, title=title)
 
 
-def _write_regress_files(ctx: _Context, outdir: str) -> None:
-    _write_table(
-        os.path.join(outdir, "ols_coefficients.csv"),
-        ["name", "coefficient", "se", "t", "p", "stars"],
-        ctx.report["ols"]["coefficients"],
-    )
-    if ctx.report["spatial"] is not None:
-        _write_table(
-            os.path.join(outdir, "spatial_coefficients.csv"),
-            ["name", "coefficient", "se", "p", "stars"],
-            ctx.report["spatial"]["coefficients"],
-        )
+def _column_map(ctx: _Context, column: str | None) -> str | None:
+    # the quantile map of an analysis column, or None where there is no column
+    if column is None:
+        return None
+    return _map(ctx, ctx.dataset.table.column(column), "quantile", column)
+
+
+def _spatial_csv(ctx: _Context) -> str | None:
+    spatial = ctx.report["spatial"]
+    return None if spatial is None else _csv_text(_SPATIAL_COLUMNS, spatial["coefficients"])
+
+
+def _comparison_csv(ctx: _Context) -> str | None:
     cmp_ = ctx.report["comparison"]
-    if cmp_ is not None:
-        rows = [
-            {**r, "preferred": "yes" if r["model"] == cmp_["preferred"] else "no"}
-            for r in cmp_["rows"]
-        ]
-        _write_table(
-            os.path.join(outdir, "comparison.csv"),
-            ["model", "fit_statistic", "fit_value", "log_likelihood", "aic",
-             "n_params", "preferred"],
-            rows,
-        )
+    if cmp_ is None:
+        return None
+    rows = [
+        {**r, "preferred": "yes" if r["model"] == cmp_["preferred"] else "no"}
+        for r in cmp_["rows"]
+    ]
+    return _csv_text(_COMPARISON_COLUMNS + ("preferred",), rows)
 
 
-def _write_cluster_files(ctx: _Context, outdir: str) -> None:
-    names = [ctx.config.outcome_column] + ctx.cluster_features
+def _groups_csv(ctx: _Context) -> str:
+    groups = ctx.report["groups"]
+    names = [ctx.config.outcome_column] + groups["features"]
     rows = [
         {
             "group": pr["group"],
@@ -836,39 +800,21 @@ def _write_cluster_files(ctx: _Context, outdir: str) -> None:
             **{f"mean_{n}": m for n, m in pr["means"].items()},
             **{f"label_{n}": lab for n, lab in pr["labels"].items()},
         }
-        for pr in ctx.report["groups"]["profiles"]
+        for pr in groups["profiles"]
     ]
     columns = ["group", "count"] + [f"{k}_{n}" for n in names for k in ("mean", "label")]
-    _write_table(os.path.join(outdir, "groups.csv"), columns, rows)
-    svg = _render.render_choropleth(
-        ctx.dataset.units,
-        ctx.assignments,
-        kind="group",
-        title=f"{ctx.config.group_k} groups",
-    )
-    _write(os.path.join(outdir, "map_groups.svg"), svg.encode("utf-8"))
+    return _csv_text(columns, rows)
 
 
-def _write_spearman(ctx: _Context, outdir: str) -> None:
+def _spearman_csv(ctx: _Context) -> str | None:
     section = ctx.report["spearman"]
     if "skipped_reason" in section:
-        return
-    column = section["column"]
-    _write_table(
-        os.path.join(outdir, "spearman.csv"),
-        ["column", "versus", "rho", "p", "stars"],
-        [{"column": column, **r} for r in section["rows"]],
-    )
-    svg = _render.render_choropleth(
-        ctx.dataset.units,
-        ctx.dataset.table.column(column),
-        kind="quantile",
-        title=column,
-    )
-    _write(os.path.join(outdir, "map_comparison.svg"), svg.encode("utf-8"))
+        return None
+    rows = [{"column": section["column"], **r} for r in section["rows"]]
+    return _csv_text(("column", "versus", "rho", "p", "stars"), rows)
 
 
-def _write_augmented(ctx: _Context, outdir: str) -> None:
+def _augmented_geojson(ctx: _Context):
     extra = {
         "gi_z": [float(v) for v in ctx.gi.z],
         "gi_p": [float(v) for v in ctx.gi.p],
@@ -876,24 +822,14 @@ def _write_augmented(ctx: _Context, outdir: str) -> None:
         "gi_class": list(ctx.gi.classes),
         "group": [int(g) for g in ctx.assignments],
     }
-    # the bytes of json.dumps(to_feature_collection(...), sort_keys=True)
-    # plus a newline; each feature is built, encoded and written in turn, so
-    # neither the whole text nor every feature's tree is held at once
+    # the text of json.dumps(to_feature_collection(...), sort_keys=True)
+    # plus a newline; each feature is built and encoded in turn, so neither
+    # the whole text nor every feature's tree is held at once
     encode = json.JSONEncoder(sort_keys=True).encode
-    with open(os.path.join(outdir, "augmented.geojson"), "wb") as fh:
-        fh.write(b'{"features": [')
-        for k, feature in enumerate(_feature_dicts(ctx.dataset.units, extra)):
-            if k:
-                fh.write(b", ")
-            fh.write(encode(feature).encode("utf-8"))
-        fh.write(b'], "type": "FeatureCollection"}\n')
-
-
-def _write_report(report: dict, outdir: str) -> None:
-    clean = _sanitize(report)
-    payload = json.dumps(clean, indent=2, sort_keys=True) + "\n"
-    _write(os.path.join(outdir, "report.json"), payload.encode("utf-8"))
-    _write(os.path.join(outdir, "report.txt"), _render_report_text(clean).encode("utf-8"))
+    yield '{"features": ['
+    for k, feature in enumerate(_feature_dicts(ctx.dataset.units, extra)):
+        yield (", " if k else "") + encode(feature)
+    yield '], "type": "FeatureCollection"}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -903,8 +839,12 @@ def _write_report(report: dict, outdir: str) -> None:
 # The tables hold only this module's own functions: the library calls inside
 # them resolve through module globals at run time, where a tracer can wrap them.
 
+_WEIGHTS = ("weights", "pipeline")
+_HOTSPOT = ("hotspot", "pipeline")
 _MODEL = ("regress", "cluster", "pipeline")
+_REGRESS = ("regress", "pipeline")
 _GROUPS = ("cluster", "pipeline")
+_FULL = ("pipeline",)
 
 # One row per report section, in run order and report.txt order: the tag and
 # function of the stage that returns the section, the subcommands that run
@@ -928,17 +868,35 @@ _STAGES = (
     ("spearman", _stage_spearman, ("pipeline",), "spearman", "rank correlations", _text_spearman),
 )
 
-# Every file writer in writing order and the subcommands that run it; each
-# run then writes report.json and report.txt last.
+# One row per output file, in writing order: its name, the subcommands that
+# write it, and the function of the run's context that returns its text
+# (augmented.geojson's yields it in chunks), or None where the run writes no
+# such file.  islands.txt holds one id per line as one RFC 4180 field, so an
+# id holding a line break, a comma or a quote reads back whole.
 _FILES = (
-    (_write_weights_files, ("weights", "pipeline")),
-    (_write_hotspot, ("hotspot", "pipeline")),
-    (_write_hotspot_maps, ("hotspot", "pipeline")),
-    (_write_regress_files, ("regress", "pipeline")),
-    (_write_cluster_files, _GROUPS),
-    (_write_summary, ("pipeline",)),
-    (_write_spearman, ("pipeline",)),
-    (_write_augmented, ("pipeline",)),
+    ("weights.txt", _WEIGHTS,
+     lambda ctx: _weights.write_weights(ctx.links, ctx.dataset.units.ids)),
+    ("islands.txt", _WEIGHTS,
+     lambda ctx: "".join(f"{_quoted(uid)}\n" for uid in ctx.report["weights"]["islands"])),
+    ("hotspot.csv", _HOTSPOT, _hotspot_csv),
+    ("map_outcome.svg", _HOTSPOT, lambda ctx: _column_map(ctx, ctx.config.outcome_column)),
+    ("map_hotspot.svg", _HOTSPOT, lambda ctx: _map(
+        ctx, ctx.gi.classes, "hotspot", f"{ctx.config.outcome_column} hot and cold spots")),
+    ("ols_coefficients.csv", _REGRESS,
+     lambda ctx: _csv_text(_OLS_COLUMNS, ctx.report["ols"]["coefficients"])),
+    ("spatial_coefficients.csv", _REGRESS, _spatial_csv),
+    ("comparison.csv", _REGRESS, _comparison_csv),
+    ("groups.csv", _GROUPS, _groups_csv),
+    ("map_groups.svg", _GROUPS,
+     lambda ctx: _map(ctx, ctx.assignments, "group", f"{ctx.config.group_k} groups")),
+    ("summary.csv", _FULL, lambda ctx: _csv_text(_SUMMARY_COLUMNS, ctx.report["summary"])),
+    ("spearman.csv", _FULL, _spearman_csv),
+    ("map_comparison.svg", _FULL,
+     lambda ctx: _column_map(ctx, ctx.report["spearman"].get("column"))),
+    ("augmented.geojson", _FULL, _augmented_geojson),
+    ("report.json", SUBCOMMANDS,
+     lambda ctx: json.dumps(_sanitize(ctx.report), indent=2, sort_keys=True) + "\n"),
+    ("report.txt", SUBCOMMANDS, lambda ctx: _render_report_text(_sanitize(ctx.report))),
 )
 
 
@@ -955,10 +913,10 @@ def _run(config: PipelineConfig, which: str) -> dict:
             with _stage(tag):
                 ctx.report[key] = run_stage(ctx)
     with _stage("outputs"):
-        for write, subcommands in _FILES:
-            if which in subcommands:
-                write(ctx, config.output_dir)
-        _write_report(ctx.report, config.output_dir)
+        for name, subcommands, text_of in _FILES:
+            text = text_of(ctx) if which in subcommands else None
+            if text is not None:
+                _write(os.path.join(config.output_dir, name), text)
     return ctx.report
 
 

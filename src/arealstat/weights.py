@@ -27,6 +27,7 @@ from .ingest import AreaUnit, AreaUnits
 
 __all__ = [
     "SpatialWeights",
+    "CONTIGUITY_RULES",
     "queen_contiguity",
     "rook_contiguity",
     "detect_islands",
@@ -156,6 +157,10 @@ def _link_shared_keys(owner: np.ndarray, keys: np.ndarray, n: int) -> SpatialWei
         (np.ones(int(off.sum())), (shared.row[off], shared.col[off])), shape=(n, n)
     )
     return SpatialWeights(matrix=a)
+
+
+# The contiguity rules, each built by this module's ``<rule>_contiguity``.
+CONTIGUITY_RULES = ("queen", "rook")
 
 
 def queen_contiguity(

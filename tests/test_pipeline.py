@@ -33,7 +33,7 @@ from arealstat.pipeline import (
     run_subcommand,
 )
 from arealstat.synth import autoregressive_solver
-from arealstat.weights import queen_contiguity
+from arealstat.weights import CONTIGUITY_RULES, queen_contiguity
 from conftest import feature_collection, grid_units, polygon_feature, square_ring
 
 PIPELINE_FILES = [
@@ -657,6 +657,15 @@ def island_dataset(tmp_path):
     return d, geo, attr
 
 
+@pytest.mark.parametrize("rule", CONTIGUITY_RULES)
+def test_every_contiguity_rule_builds_weights(tmp_path, rule):
+    d = str(tmp_path)
+    geo, attr = write_tiny_dataset(d, list(range(9)))
+    report = run_subcommand(tiny_config(d, geo, attr, contiguity=rule), "weights")
+    assert report["weights"]["contiguity"] == rule
+    assert report["weights"]["directed_links"] == {"queen": 40, "rook": 24}[rule]
+
+
 class TestIslands:
     def test_island_reported_by_weights(self, tmp_path):
         d, geo, attr = island_dataset(tmp_path)
@@ -664,6 +673,21 @@ class TestIslands:
         run_subcommand(config, "weights")
         with open(os.path.join(config.output_dir, "islands.txt")) as fh:
             assert fh.read().splitlines() == ["far"]
+
+    def test_island_ids_read_back_whole(self, tmp_path):
+        # each id is one RFC 4180 field, so a line break, a comma or a quote
+        # in an id does not split it; islands.txt lists the ids in id order
+        ids = ['far,"q"', "X\nY"]
+        extra = [polygon_feature(uid, square_ring(30.0, 5.0 * k)) for k, uid in enumerate(ids)]
+        d = str(tmp_path)
+        geo, attr = write_tiny_dataset(d, list(range(9)), extra_geometry=extra)
+        with open(attr, "a", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([uid, 4.5, 0.1, 0.2] for uid in ids)
+        config = tiny_config(d, geo, attr, allow_islands=True)
+        report = run_subcommand(config, "weights")
+        assert report["weights"]["islands"] == sorted(ids)
+        islands = read_csv(os.path.join(config.output_dir, "islands.txt"))
+        assert islands == [[uid] for uid in sorted(ids)]
 
     def test_weights_stage_warns_nothing_on_islands(self, tmp_path):
         # the island's row of W stays empty without a warning; report.json
@@ -854,7 +878,7 @@ class TestHotspotCsv:
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.floats()), max_size=12))
-    def test_rows_match_per_cell_writer(self, tmp_path_factory, cells):
+    def test_rows_match_per_cell_writer(self, cells):
         # the per-cell writer this one replaced, kept as the oracle
         n = len(cells)
         cols = np.array(cells, dtype=float).reshape(n, 4)
@@ -872,10 +896,8 @@ class TestHotspotCsv:
         expected = ["id,x,z,p,adjusted_p,class"] + [
             ",".join([ids[i], *(fmt(v) for v in cols[i]), classes[i]]) for i in range(n)
         ]
-        outdir = str(tmp_path_factory.mktemp("hotspot_csv"))
-        pipeline_module._write_hotspot(ctx, outdir)
-        with open(os.path.join(outdir, "hotspot.csv"), "rb") as fh:
-            assert fh.read() == ("\n".join(expected) + "\n").encode("utf-8")
+        text = pipeline_module._hotspot_csv(ctx)
+        assert text.encode("utf-8") == ("\n".join(expected) + "\n").encode("utf-8")
 
 
 def read_csv(path):
@@ -938,20 +960,46 @@ class TestCsvQuoting:
         ),
         st.data(),
     )
-    def test_table_cells_round_trip(self, tmp_path_factory, columns, data):
+    def test_table_cells_round_trip(self, columns, data):
         cell = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
         rows = data.draw(st.lists(st.fixed_dictionaries({c: cell for c in columns}), max_size=4))
-        path = os.path.join(str(tmp_path_factory.mktemp("table")), "t.csv")
-        pipeline_module._write_table(path, columns, rows)
+        text = pipeline_module._csv_text(columns, rows)
         table = [columns] + [[row[c] for c in columns] for row in rows]
-        assert read_csv(path) == table
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        assert list(csv.reader(io.StringIO(text, newline=""))) == table
         # a cell that needs no quotes is written as before
         if not any(ch in "".join(map("".join, table)) for ch in ',"\r\n'):
             assert text == "".join(",".join(cells) + "\n" for cells in table)
         else:
             assert text.count('"') > sum(cell.count('"') for cells in table for cell in cells)
+
+
+@pytest.mark.parametrize(
+    "name, heading, after",
+    [
+        ("summary.csv", "summary", None),
+        ("ols_coefficients.csv", "final least-squares fit", "  n="),
+        ("spatial_coefficients.csv", "spatial {kind} model", "  sigma2="),
+        ("comparison.csv", "model comparison", "  preferred: "),
+    ],
+)
+def test_report_text_tables_match_csv(county_run, name, heading, after):
+    # a report.txt table lists its CSV's columns and cells, apart from CSV
+    # quoting, the stars, which follow the p-value, and comparison.csv's
+    # preferred column, which report.txt states on the line after the table
+    config, report = county_run
+    header, *rows = read_csv(os.path.join(config.output_dir, name))
+    with open(os.path.join(config.output_dir, "report.txt")) as fh:
+        block = _text_section(fh.read(), heading.format_map(report["spatial"]))
+    if header[-1] == "preferred":
+        [preferred] = [row[0] for row in rows if row[-1] == "yes"]
+        header, rows = header[:-1], [row[:-1] for row in rows]
+        assert block[len(rows) + 1] == f"  preferred: {preferred}"
+    if header[-1] == "stars":
+        header, rows = header[:-1], [row[:-2] + [row[-2] + row[-1]] for row in rows]
+    table = [header, *rows]
+    assert block[: len(table)] == ["  " + " ".join(cells) for cells in table]
+    rest = block[len(table):]
+    assert rest[0].startswith(after) if after else rest == []
 
 
 _IMPORT_GRAPH_PROBE = """
